@@ -59,6 +59,7 @@ class CheckReport:
     millis: float = 0.0
     admitted: Optional[int] = None
     note: str = ""
+    counters: dict = dataclasses.field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -75,6 +76,7 @@ class CheckReport:
             "min_cost": cost_to_json(self.min_cost)
             if self.min_cost is not None else None,
             "millis": round(self.millis, 3),
+            "counters": self.counters,
         }
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
@@ -91,9 +93,9 @@ def _merge_domain(base: DomainConfig, override: Optional[dict]) -> DomainConfig:
     return dataclasses.replace(base, **override)
 
 
-def _cost_stats(program: Program, mode, cfg):
+def _cost_stats(program: Program, mode, cfg, scope):
     """Exact max/min cost of the program side over the enumerated domain."""
-    ev = get_evaluator(program, mode, cfg)
+    ev = get_evaluator(program, mode, cfg, scope)
     try:
         _, inputs = enumerate_inputs(program.declared_ty, cfg)
     except EvalError:
@@ -109,21 +111,32 @@ def _cost_stats(program: Program, mode, cfg):
     return hi, lo
 
 
-def _relation_check(spec: BoundSpec, mode: EvalMode, cfg: DomainConfig) -> Verdict:
+def _relation_check(
+    spec: BoundSpec, mode: EvalMode, cfg: DomainConfig, scope: dict
+) -> Verdict:
     if mode is EvalMode.EXTENSIONAL:
         # with cost collapsed, every stated approximation must be an equality
-        return eq_program(spec.program, spec.bound, mode, cfg)
+        return eq_program(spec.program, spec.bound, mode, cfg, scope)
     match spec.relation:
         case Relation.LEQ_UPPER:
-            return leq_program(spec.program, spec.bound, mode, cfg)
+            return leq_program(spec.program, spec.bound, mode, cfg, scope)
         case Relation.LEQ_LOWER:
-            return leq_program(spec.bound, spec.program, mode, cfg)
+            return leq_program(spec.bound, spec.program, mode, cfg, scope)
         case Relation.EQUAL:
-            return eq_program(spec.program, spec.bound, mode, cfg)
+            return eq_program(spec.program, spec.bound, mode, cfg, scope)
         case Relation.EXT_EQUAL:
             return eq_program(spec.program, spec.bound,
-                              EvalMode.EXTENSIONAL, cfg)
+                              EvalMode.EXTENSIONAL, cfg, scope)
     raise ValueError(spec.relation)
+
+
+def _table_counters(scope: dict) -> dict:
+    """Table counters summed over the evaluators of one check."""
+    evs = [ev for _, ev in scope.values()]
+    return {
+        "table_entries": sum(ev.table_entries for ev in evs),
+        "table_hits": sum(ev.table_hits for ev in evs),
+    }
 
 
 def verify(
@@ -132,25 +145,31 @@ def verify(
     domain_override: Optional[dict] = None,
     seed: int = 0,
 ) -> CheckReport:
-    """Check one bound spec and report verdict plus exact cost statistics."""
+    """Check one bound spec and report verdict plus exact cost statistics.
+
+    The check's evaluators, and with them their tables, live in a scope
+    that ends when this call returns.
+    """
     cfg = _merge_domain(spec.domain, domain_override)
     start = time.perf_counter()
+    scope: dict = {}
     if spec.hypothesis is not None:
-        report = _verify_hypothesis(spec, mode, cfg, seed)
+        report = _verify_hypothesis(spec, mode, cfg, seed, scope)
     else:
-        verdict = _relation_check(spec, mode, cfg)
-        report = _report_from_verdict(spec, verdict, cfg, mode)
+        verdict = _relation_check(spec, mode, cfg, scope)
+        report = _report_from_verdict(spec, verdict, cfg, mode, scope)
+    report.counters = _table_counters(scope)
     report.millis = (time.perf_counter() - start) * 1000
     return report
 
 
-def _report_from_verdict(spec, verdict, cfg, mode) -> CheckReport:
+def _report_from_verdict(spec, verdict, cfg, mode, scope) -> CheckReport:
     stats_mode = (
         EvalMode.EXTENSIONAL
         if spec.relation is Relation.EXT_EQUAL or mode is EvalMode.EXTENSIONAL
         else EvalMode.COST_COUNTING
     )
-    hi, lo = _cost_stats(spec.program, stats_mode, cfg)
+    hi, lo = _cost_stats(spec.program, stats_mode, cfg, scope)
     return CheckReport(
         name=spec.name,
         relation=spec.relation.value,
@@ -168,13 +187,13 @@ def _report_from_verdict(spec, verdict, cfg, mode) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_applied(spec_like: BoundSpec, thunk, mode, cfg) -> Verdict:
+def _check_applied(spec_like: BoundSpec, thunk, mode, cfg, scope) -> Verdict:
     """Pointwise check of a spec whose programs take the thunk first."""
     arg_tys, _ = unfold_arrows(spec_like.program.declared_ty)
     rest = arg_tys[1:]
     domains = [enumerate_value_ty(t, cfg) for t in rest]
-    ev_p = get_evaluator(spec_like.program, mode, cfg)
-    ev_b = get_evaluator(spec_like.bound, mode, cfg)
+    ev_p = get_evaluator(spec_like.program, mode, cfg, scope)
+    ev_b = get_evaluator(spec_like.bound, mode, cfg, scope)
     for tail in itertools.product(*domains):
         args = (thunk,) + tail
         out_p = ev_p.outcome(args)
@@ -189,7 +208,7 @@ def _check_applied(spec_like: BoundSpec, thunk, mode, cfg) -> Verdict:
     return Verdict(True)
 
 
-def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
+def _verify_hypothesis(spec, mode, cfg, seed, scope) -> CheckReport:
     arg_tys, _ = unfold_arrows(spec.program.declared_ty)
     if not arg_tys or not isinstance(arg_tys[0], UTy):
         raise OrderError(
@@ -214,11 +233,11 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
         except TypeCheckError:  # defensive; candidates are well-typed
             continue
         thunk = ("thunk", (), elab)
-        hyp_v = _check_applied(spec.hypothesis, thunk, mode, cfg)
+        hyp_v = _check_applied(spec.hypothesis, thunk, mode, cfg, scope)
         if not hyp_v.holds:
             continue
         admitted += 1
-        concl = _check_applied(spec, thunk, mode, cfg)
+        concl = _check_applied(spec, thunk, mode, cfg, scope)
         if not concl.holds and failure is None:
             failure = concl
             failure.witness.input = (
@@ -320,7 +339,7 @@ def law_report_to_json(rep: LawReport) -> dict:
         "domain": {"trials": rep.trials, "theory": rep.theory},
         "max_cost": None,
         "min_cost": None,
-        "millis": 0.0,
+        "millis": round(rep.millis, 3),
         **({"counterexample": {"explanation": rep.failures[0]}}
            if rep.failures else {}),
     }

@@ -23,6 +23,7 @@ unique way to satisfy the stated side condition.
 from __future__ import annotations
 
 import random
+import time
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,6 +71,7 @@ class LawReport:
     trials: int
     mode: EvalMode
     failures: list = field(default_factory=list)
+    millis: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -415,6 +417,7 @@ def check_law(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    start = time.perf_counter()
     rng = _law_rng(law, seed)
     theory_name = law.theory or "any"
     report = LawReport(law.name, theory_name, trials, mode)
@@ -427,7 +430,6 @@ def check_law(
         lp = Program(f"{law.name}-lhs", theory, SEQ_NAT, lhs, ty)
         rp = Program(f"{law.name}-rhs", theory, SEQ_NAT, rhs, ty)
         try:
-            # instances are evaluated once; bypass the shared evaluator cache
             out_l = Evaluator(lp, mode, LAWS_CONFIG).outcome(())
             out_r = Evaluator(rp, mode, LAWS_CONFIG).outcome(())
         except TypeCheckError as e:  # a builder bug, not a law failure
@@ -444,4 +446,5 @@ def check_law(
             else:
                 report.failures.append("...")
                 break
+    report.millis = (time.perf_counter() - start) * 1000
     return report

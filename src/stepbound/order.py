@@ -544,15 +544,16 @@ def _input_str(arg_tys, args) -> str:
 
 
 def _pointwise(
-    decide, lhs: Program, rhs: Program, mode: EvalMode, cfg: DomainConfig
+    decide, lhs: Program, rhs: Program, mode: EvalMode, cfg: DomainConfig,
+    scope: Optional[dict] = None,
 ) -> Verdict:
     _check_programs(lhs, rhs)
     try:
         arg_tys, inputs = enumerate_inputs(lhs.declared_ty, cfg)
     except EvalError as e:
         raise OrderError(str(e))
-    ev_l = get_evaluator(lhs, mode, cfg)
-    ev_r = get_evaluator(rhs, mode, cfg)
+    ev_l = get_evaluator(lhs, mode, cfg, scope)
+    ev_r = get_evaluator(rhs, mode, cfg, scope)
     note = ""
     for args in inputs:
         out_l = ev_l.outcome(args)
@@ -571,13 +572,15 @@ def leq_program(
     rhs: Program,
     mode: EvalMode = EvalMode.COST_COUNTING,
     cfg: DomainConfig = DEFAULT_CONFIG,
+    scope: Optional[dict] = None,
 ) -> Verdict:
     """Pointwise ``<=`` of two programs over their enumerated input domain.
 
     Inputs are visited in canonical enumeration order and the first
     failing one becomes the witness, so verdicts are deterministic.
+    ``scope`` is the check's evaluator pool (see ``get_evaluator``).
     """
-    return _pointwise(leq_outcome, lhs, rhs, mode, cfg)
+    return _pointwise(leq_outcome, lhs, rhs, mode, cfg, scope)
 
 
 def eq_program(
@@ -585,9 +588,10 @@ def eq_program(
     rhs: Program,
     mode: EvalMode = EvalMode.COST_COUNTING,
     cfg: DomainConfig = DEFAULT_CONFIG,
+    scope: Optional[dict] = None,
 ) -> Verdict:
     """Pointwise outcome equality over the enumerated input domain."""
-    return _pointwise(eq_outcome, lhs, rhs, mode, cfg)
+    return _pointwise(eq_outcome, lhs, rhs, mode, cfg, scope)
 
 
 def ext_equal_program(

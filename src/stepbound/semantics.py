@@ -33,6 +33,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Optional
 
 from .syntax import (
     Ap, ArrowTy, Bind, BoolLit, BoolTy, Branch, CompTerm, CompTy, Cons,
@@ -444,9 +445,22 @@ _OPS = {
 class Evaluator:
     """Evaluates one elaborated program under a mode and domain config.
 
-    Instances cache recursor towers whose branches are closed, so repeated
-    evaluation over an input domain shares work.  Evaluation itself is
-    pure; all caches are keyed by immutable values.
+    Evaluation is tabled (Michie's memo functions).  One table maps
+    ``(id(node), captured, argument)`` to a denotation, where ``captured``
+    holds the environment's values at the node's free variables:
+
+    * for a λ node, the argument is the value it is applied to;
+    * for a recursor node, the argument is the scrutinee (a nat, or the
+      items of a list), and ``captured`` covers the free variables of its
+      branches.  A recursor resumes from the largest tabled prefix (nat)
+      or suffix (list) of its scrutinee.
+
+    Evaluation is pure, so a hit is the denotation a fresh evaluation
+    would build, and inputs of a tabulated domain share their common
+    sub-calls.  The evaluator also owns the table of each node's captured
+    variable names; an entry there holds its node, so no ``id`` in either
+    table can be reused while the evaluator lives.  An evaluator serves
+    one check (see ``get_evaluator``) and its tables go with it.
     """
 
     def __init__(self, program: Program, mode: EvalMode, cfg: DomainConfig):
@@ -458,10 +472,10 @@ class Evaluator:
             self.monoid = program.monoid
         self.ops = None if program is None else _OPS[self.theory.kind](self.monoid)
         self.ext = mode is EvalMode.EXTENSIONAL
-        self._rec_memo: dict = {}
-        self._closed: dict = {}
+        self._table: dict = {}
+        self._names: dict = {}  # id(node) -> (node, captured variable names)
+        self.table_hits = 0
         self._den = None
-        self._outcomes: dict = {}
 
     @classmethod
     def raw(cls, theory, monoid, mode: EvalMode, cfg: DomainConfig):
@@ -471,6 +485,23 @@ class Evaluator:
         ev.monoid = monoid
         ev.ops = _OPS[theory.kind](monoid)
         return ev
+
+    @property
+    def table_entries(self) -> int:
+        return len(self._table)
+
+    def _names_of(self, node) -> tuple:
+        hit = self._names.get(id(node))
+        if hit is None:
+            hit = self._names[id(node)] = (node, _capture_names(node))
+        return hit[1]
+
+    def _captured(self, node, env) -> tuple:
+        """The environment's values at the variables ``node`` captures."""
+        try:
+            return tuple([env[n] for n in self._names_of(node)])
+        except KeyError as e:
+            raise EvalError(f"unbound variable '{e.args[0]}' at run time")
 
     # -- cost helpers ---------------------------------------------------------
 
@@ -549,11 +580,8 @@ class Evaluator:
             case Inr(a):
                 return ("inr", self.eval_value(a, env))
             case CompTerm():
-                fv = free_vars(t)
-                items = tuple(
-                    sorted((n, v) for n, v in env.items() if n in fv)
-                )
-                return ("thunk", items, t)
+                captured = self._captured(t, env)
+                return ("thunk", tuple(zip(self._names_of(t), captured)), t)
         raise EvalError(f"cannot evaluate value {t!r}")
 
     def force(self, v):
@@ -578,10 +606,17 @@ class Evaluator:
                     return self.eval_comp(_body, e2)
                 return self._bind_at(m, k, t.ty)
             case Lam(x, _, body):
+                nid, captured = id(t), self._captured(t, env)
                 def fn(a, _body=body, _env=env, _x=x):
+                    key = (nid, captured, a)
+                    d = self._table.get(key)
+                    if d is not None:
+                        self.table_hits += 1
+                        return d
                     e2 = dict(_env)
                     e2[_x] = a
-                    return self.eval_comp(_body, e2)
+                    d = self._table[key] = self.eval_comp(_body, e2)
+                    return d
                 return fn
             case Ap(f, a):
                 return self.eval_comp(f, env)(self.eval_value(a, env))
@@ -638,76 +673,50 @@ class Evaluator:
                 return self.ops.par(m0, m1)
         raise EvalError(f"cannot evaluate computation {t!r}")
 
-    def _branches_closed(self, node, names, branches) -> bool:
-        hit = self._closed.get(id(node))
-        if hit is not None:
-            return hit
-        fv = frozenset()
-        for b in branches:
-            fv |= free_vars(b)
-        ok = fv <= set(names)
-        self._closed[id(node)] = ok
-        return ok
+    def _resume(self, nid, captured, scrutinees):
+        """The first of ``scrutinees`` (largest first) at which ``node`` is
+        tabled, with its denotation; ``(None, None)`` if there is none."""
+        table = self._table
+        for k in scrutinees:
+            d = table.get((nid, captured, k))
+            if d is not None:
+                self.table_hits += 1
+                return k, d
+        return None, None
 
     def _natrec(self, node, nv, z, kvar, ihvar, sb, env):
-        memo_ok = self._branches_closed(node, (kvar, ihvar), (z, sb))
-        if memo_ok:
-            hit = self._rec_memo.get((id(node), nv))
-            if hit is not None:
-                return hit
-        start = 0
-        d = None
-        if memo_ok:
-            for i in range(nv, 0, -1):
-                hit = self._rec_memo.get((id(node), i - 1))
-                if hit is not None:
-                    start, d = i - 1, hit
-                    break
+        nid, captured = id(node), self._captured(node, env)
+        start, d = self._resume(nid, captured, range(nv, -1, -1))
         if d is None:
-            d = self.eval_comp(z, env)
-            if memo_ok:
-                self._rec_memo[(id(node), 0)] = d
+            start = 0
+            d = self._table[(nid, captured, 0)] = self.eval_comp(z, env)
         for i in range(start, nv):
             e2 = dict(env)
             e2[kvar] = ("nat", i)
             e2[ihvar] = ("den", node.ty, d)
-            d = self.eval_comp(sb, e2)
-            if memo_ok:
-                self._rec_memo[(id(node), i + 1)] = d
+            d = self._table[(nid, captured, i + 1)] = self.eval_comp(sb, e2)
         return d
 
     def _listrec(self, node, lv, z, xvar, xsvar, ihvar, cb, env):
         charge = node.list_charge
-        memo_ok = self._branches_closed(node, (xvar, xsvar, ihvar), (z, cb))
         items = lv[1]
-        if memo_ok:
-            hit = self._rec_memo.get((id(node), items))
-            if hit is not None:
-                return hit
-        # fold from the tail; reuse the longest memoized suffix
-        start = len(items)
-        d = None
-        if memo_ok:
-            for i in range(len(items)):
-                hit = self._rec_memo.get((id(node), items[i:]))
-                if hit is not None:
-                    start, d = i, hit
-                    break
+        nid, captured = id(node), self._captured(node, env)
+        # fold from the tail, resuming from the longest tabled suffix
+        suffix, d = self._resume(
+            nid, captured, (items[i:] for i in range(len(items) + 1))
+        )
         if d is None:
-            d = self.eval_comp(z, env)
-            if memo_ok:
-                self._rec_memo[(id(node), ())] = d
-        for i in range(start - 1, -1, -1):
-            suffix = items[i + 1:]
+            suffix = ()
+            d = self._table[(nid, captured, ())] = self.eval_comp(z, env)
+        for i in range(len(items) - len(suffix) - 1, -1, -1):
             e2 = dict(env)
             e2[xvar] = items[i]
-            e2[xsvar] = ("list", suffix)
+            e2[xsvar] = ("list", items[i + 1:])
             e2[ihvar] = ("den", node.ty, d)
             d = self.eval_comp(cb, e2)
             if charge is not None:
                 d = self._charge(charge, d, node.ty)
-            if memo_ok:
-                self._rec_memo[(id(node), items[i:])] = d
+            self._table[(nid, captured, items[i:])] = d
         return d
 
     # -- program-level entry points ----------------------------------------------
@@ -757,9 +766,6 @@ class Evaluator:
 
     def outcome(self, args: tuple = ()) -> Outcome:
         """Outcome of the program applied to ``args`` (runtime values)."""
-        hit = self._outcomes.get(args)
-        if hit is not None:
-            return hit
         arg_tys, _ = unfold_arrows(self.program.declared_ty)
         if len(args) != len(arg_tys):
             raise EvalError(
@@ -768,27 +774,43 @@ class Evaluator:
         den = self.denotation()
         for a in args:
             den = den(a)
-        out = self.outcome_of_den(den)
-        self._outcomes[args] = out
-        return out
+        return self.outcome_of_den(den)
 
 
-_EVALUATORS: dict = {}
-_EVALUATORS_CAP = 2048
+def _capture_names(node) -> tuple:
+    """Sorted names of the variables a tabled node captures: the free
+    variables of a λ or thunk, or of the branches of a recursor."""
+    memo: dict = {}
+    match node:
+        case NatRec(_, z, k, ih, sb):
+            fv = free_vars(z, memo) | (free_vars(sb, memo) - {k, ih})
+        case ListRec(_, z, x, xs, ih, cb):
+            fv = free_vars(z, memo) | (free_vars(cb, memo) - {x, xs, ih})
+        case _:
+            fv = free_vars(node, memo)
+    return tuple(sorted(fv))
 
 
-def get_evaluator(p: Program, mode: EvalMode, cfg: DomainConfig) -> Evaluator:
-    """Shared evaluator per (program, mode, config); repeated checks of the
-    same program reuse its recursor caches and tabulated outcomes."""
+def get_evaluator(
+    p: Program, mode: EvalMode, cfg: DomainConfig,
+    scope: Optional[dict] = None,
+) -> Evaluator:
+    """Evaluator for ``p`` under ``mode`` and ``cfg``.
+
+    ``scope`` is the evaluator pool of one check: a dict the caller makes
+    when the check starts and drops when it ends.  Within it there is one
+    evaluator, and so one table, per (program, mode, config), shared by
+    the decision and the cost statistics.  Without a scope each call
+    returns a fresh evaluator.
+    """
+    if scope is None:
+        return Evaluator(p, mode, cfg)
     key = (id(p), mode, cfg)
-    hit = _EVALUATORS.get(key)
-    if hit is not None and hit[0] is p:
-        return hit[1]
-    ev = Evaluator(p, mode, cfg)
-    if len(_EVALUATORS) >= _EVALUATORS_CAP:
-        _EVALUATORS.clear()
-    _EVALUATORS[key] = (p, ev)
-    return ev
+    hit = scope.get(key)
+    if hit is None:
+        # holding ``p`` keeps its id from being reused within the scope
+        hit = scope[key] = (p, Evaluator(p, mode, cfg))
+    return hit[1]
 
 
 def evaluate(
@@ -879,33 +901,3 @@ def enumerate_inputs(ty: CompTy, cfg: DomainConfig):
                 f"({cfg.input_cap})"
             )
     return arg_tys, list(itertools.product(*domains))
-
-
-def quote(v) -> Term:
-    """Embed a first-order runtime value back into syntax."""
-    match v[0]:
-        case "unit":
-            return Triv()
-        case "bool":
-            return BoolLit(v[1])
-        case "nat":
-            t: Term = Zero()
-            for _ in range(v[1]):
-                t = Suc(t)
-            return t
-        case "pair":
-            return Pair(quote(v[1]), quote(v[2]))
-        case "inl":
-            return Inl(quote(v[1]))
-        case "inr":
-            return Inr(quote(v[1]))
-        case "list":
-            t = Nil()
-            for x in reversed(v[1]):
-                t = Cons(quote(x), t)
-            return t
-        case "thunk":
-            if not v[1]:
-                return v[2]
-            raise EvalError("cannot quote a thunk with a nonempty environment")
-    raise EvalError(f"cannot quote {val_str(v)}")

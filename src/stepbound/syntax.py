@@ -449,49 +449,58 @@ _FV_CACHE: dict = {}
 _FV_CACHE_CAP = 200_000
 
 
-def free_vars(t: Term) -> frozenset:
-    cached = _FV_CACHE.get(id(t))
+def free_vars(t: Term, memo: Optional[dict] = None) -> frozenset:
+    """Free variables of ``t``.
+
+    Results are memoised per node in ``memo`` (``id(node) -> (node, set)``),
+    by default a module-wide cache.  A caller that passes its own ``memo``
+    keeps the nodes it visits out of the module cache.
+    """
+    if memo is None:
+        memo = _FV_CACHE
+        if len(memo) >= _FV_CACHE_CAP:
+            memo.clear()
+    cached = memo.get(id(t))
     if cached is not None and cached[0] is t:
         return cached[1]
-    fv = _free_vars(t)
-    if len(_FV_CACHE) >= _FV_CACHE_CAP:
-        _FV_CACHE.clear()
-    _FV_CACHE[id(t)] = (t, fv)
+    fv = _free_vars(t, memo)
+    memo[id(t)] = (t, fv)
     return fv
 
 
-def _free_vars(t: Term) -> frozenset:
+def _free_vars(t: Term, memo: dict) -> frozenset:
+    sub = lambda u: free_vars(u, memo)
     match t:
         case Var(name):
             return frozenset((name,))
         case Bind(comp, var, body):
-            return free_vars(comp) | (free_vars(body) - {var})
+            return sub(comp) | (sub(body) - {var})
         case Lam(var, _, body):
-            return free_vars(body) - {var}
+            return sub(body) - {var}
         case Get(var, body):
-            return free_vars(body) - {var}
+            return sub(body) - {var}
         case NatRec(scrut, zero_branch, k, ih, suc_branch):
             return (
-                free_vars(scrut)
-                | free_vars(zero_branch)
-                | (free_vars(suc_branch) - {k, ih})
+                sub(scrut)
+                | sub(zero_branch)
+                | (sub(suc_branch) - {k, ih})
             )
         case ListRec(scrut, nil_branch, x, xs, ih, cons_branch):
             return (
-                free_vars(scrut)
-                | free_vars(nil_branch)
-                | (free_vars(cons_branch) - {x, xs, ih})
+                sub(scrut)
+                | sub(nil_branch)
+                | (sub(cons_branch) - {x, xs, ih})
             )
         case SumCase(scrut, xl, left, xr, right):
             return (
-                free_vars(scrut)
-                | (free_vars(left) - {xl})
-                | (free_vars(right) - {xr})
+                sub(scrut)
+                | (sub(left) - {xl})
+                | (sub(right) - {xr})
             )
         case Step(cost, body):
-            fv = free_vars(body)
+            fv = sub(body)
             if isinstance(cost, NatCost):
-                fv |= free_vars(cost.term)
+                fv |= sub(cost.term)
             return fv
         case _:
             fv = frozenset()
@@ -500,7 +509,7 @@ def _free_vars(t: Term) -> frozenset:
                     continue
                 v = getattr(t, f.name)
                 if isinstance(v, Term):
-                    fv |= free_vars(v)
+                    fv |= sub(v)
             return fv
 
 

@@ -13,6 +13,7 @@ from stepbound.harness import (
     assert_helpers_cost_free, mutated_corpus, reports_to_json, run_all,
     verify, zero_steps,
 )
+from stepbound.laws import catalog, check_law
 from stepbound.semantics import EvalMode, get_evaluator
 from stepbound.typecheck import check_program
 
@@ -178,14 +179,25 @@ def test_run_all_unknown_spec():
 
 
 def test_json_report_schema():
-    reports, law_reports, _ = run_all(spec_name="double-closed-form")
+    reports, _, _ = run_all(spec_name="double-closed-form")
+    law_reports = [check_law(catalog()[0], trials=5)]
     payload = json.loads(reports_to_json(reports, law_reports))
     assert isinstance(payload, list)
-    entry = payload[0]
+    entry, law_entry = payload
     for key in ("name", "relation", "verdict", "domain", "max_cost",
-                "min_cost", "millis"):
+                "min_cost", "millis", "counters"):
         assert key in entry
     assert entry["verdict"] == "holds"
+    assert set(entry["counters"]) == {"table_entries", "table_hits"}
+    assert law_entry["name"] == f"law:{catalog()[0].name}"
+    assert law_entry["millis"] > 0
+
+
+def test_table_counters_are_deterministic():
+    first = verify(by_name("msort-upper")).to_json()["counters"]
+    second = verify(by_name("msort-upper")).to_json()["counters"]
+    assert first == second
+    assert first["table_hits"] > 0
 
 
 def test_cli_single_spec_and_json(tmp_path):

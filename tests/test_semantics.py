@@ -10,14 +10,15 @@ from conftest import nat, natlist
 
 from stepbound.corpus import (
     BERNOULLI, BINOMIAL, BRANCH_EXAMPLE, DOUBLE, INSERT, ISORT,
-    STATE_DOUBLE,
+    STATE_DOUBLE, _INSERT_DOMAIN,
 )
 from stepbound.costs import SEQ_NAT, WORK_SPAN
 from stepbound.gen import TermGen, random_theory
 from stepbound.order import eq_outcome
+from stepbound.harness import run_all
 from stepbound.semantics import (
-    DEFAULT_CONFIG, Dist, DomainConfig, EvalMode, EvalError, eval_fn,
-    evaluate, get_evaluator,
+    DEFAULT_CONFIG, Dist, DomainConfig, EvalMode, EvalError, enumerate_inputs,
+    eval_fn, evaluate, get_evaluator,
 )
 from stepbound.syntax import (
     NAT, Bind, CostLit, FTy, Program, PURE, Ret, Step, parse,
@@ -317,3 +318,50 @@ def test_total_state_escape_raises():
     p = parse(src)
     with pytest.raises(EvalError):
         evaluate(p, COST, DomainConfig(state_max=4))
+
+
+# -- the evaluation table ------------------------------------------------------
+
+
+def test_table_key_includes_captured_values():
+    # one λ node, reached under x = n for two values of n: its table
+    # entries must not be shared between them
+    p = parse("""
+(: (-> nat (-> nat (F nat)))
+   (lam (n : nat) (bind (ret n) (x (lam (y : nat) (step x (ret y)))))))
+""")
+    ev = get_evaluator(p, COST, DEFAULT_CONFIG)
+    first = ev.outcome((nat(1), nat(0)))
+    second = ev.outcome((nat(2), nat(0)))
+    assert (first.cost, first.value) == (1, nat(0))
+    assert (second.cost, second.value) == (2, nat(0))
+    assert ev.outcome((nat(1), nat(0))) == first
+    assert ev.table_hits > 0
+
+
+def test_recursor_capturing_a_variable_matches_closed_form_insert():
+    # insert's list recursor captures x, so its table entries are keyed
+    # by x as well as by the suffix it folds
+    ev = get_evaluator(INSERT, COST, _INSERT_DOMAIN)
+    _, inputs = enumerate_inputs(INSERT.declared_ty, _INSERT_DOMAIN)
+    assert inputs
+    for x, l in inputs:
+        ys = [y[1] for y in l[1]]
+        # x goes before the first y with x <= y, after one comparison per
+        # element up to and including that y
+        at = next((i for i, y in enumerate(ys) if x[1] <= y), len(ys))
+        out = ev.outcome((x, l))
+        assert out.cost == min(at + 1, len(ys))
+        assert out.value == natlist(ys[:at] + [x[1]] + ys[at:])
+    assert ev.table_hits > 0
+
+
+def test_mutated_isort_first_counterexample_is_unchanged():
+    reports, _, code = run_all(spec_name="isort-lower", mutate="isort")
+    assert code == 1
+    assert reports[0].counterexample == {
+        "input": "[0 0]",
+        "lhs": "step^1 ret [0 0]",
+        "rhs": "step^0 ret [0 0]",
+        "explanation": "cost 1 does not relax to 0",
+    }
