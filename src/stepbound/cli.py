@@ -8,7 +8,8 @@
     stepbound check --mutate isort          # self-test: must fail
     stepbound check --json report.json
 
-Exit status is 0 iff every requested check holds.
+Exit status is 0 iff every requested check holds, 1 if one fails, and 2
+on a usage error (unknown name, bad or oversized domain) told in one line.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import argparse
 import sys
 
 from .harness import format_table, reports_to_json, run_all
-from .semantics import EvalMode
+from .order import OrderError
+from .semantics import EvalError, EvalMode
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,14 +63,18 @@ def main(argv=None) -> int:
     if args.state_max is not None:
         override["state_max"] = args.state_max
     mode = EvalMode.COST_COUNTING if args.mode == "cost" else EvalMode.EXTENSIONAL
-    reports, law_reports, code = run_all(
-        mode=mode,
-        spec_name=args.spec,
-        domain_override=override or None,
-        seed=args.seed,
-        trials=args.trials,
-        mutate=args.mutate,
-    )
+    try:
+        reports, law_reports, code = run_all(
+            mode=mode,
+            spec_name=args.spec,
+            domain_override=override or None,
+            seed=args.seed,
+            trials=args.trials,
+            mutate=args.mutate,
+        )
+    except (ValueError, OrderError, EvalError) as e:
+        print(f"stepbound: error: {e}", file=sys.stderr)
+        return 2
     print(format_table(reports, law_reports))
     if args.json:
         with open(args.json, "w") as fh:

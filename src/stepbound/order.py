@@ -17,28 +17,32 @@ making the effect operations monotone:
 * state  -- pointwise over the tabulated state domain: cost relaxes,
   final state and value must agree.
 
+Outcome equality is ``<=`` both ways: the pure and state deciders with
+exact costs, and equal normal forms for nondet and prob.  Values are
+compared with ``==`` on canonical keys (`_Canon`), made once per outcome:
+a first-order value is its own key, and a suspension (``thunk`` or
+``den``) becomes ``('den', type, normal form)`` of its outcome, tabulated
+over the argument domain at arrow type.  Such a key is only as fine as
+the configured domain, so a holding verdict that met one carries a note.
 Programs of first-order function type are compared pointwise by
-enumerating their input domain.  Suspended computations inside values are
-compared by forcing and tabulating over the configured domain; verdicts
-carry a note when that happens, since such a comparison is only as strong
-as the domain.
+enumerating their input domain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional
 
 from .costs import SEQ_NAT
 from .semantics import (
-    DEFAULT_CONFIG, DomainConfig, EvalError, EvalMode, Evaluator,
+    DEFAULT_CONFIG, Dist, DomainConfig, EvalError, EvalMode, Evaluator,
     NondetOutcome, Outcome, ProbOutcome, PureOutcome, StateOutcome,
     enumerate_inputs, enumerate_value_ty, get_evaluator, pair_sort_key,
     val_sort_key, val_str,
 )
-from .syntax import ArrowTy, Program
+from .syntax import NONDET, PROB, PURE, ArrowTy, Program
 
 
 class OrderError(Exception):
@@ -53,12 +57,7 @@ class Witness:
     explanation: str
 
     def to_json(self):
-        return {
-            "input": self.input,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "explanation": self.explanation,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -80,76 +79,113 @@ _EXT_NOTE = (
     "the configured domain, so the verdict is domain-relative"
 )
 
+_THEORIES = {"pure": PURE, "nondet": NONDET, "prob": PROB}
 
-class _Cmp:
-    """Comparison context: forces thunks and tracks domain-relativity."""
 
-    def __init__(self, theory, monoid, mode, cfg):
+def _suspends(v) -> bool:
+    """Whether value ``v`` holds a suspended computation."""
+    match v[0]:
+        case "unit" | "bool" | "nat":
+            return False
+        case "pair":
+            return _suspends(v[1]) or _suspends(v[2])
+        case "inl" | "inr":
+            return _suspends(v[1])
+        case "list":
+            return any(map(_suspends, v[1]))
+    return True
+
+
+class _Canon:
+    """Canonical keys of the values of one comparison.
+
+    Two values are equal exactly when their keys are.  Suspensions are
+    forced by an evaluator made on first use, under the theory, monoid
+    and mode of the outcomes; ``suspended`` records that one was met.
+    """
+
+    def __init__(self, out: Outcome, cfg: DomainConfig, theory):
+        self.out = out
         self.cfg = cfg
-        self.mode = mode
-        self.used_extension = False
-        self._ev = Evaluator.raw(theory, monoid, mode, cfg)
+        self.theory = theory
+        self.suspended = False
+        self._ev = None
 
-    def note(self):
-        return _EXT_NOTE if self.used_extension else ""
-
-    def val_eq(self, a, b) -> bool:
-        if a == b:
-            return True
-        if a[0] in ("thunk", "den") or b[0] in ("thunk", "den"):
-            return self._den_eq(a, b)
-        if a[0] != b[0]:
-            return False
-        match a[0]:
-            case "pair":
-                return self.val_eq(a[1], b[1]) and self.val_eq(a[2], b[2])
-            case "inl" | "inr":
-                return self.val_eq(a[1], b[1])
-            case "list":
-                return len(a[1]) == len(b[1]) and all(
-                    self.val_eq(x, y) for x, y in zip(a[1], b[1])
+    def _evaluator(self) -> Evaluator:
+        if self._ev is None:
+            theory = self.theory or _THEORIES.get(self.out.theory)
+            if theory is None:
+                raise OrderError(
+                    f"{self.out.theory} outcomes hold suspended "
+                    "computations: pass the `theory` argument to compare them"
                 )
+            self._ev = Evaluator.raw(
+                theory, self.out.monoid, self.out.mode, self.cfg
+            )
+        return self._ev
+
+    def outcome(self, out: Outcome) -> Outcome:
+        """``out`` with canonical values; ``out`` itself if no value
+        suspends."""
+        f = self.value
+        match out:
+            case PureOutcome(value=v) if _suspends(v):
+                return replace(out, value=f(v))
+            case NondetOutcome(branches=b) if any(_suspends(v) for _, v in b):
+                return replace(out, branches=frozenset((c, f(v)) for c, v in b))
+            case ProbOutcome(dist=d) if any(_suspends(v) for (_, v), _ in d):
+                acc: dict = {}
+                for (c, v), w in d:
+                    key = (c, f(v))
+                    acc[key] = acc.get(key, 0) + w
+                return replace(out, dist=Dist(acc))
+            case StateOutcome(table=t) if any(
+                _suspends(v) for _, (_, _, v) in t
+            ):
+                # final states lie in the first-order state domain
+                return replace(out, table=tuple(
+                    (s0, (c, s1, f(v))) for s0, (c, s1, v) in t
+                ))
+        return out
+
+    def value(self, v):
+        match v[0]:
+            case "pair":
+                return ("pair", self.value(v[1]), self.value(v[2]))
+            case "inl" | "inr":
+                return (v[0], self.value(v[1]))
+            case "list":
+                return ("list", tuple(map(self.value, v[1])))
+            case "thunk":
+                ty, den = v[2].ty, self._evaluator().eval_comp(v[2], dict(v[1]))
+            case "den":
+                ty, den = v[1], v[2]
             case _:
-                return False
+                return v
+        self.suspended = True
+        return ("den", ty, self._normal_form_at(den, ty))
 
-    def _force(self, v):
-        if v[0] == "thunk":
-            return v[2].ty, self._ev.eval_comp(v[2], dict(v[1]))
-        if v[0] == "den":
-            return v[1], v[2]
-        raise OrderError(f"expected a suspension, found {val_str(v)}")
-
-    def _den_eq(self, a, b) -> bool:
-        ta, da = self._force(a)
-        tb, db = self._force(b)
-        if ta != tb:
-            return False
-        self.used_extension = True
-        return self._den_eq_at(da, db, ta)
-
-    def _den_eq_at(self, da, db, ty) -> bool:
+    def _normal_form_at(self, den, ty):
         if isinstance(ty, ArrowTy):
-            for x in enumerate_value_ty(ty.dom, self.cfg):
-                if not self._den_eq_at(da(x), db(x), ty.cod):
-                    return False
-            return True
-        oa = self._ev.outcome_of_den(da)
-        ob = self._ev.outcome_of_den(db)
-        return _eq_outcome(oa, ob, self).holds
+            return tuple(
+                self._normal_form_at(den(x), ty.cod)
+                for x in enumerate_value_ty(ty.dom, self.cfg)
+            )
+        return _normal_form(self.outcome(self._evaluator().outcome_of_den(den)))
 
 
-def _cmp_for(out: Outcome, cfg: DomainConfig, theory_obj=None) -> _Cmp:
-    # Outcomes only record the theory kind; thunk forcing additionally
-    # needs the state type, which callers supply when they have it.  State
-    # tables hold first-order data, so a pure context is a safe fallback.
-    from .syntax import NONDET, PROB, PURE
-
-    theory = theory_obj
-    if theory is None:
-        theory = {"pure": PURE, "nondet": NONDET, "prob": PROB}.get(
-            out.theory, PURE
-        )
-    return _Cmp(theory, out.monoid, out.mode, cfg)
+def _normal_form(out: Outcome):
+    """A canonical outcome's equality class: equal outcomes, and only
+    those, have equal normal forms."""
+    match out:
+        case PureOutcome():
+            return (out.cost, out.value)
+        case NondetOutcome():
+            return em_normal_form(out.branches, out.monoid)
+        case ProbOutcome():
+            return out.dist
+        case StateOutcome():
+            return (out.table, out.escaped)
 
 
 def _check_compatible(lhs: Outcome, rhs: Outcome):
@@ -159,10 +195,6 @@ def _check_compatible(lhs: Outcome, rhs: Outcome):
         )
     if lhs.monoid is not rhs.monoid:
         raise OrderError("cost monoid mismatch")
-
-
-def base_leq(cl, vl, cr, vr, monoid, cmp: _Cmp) -> bool:
-    return monoid.leq(cl, cr) and cmp.val_eq(vl, vr)
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +207,12 @@ def leq_outcome(
     cfg: DomainConfig = DEFAULT_CONFIG,
     theory=None,
 ) -> Verdict:
-    """Decide the approximation preorder between two outcomes."""
-    _check_compatible(lhs, rhs)
-    cmp = _cmp_for(lhs, cfg, theory)
-    v = _leq_outcome(lhs, rhs, cmp)
-    if v.holds:
-        v.note = cmp.note()
-    return v
+    """Decide the approximation preorder between two outcomes.
+
+    ``theory`` is the effect theory under which suspended computations in
+    the values are forced; only state outcomes that hold some need it.
+    """
+    return _decide(_leq_outcome, lhs, rhs, cfg, theory)
 
 
 def eq_outcome(
@@ -189,64 +220,92 @@ def eq_outcome(
     cfg: DomainConfig = DEFAULT_CONFIG,
     theory=None,
 ) -> Verdict:
-    """Decide equality of normalized outcomes."""
+    """Decide equality of outcomes (``<=`` both ways); ``theory`` as for
+    ``leq_outcome``."""
+    return _decide(_eq_outcome, lhs, rhs, cfg, theory)
+
+
+def _decide(decider, lhs, rhs, cfg, theory) -> Verdict:
+    """``decider`` on canonical outcomes; a witness shows them as given."""
     _check_compatible(lhs, rhs)
-    cmp = _cmp_for(lhs, cfg, theory)
-    v = _eq_outcome(lhs, rhs, cmp)
-    if v.holds:
-        v.note = cmp.note()
+    canon = _Canon(lhs, cfg, theory)
+    v = decider(canon.outcome(lhs), canon.outcome(rhs))
+    if not v.holds:
+        v.witness.lhs, v.witness.rhs = str(lhs), str(rhs)
+    elif canon.suspended:
+        v.note = _EXT_NOTE
     return v
 
 
-def _fail(lhs, rhs, explanation, input_=""):
-    return Verdict(False, Witness(input_, str(lhs), str(rhs), explanation))
+def _fail(explanation):
+    return Verdict(False, Witness("", "", "", explanation))
 
 
-def _leq_outcome(lhs: Outcome, rhs: Outcome, cmp: _Cmp) -> Verdict:
-    monoid = lhs.monoid
+def _cost_fault(monoid, cl, cr, exact: bool) -> str:
+    """Why cost ``cl`` is not below ``cr`` (equal to it if ``exact``),
+    or '' if it is."""
+    if cl == cr if exact else monoid.leq(cl, cr):
+        return ""
+    verb = "differs from" if exact else "does not relax to"
+    return f"cost {monoid.show(cl)} {verb} {monoid.show(cr)}"
+
+
+def _base_relation(monoid):
+    """The base order on ``(cost, canonical value)`` pairs."""
+    return lambda a, b: a[1] == b[1] and monoid.leq(a[0], b[0])
+
+
+def _leq_outcome(lhs: Outcome, rhs: Outcome, exact: bool = False) -> Verdict:
     match lhs, rhs:
         case (PureOutcome(), PureOutcome()):
-            if not monoid.leq(lhs.cost, rhs.cost):
-                return _fail(
-                    lhs, rhs,
-                    f"cost {monoid.show(lhs.cost)} does not relax to "
-                    f"{monoid.show(rhs.cost)}",
-                )
-            if not cmp.val_eq(lhs.value, rhs.value):
-                return _fail(lhs, rhs, "return values differ")
+            fault = _cost_fault(lhs.monoid, lhs.cost, rhs.cost, exact)
+            if fault:
+                return _fail(fault)
+            if lhs.value != rhs.value:
+                return _fail("return values differ")
             return Verdict(True)
         case (NondetOutcome(), NondetOutcome()):
-            return _leq_nondet(lhs, rhs, monoid, cmp)
+            return _leq_nondet(lhs, rhs)
         case (ProbOutcome(), ProbOutcome()):
-            return _leq_prob(lhs, rhs, monoid, cmp)
+            return _leq_prob(lhs, rhs)
         case (StateOutcome(), StateOutcome()):
-            return _leq_state(lhs, rhs, monoid, cmp)
+            return _leq_state(lhs, rhs, exact)
     raise OrderError(f"outcome shape mismatch: {type(lhs)} vs {type(rhs)}")
 
 
-def _leq_nondet(lhs, rhs, monoid, cmp) -> Verdict:
+def _eq_outcome(lhs: Outcome, rhs: Outcome) -> Verdict:
+    match lhs, rhs:
+        case (NondetOutcome(), NondetOutcome()):
+            if lhs.branches == rhs.branches or (
+                _normal_form(lhs) == _normal_form(rhs)
+            ):
+                return Verdict(True)
+            return _fail("branch sets differ (beyond order-equivalence)")
+        case (ProbOutcome(), ProbOutcome()):
+            if lhs.dist == rhs.dist:
+                return Verdict(True)
+            return _fail("distributions differ")
+    return _leq_outcome(lhs, rhs, exact=True)
+
+
+def _leq_nondet(lhs, rhs) -> Verdict:
+    monoid = lhs.monoid
+    base = _base_relation(monoid)
     if bool(lhs.branches) != bool(rhs.branches):
         return _fail(
-            lhs, rhs,
-            "emptiness differs: the empty outcome relates only to itself",
+            "emptiness differs: the empty outcome relates only to itself"
         )
-    for cl, vl in sorted(lhs.branches, key=pair_sort_key):
-        if not any(
-            base_leq(cl, vl, cr, vr, monoid, cmp) for cr, vr in rhs.branches
-        ):
+    for a in sorted(lhs.branches, key=pair_sort_key):
+        if not any(base(a, b) for b in rhs.branches):
             return _fail(
-                lhs, rhs,
-                f"branch ({monoid.show(cl)}, {val_str(vl)}) is not "
-                "dominated by any branch on the right",
+                f"branch ({monoid.show(a[0])}, {val_str(a[1])}) is not "
+                "dominated by any branch on the right"
             )
-    for cr, vr in sorted(rhs.branches, key=pair_sort_key):
-        if not any(
-            base_leq(cl, vl, cr, vr, monoid, cmp) for cl, vl in lhs.branches
-        ):
+    for b in sorted(rhs.branches, key=pair_sort_key):
+        if not any(base(a, b) for a in lhs.branches):
             return _fail(
-                lhs, rhs,
-                f"branch ({monoid.show(cr)}, {val_str(vr)}) on the right "
-                "dominates no branch on the left",
+                f"branch ({monoid.show(b[0])}, {val_str(b[1])}) on the right "
+                "dominates no branch on the left"
             )
     return Verdict(True)
 
@@ -266,7 +325,7 @@ def em_normal_form(branches, monoid) -> frozenset:
     the extremes), yet differ as sets.  The class of a finite set under
     mutual lifting is determined exactly by the minimal and maximal
     cost antichains of each value group, so equality of outcomes
-    compares those.
+    compares those.  Values must be canonical (see `_Canon`).
     """
     groups: dict = {}
     for c, v in branches:
@@ -285,136 +344,65 @@ def em_normal_form(branches, monoid) -> frozenset:
     return frozenset(keep)
 
 
-def _leq_prob(lhs, rhs, monoid, cmp) -> Verdict:
+def _leq_prob(lhs, rhs) -> Verdict:
     gl = _group_by_value(lhs.dist)
     gr = _group_by_value(rhs.dist)
     if set(gl) != set(gr):
         only = set(gl) ^ set(gr)
         v = next(iter(only))
         return _fail(
-            lhs, rhs,
             f"value {val_str(v)} carries mass on one side only "
-            "(a coupling must match values exactly)",
+            "(a coupling must match values exactly)"
         )
     for v in gl:
         ml = sum(w for _, w in gl[v])
         mr = sum(w for _, w in gr[v])
         if ml != mr:
             return _fail(
-                lhs, rhs,
-                f"total mass at value {val_str(v)} differs: {ml} vs {mr}",
+                f"total mass at value {val_str(v)} differs: {ml} vs {mr}"
             )
-    if monoid is SEQ_NAT:
+    if lhs.monoid is SEQ_NAT:
         # total cost order: the coupling problem splits per value into
         # first-order dominance of equal-mass cost distributions
         for v in gl:
             if not cdf_dominates(gl[v], gr[v]):
                 return _fail(
-                    lhs, rhs,
                     f"cost distribution at value {val_str(v)} is not "
-                    "stochastically below the right-hand one",
+                    "stochastically below the right-hand one"
                 )
         return Verdict(True)
-    rel = lambda a, b: base_leq(a[0], a[1], b[0], b[1], monoid, cmp)
+    rel = _base_relation(lhs.monoid)
     if transportation_oracle(list(lhs.dist), list(rhs.dist), rel):
         return Verdict(True)
-    return _fail(lhs, rhs, "no feasible coupling supported on the base order")
-
-
-def dist_leq_fast(lhs, rhs) -> bool:
-    """Coupling order on distributions over (int cost, value) pairs via
-    per-value CDF dominance; valid for a totally ordered cost monoid."""
-    gl: dict = {}
-    gr: dict = {}
-    for (c, v), w in lhs:
-        gl.setdefault(v, []).append((c, w))
-    for (c, v), w in rhs:
-        gr.setdefault(v, []).append((c, w))
-    if set(gl) != set(gr):
-        return False
-    for v in gl:
-        if sum(w for _, w in gl[v]) != sum(w for _, w in gr[v]):
-            return False
-        if not cdf_dominates(gl[v], gr[v]):
-            return False
-    return True
+    return _fail("no feasible coupling supported on the base order")
 
 
 def dist_leq_flow(lhs, rhs) -> bool:
-    """The same order decided by max-flow transportation feasibility."""
+    """Coupling order on distributions over (int cost, value) pairs,
+    decided by max-flow transportation feasibility: the reference for
+    the per-value CDF path of `leq_outcome`."""
     rel = lambda a, b: a[1] == b[1] and a[0] <= b[0]
     return transportation_oracle(list(lhs), list(rhs), rel)
 
 
-def _leq_state(lhs, rhs, monoid, cmp) -> Verdict:
+def _leq_state(lhs, rhs, exact: bool) -> Verdict:
     if lhs.escaped != rhs.escaped:
-        return _fail(lhs, rhs, "runs escape the state domain differently")
+        return _fail("runs escape the state domain differently")
     tl = dict(lhs.table)
     tr = dict(rhs.table)
     if set(tl) != set(tr):
-        return _fail(lhs, rhs, "tabulated initial states differ")
+        return _fail("tabulated initial states differ")
     for s0 in sorted(tl, key=val_sort_key):
         cl, sl, vl = tl[s0]
         cr, sr, vr = tr[s0]
-        if not monoid.leq(cl, cr):
-            return _fail(
-                lhs, rhs,
-                f"from state {val_str(s0)}: cost {monoid.show(cl)} does "
-                f"not relax to {monoid.show(cr)}",
-            )
-        if not cmp.val_eq(sl, sr):
-            return _fail(
-                lhs, rhs, f"from state {val_str(s0)}: final states differ"
-            )
-        if not cmp.val_eq(vl, vr):
-            return _fail(
-                lhs, rhs, f"from state {val_str(s0)}: return values differ"
-            )
+        fault = _cost_fault(lhs.monoid, cl, cr, exact)
+        if fault:
+            return _fail(f"from state {val_str(s0)}: {fault}")
+        if sl != sr:
+            return _fail(f"from state {val_str(s0)}: final states differ")
+        if vl != vr:
+            return _fail(f"from state {val_str(s0)}: return values differ")
     return Verdict(True)
-
-
-def _eq_outcome(lhs: Outcome, rhs: Outcome, cmp: _Cmp) -> Verdict:
-    monoid = lhs.monoid
-    match lhs, rhs:
-        case (PureOutcome(), PureOutcome()):
-            if lhs.cost != rhs.cost:
-                return _fail(lhs, rhs, "costs differ")
-            if not cmp.val_eq(lhs.value, rhs.value):
-                return _fail(lhs, rhs, "return values differ")
-            return Verdict(True)
-        case (NondetOutcome(), NondetOutcome()):
-            if lhs.branches == rhs.branches:
-                return Verdict(True)
-            if em_normal_form(lhs.branches, monoid) == em_normal_form(
-                rhs.branches, monoid
-            ):
-                return Verdict(True)
-            return _fail(
-                lhs, rhs,
-                "branch sets differ (beyond order-equivalence)",
-            )
-        case (ProbOutcome(), ProbOutcome()):
-            if lhs.dist == rhs.dist:
-                return Verdict(True)
-            return _fail(lhs, rhs, "distributions differ")
-        case (StateOutcome(), StateOutcome()):
-            if lhs.escaped != rhs.escaped:
-                return _fail(
-                    lhs, rhs, "runs escape the state domain differently"
-                )
-            tl, tr = dict(lhs.table), dict(rhs.table)
-            if set(tl) != set(tr):
-                return _fail(lhs, rhs, "tabulated initial states differ")
-            for s0 in sorted(tl, key=val_sort_key):
-                cl, sl, vl = tl[s0]
-                cr, sr, vr = tr[s0]
-                if cl != cr or not cmp.val_eq(sl, sr) or not cmp.val_eq(vl, vr):
-                    return _fail(
-                        lhs, rhs,
-                        f"entries for initial state {val_str(s0)} differ",
-                    )
-            return Verdict(True)
-    raise OrderError(f"outcome shape mismatch: {type(lhs)} vs {type(rhs)}")
 
 
 # ---------------------------------------------------------------------------
@@ -539,17 +527,13 @@ def _check_programs(lhs: Program, rhs: Program):
         raise OrderError("programs declare different cost monoids")
 
 
-def _input_str(arg_tys, args) -> str:
-    return ", ".join(val_str(a) for a in args)
-
-
 def _pointwise(
     decide, lhs: Program, rhs: Program, mode: EvalMode, cfg: DomainConfig,
     scope: Optional[dict] = None,
 ) -> Verdict:
     _check_programs(lhs, rhs)
     try:
-        arg_tys, inputs = enumerate_inputs(lhs.declared_ty, cfg)
+        _, inputs = enumerate_inputs(lhs.declared_ty, cfg)
     except EvalError as e:
         raise OrderError(str(e))
     ev_l = get_evaluator(lhs, mode, cfg, scope)
@@ -560,7 +544,7 @@ def _pointwise(
         out_r = ev_r.outcome(args)
         v = decide(out_l, out_r, cfg, lhs.theory)
         if not v.holds:
-            v.witness.input = _input_str(arg_tys, args)
+            v.witness.input = ", ".join(val_str(a) for a in args)
             return v
         if v.note:
             note = v.note

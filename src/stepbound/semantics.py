@@ -67,6 +67,13 @@ class DomainConfig:
     hyp_min_admitted: int = 50
     hyp_depth: int = 4
 
+    def __post_init__(self):
+        for name, least in (("nat_max", 0), ("list_len", 0), ("state_max", 0),
+                            ("elems", 1), ("input_cap", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {getattr(self, name)}")
+
     def to_json(self):
         return {
             "nat_max": self.nat_max,
@@ -230,7 +237,7 @@ class Dist:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.items)
+            self._hash = hash(frozenset(self._map.items()))
         return self._hash
 
     def __iter__(self):

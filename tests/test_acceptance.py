@@ -21,11 +21,11 @@ from stepbound.gen import gen_dist, gen_outcome, raise_outcome
 from stepbound.harness import verify
 from stepbound.laws import catalog, check_law, mutant_catalog
 from stepbound.order import (
-    dist_leq_fast, dist_leq_flow, eq_outcome, ext_equal_program,
+    dist_leq_flow, eq_outcome, ext_equal_program,
     leq_outcome, transportation_oracle,
 )
 from stepbound.semantics import (
-    DomainConfig, EvalMode, evaluate, get_evaluator,
+    DomainConfig, EvalMode, ProbOutcome, evaluate, get_evaluator,
 )
 from stepbound.syntax import (
     BoolLit, CostLit, FTy, Par, ProdTy, Program, PURE, Ret, Step, NAT, BOOL,
@@ -160,16 +160,12 @@ def test_criterion_8_oracle_agreement():
     rng = random.Random(4096)
     disagreements = 0
     for i in range(1000):
-        a = gen_dist(rng)
+        a = ProbOutcome("prob", SEQ_NAT, COST, gen_dist(rng))
         if rng.random() < 0.5:
-            from stepbound.semantics import ProbOutcome
-
-            b = raise_outcome(
-                rng, ProbOutcome("prob", SEQ_NAT, COST, a)
-            ).dist
+            b = raise_outcome(rng, a)
         else:
-            b = gen_dist(rng)
-        if dist_leq_fast(a, b) != dist_leq_flow(a, b):
+            b = ProbOutcome("prob", SEQ_NAT, COST, gen_dist(rng))
+        if leq_outcome(a, b).holds != dist_leq_flow(a.dist, b.dist):
             disagreements += 1
     assert disagreements == 0
     report(8, "CDF fast path and max-flow transportation oracle agree on "

@@ -14,7 +14,7 @@ from stepbound.harness import (
     verify, zero_steps,
 )
 from stepbound.laws import catalog, check_law
-from stepbound.semantics import EvalMode, get_evaluator
+from stepbound.semantics import DomainConfig, EvalMode, get_evaluator
 from stepbound.typecheck import check_program
 
 COST = EvalMode.COST_COUNTING
@@ -222,6 +222,31 @@ def test_cli_mutation_run_fails(tmp_path):
     assert proc.returncode == 1
     assert "fails" in proc.stdout
     assert "counterexample" in proc.stdout
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--spec", "isort-upper", "--list-len", "-1"], "list_len must be at least 0"),
+    (["--spec", "nope"], "no spec named 'nope'"),
+    (["--spec", "isort-upper", "--list-len", "7"], "larger than the configured cap"),
+])
+def test_cli_usage_errors_are_one_line(args, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "stepbound.cli", "check", *args],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("stepbound: error: ")
+    assert message in proc.stderr and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nat_max", -1), ("list_len", -1), ("state_max", -1), ("elems", 0),
+    ("input_cap", 0),
+])
+def test_domain_config_rejects_bad_bounds(field, value):
+    with pytest.raises(ValueError, match=field):
+        DomainConfig(**{field: value})
 
 
 def test_domain_override_flows_through():

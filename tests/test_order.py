@@ -14,15 +14,19 @@ from stepbound.corpus import (
 from stepbound.costs import SEQ_NAT
 from stepbound.gen import TermGen, gen_dist, gen_outcome, raise_outcome, random_theory
 from stepbound.order import (
-    OrderError, cdf_dominates, dist_leq_fast, dist_leq_flow, eq_outcome,
+    OrderError, cdf_dominates, dist_leq_flow, eq_outcome,
     eq_program, ext_equal_program, leq_outcome, leq_program,
     transportation_oracle,
 )
+from stepbound.costs import WORK_SPAN
 from stepbound.semantics import (
     Dist, DomainConfig, EvalMode, NondetOutcome, ProbOutcome, PureOutcome,
-    evaluate,
+    StateOutcome, evaluate,
 )
-from stepbound.syntax import Bind, CostLit, FTy, NAT, Program, Step
+from stepbound.syntax import (
+    ArrowTy, Bind, CostLit, Flip, FTy, Lam, NAT, NONDET, NatRec, PROB, PURE,
+    Program, Ret, Step, UTy, Var, nat_lit, state_theory,
+)
 
 COST = EvalMode.COST_COUNTING
 
@@ -146,7 +150,8 @@ def test_fast_and_flow_prob_deciders_agree():
         a = gen_dist(rng)
         b = raise_outcome(rng, prob(dict(a.items))).dist if rng.random() < 0.5 \
             else gen_dist(rng)
-        assert dist_leq_fast(a, b) == dist_leq_flow(a, b)
+        fast = leq_outcome(prob(dict(a.items)), prob(dict(b.items))).holds
+        assert fast == dist_leq_flow(a, b)
 
 
 def _hall_feasible(lhs, rhs, rel):
@@ -197,15 +202,189 @@ def test_leq_outcome_transitive_on_generated_chains():
         assert leq_outcome(a, c).holds
 
 
+THEORIES = {"pure": PURE, "nondet": NONDET, "prob": PROB,
+            "state": state_theory(NAT)}
+SUSP_CFG = DomainConfig(nat_max=3, state_max=2)
+
+
+def _thunk(monoid, comp):
+    """The suspension that ``ret (thunk comp)`` returns, elaborated."""
+    ty = FTy(UTy(FTy(NAT)))
+    return evaluate(Program("t", PURE, monoid, Ret(comp), ty)).value
+
+
+def _thunk_pool(monoid):
+    """Per nat ``n < 2``: ``ret n``, the equivalent ``bind (ret n) x. ret x``,
+    and ``step^1 (ret n)``, which differs from both in cost."""
+    one = CostLit(monoid.scale(1))
+    return [
+        [_thunk(monoid, c) for c in (
+            Ret(nat_lit(n)),
+            Bind(Ret(nat_lit(n)), "x", Ret(Var("x"))),
+            Step(one, Ret(nat_lit(n))),
+        )]
+        for n in range(2)
+    ]
+
+
+def _remap(out, monoid, cost, value):
+    """``out`` over ``monoid``, with every cost and value mapped."""
+    head = (out.theory, monoid, out.mode)
+    match out:
+        case PureOutcome():
+            return PureOutcome(*head, cost(out.cost), value(out.value))
+        case NondetOutcome():
+            return NondetOutcome(*head, frozenset(
+                (cost(c), value(v)) for c, v in out.branches))
+        case ProbOutcome():
+            acc: dict = {}
+            for (c, v), w in out.dist:
+                key = (cost(c), value(v))
+                acc[key] = acc.get(key, 0) + w
+            return ProbOutcome(*head, Dist(acc))
+        case StateOutcome():
+            return StateOutcome(*head, tuple(
+                (s0, (cost(c), s1, value(v))) for s0, (c, s1, v) in out.table
+            ), out.escaped)
+
+
+def _varied_pair(rng, kind, pools):
+    """Two generated outcomes of ``kind`` (the second often equal to or
+    raised from the first), over nat costs or work/span costs, with nat
+    values or suspensions drawn independently from the thunk pools; and
+    whether the two are equivalent by construction."""
+    a = gen_outcome(rng, kind)
+    r = rng.random()
+    b = a if r < 0.25 else raise_outcome(rng, a) if r < 0.6 else \
+        gen_outcome(rng, kind)
+    monoid = rng.choice((SEQ_NAT, WORK_SPAN))
+    if monoid is WORK_SPAN:
+        span = [rng.randrange(3) for _ in range(16)]
+        cost = lambda c: (c, span[c])
+    else:
+        cost = lambda c: c
+    width = rng.randrange(4)  # how many of each nat's thunks to draw from
+    if width == 0:
+        value = lambda v: v
+    else:
+        # nats of equal parity share a pool, so that distinct values can
+        # become equivalent suspensions and must merge
+        value = lambda v: rng.choice(pools[monoid][v[1] % 2][:width])
+    return (_remap(a, monoid, cost, value), _remap(b, monoid, cost, value),
+            b is a and width <= 2)
+
+
 def test_eq_iff_leq_both_ways():
     rng = random.Random(109)
+    pools = {m: _thunk_pool(m) for m in (SEQ_NAT, WORK_SPAN)}
     for _ in range(300):
         kind = rng.choice(("pure", "nondet", "prob", "state"))
-        a = gen_outcome(rng, kind)
-        b = raise_outcome(rng, a) if rng.random() < 0.5 else gen_outcome(rng, kind)
-        eq = eq_outcome(a, b).holds
-        both = leq_outcome(a, b).holds and leq_outcome(b, a).holds
+        a, b, equivalent = _varied_pair(rng, kind, pools)
+        args = (SUSP_CFG, THEORIES[kind])
+        eq = eq_outcome(a, b, *args).holds
+        both = leq_outcome(a, b, *args).holds and leq_outcome(b, a, *args).holds
         assert eq == both
+        assert eq or not equivalent
+
+
+def test_work_span_coupling_matches_hall_condition():
+    # Strassen (1965): a coupling on the base order exists iff every set
+    # of left support points fits in the mass of its neighbourhood
+    rng = random.Random(223)
+    rel = lambda a, b: a[1] == b[1] and WORK_SPAN.leq(a[0], b[0])
+    checked = held = 0
+    for _ in range(400):
+        a = gen_outcome(rng, "prob")
+        b = raise_outcome(rng, a) if rng.random() < 0.5 else gen_outcome(rng, "prob")
+        if len(b.dist) > 4:  # a raise can split mass past the size bound
+            continue
+        span = [rng.randrange(3) for _ in range(16)]
+        a, b = (_remap(o, WORK_SPAN, lambda c: (c, span[c]), lambda v: v)
+                for o in (a, b))
+        holds = leq_outcome(a, b).holds
+        assert holds == _hall_feasible(list(a.dist), list(b.dist), rel)
+        checked += 1
+        held += holds
+    assert checked >= 300 and 30 <= held <= checked - 30
+
+
+# suspensions ``a``, ``b`` and ``c``, returned as ``ret (thunk _)``: ``a``
+# and ``b`` are equivalent; ``c`` is not, differing in cost at F type and
+# in value at arrow type
+SUSPENSIONS = {
+    "F": (
+        Ret(nat_lit(0)),
+        Bind(Ret(nat_lit(0)), "x", Ret(Var("x"))),
+        Step(CostLit(1), Ret(nat_lit(0))),
+    ),
+    "arrow": (
+        Lam("x", NAT, Ret(Var("x"))),
+        Lam("x", NAT, Bind(Ret(Var("x")), "y", Ret(Var("y")))),
+        Lam("x", NAT, Ret(nat_lit(0))),
+    ),
+}
+SUSPENSION_TYS = {"F": FTy(NAT), "arrow": ArrowTy(NAT, FTy(NAT))}
+
+
+def _returned_thunks(kind, at, comps):
+    ty = FTy(UTy(SUSPENSION_TYS[at]))
+    return [
+        evaluate(Program("p", THEORIES[kind], SEQ_NAT, Ret(c), ty), COST,
+                 SUSP_CFG)
+        for c in comps
+    ]
+
+
+@pytest.mark.parametrize("at", ["F", "arrow"])
+@pytest.mark.parametrize("kind", ["pure", "nondet", "prob", "state"])
+def test_equivalent_suspensions_relate_both_ways_and_are_equal(kind, at):
+    a, b, c = _returned_thunks(kind, at, SUSPENSIONS[at])
+    args = (SUSP_CFG, THEORIES[kind])
+    verdicts = [leq_outcome(a, b, *args), leq_outcome(b, a, *args),
+                eq_outcome(a, b, *args)]
+    assert [v.holds for v in verdicts] == [True, True, True]
+    assert all("domain-relative" in v.note for v in verdicts)
+    assert not leq_outcome(a, c, *args).holds
+    assert not eq_outcome(a, c, *args).holds
+
+
+def test_prob_merges_the_mass_of_equivalent_suspensions():
+    # flip(1/2, ret (thunk a), ret (thunk b)) is the point mass at the
+    # thunk of a, since a and b are equivalent
+    a, b, _ = SUSPENSIONS["F"]
+    ty = FTy(UTy(FTy(NAT)))
+    split, point = (
+        evaluate(Program("p", PROB, SEQ_NAT, body, ty), COST, SUSP_CFG)
+        for body in (Flip(Fraction(1, 2), Ret(a), Ret(b)), Ret(a))
+    )
+    assert len(split.dist) == 2
+    assert leq_outcome(split, point).holds and leq_outcome(point, split).holds
+    assert eq_outcome(split, point).holds
+
+
+@pytest.mark.parametrize("kind", ["pure", "nondet", "prob", "state"])
+def test_thunk_capturing_a_recursor_hypothesis(kind):
+    # natrec 1 (ret (thunk (ret 0))) (k, ih. ret (thunk (bind ih x. x)))
+    # returns a thunk whose environment holds the hypothesis as a ``den``
+    rec = NatRec(nat_lit(1), Ret(Ret(nat_lit(0))), "k", "ih",
+                 Ret(Bind(Var("ih"), "x", Var("x"))))
+    ty = FTy(UTy(FTy(NAT)))
+    a, b, c = (
+        evaluate(Program("p", THEORIES[kind], SEQ_NAT, body, ty), COST,
+                 SUSP_CFG)
+        for body in (rec, Ret(Ret(nat_lit(0))), Ret(Ret(nat_lit(1))))
+    )
+    args = (SUSP_CFG, THEORIES[kind])
+    assert leq_outcome(a, b, *args).holds and leq_outcome(b, a, *args).holds
+    assert eq_outcome(a, b, *args).holds
+    assert not eq_outcome(a, c, *args).holds
+
+
+def test_state_suspensions_need_the_theory():
+    a, b, _ = _returned_thunks("state", "F", SUSPENSIONS["F"])
+    for decide in (leq_outcome, eq_outcome):
+        with pytest.raises(OrderError, match="theory"):
+            decide(a, b, SUSP_CFG)
 
 
 def test_step_monotonicity():
