@@ -15,6 +15,7 @@ on a usage error (unknown name, bad or oversized domain) told in one line.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import format_table, reports_to_json, run_all
@@ -75,11 +76,19 @@ def main(argv=None) -> int:
     except (ValueError, OrderError, EvalError) as e:
         print(f"stepbound: error: {e}", file=sys.stderr)
         return 2
-    print(format_table(reports, law_reports))
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(reports_to_json(reports, law_reports))
-        print(f"report written to {args.json}")
+    try:
+        print(format_table(reports, law_reports))
+        if args.json:
+            print(f"report written to {args.json}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``stepbound check | head``).  The
+        # checks ran to the end, so the exit status still reports them;
+        # stdout goes to devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -16,11 +16,12 @@ from .semantics import (
     Dist, EvalMode, NondetOutcome, ProbOutcome, PureOutcome, StateOutcome,
 )
 from .syntax import (
-    BOOL, NAT, UNIT, Bind, BoolLit, Branch, CompTy, Cons, CostLit,
-    EffectTheory, FTy, Fail, Flip, Get, If, ListTy, NONDET, Nil, PROB,
-    PURE, Pair, ProdTy, Program, Put, Ret, Step, SumTy, Triv, Var,
-    nat_lit, state_theory,
+    BOOL, NAT, UNIT, ArrowTy, Bind, BoolLit, Branch, CompTy, Cons, CostLit,
+    EffectTheory, FTy, Fail, Flip, Get, If, Inl, Inr, Lam, ListTy, NONDET,
+    Nil, PROB, PURE, Pair, ProdTy, Program, Put, Ret, Step, SumTy, Triv,
+    Var, nat_lit, state_theory,
 )
+from .typecheck import Checker, TypeCheckError
 
 RATIONAL_POOL = [
     Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -71,8 +72,6 @@ class TermGen:
             case ProdTy(a, b):
                 return Pair(self.value(ctx, a), self.value(ctx, b))
             case SumTy(a, b):
-                from .syntax import Inl, Inr
-
                 if rng.random() < 0.5:
                     return Inl(self.value(ctx, a))
                 return Inr(self.value(ctx, b))
@@ -82,8 +81,6 @@ class TermGen:
     def comp(self, ctx: dict, ty: CompTy, depth: int):
         """A computation of type ``ty``; effects drawn from the theory."""
         rng = self.rng
-        from .syntax import ArrowTy, Lam
-
         if isinstance(ty, ArrowTy):
             x = f"a{depth}_{rng.randrange(1000)}"
             return Lam(x, ty.dom, self.comp({**ctx, x: ty.dom}, ty.cod, depth))
@@ -141,8 +138,6 @@ class TermGen:
     def _synthesizes(self, ctx: dict, comp) -> bool:
         """Bind scrutinees must synthesize their type; e.g. a bare ``fail``
         cannot, since the fragment has no inner type ascriptions."""
-        from .typecheck import Checker, TypeCheckError
-
         try:
             Checker(self.theory, SEQ_NAT).infer_comp(tuple(ctx.items()), comp)
             return True

@@ -42,7 +42,8 @@ from .semantics import (
     enumerate_value_ty, get_evaluator, val_str,
 )
 from .syntax import (
-    CostLit, PURE, Program, Step, Term, UTy, term_str, unfold_arrows,
+    CostLit, PURE, Program, Step, Term, UTy, map_scopes, term_str,
+    unfold_arrows,
 )
 from .typecheck import Checker, TypeCheckError
 
@@ -293,17 +294,7 @@ def zero_steps(t: Term, zero=0) -> Term:
     """Strip every step charge from a term (the --mutate transformation)."""
     if isinstance(t, Step):
         return Step(CostLit(zero), zero_steps(t.body, zero))
-    updates = {}
-    changed = False
-    for f in dataclasses.fields(t):
-        v = getattr(t, f.name)
-        if isinstance(v, Term):
-            nv = zero_steps(v, zero)
-            changed = changed or nv is not v
-            updates[f.name] = nv
-        else:
-            updates[f.name] = v
-    return type(t)(**updates) if changed else t
+    return map_scopes(t, lambda sub, names: (names, zero_steps(sub, zero)))
 
 
 def mutate_program(p: Program) -> Program:

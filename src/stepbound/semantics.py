@@ -40,7 +40,7 @@ from .syntax import (
     CostLit, FTy, Fail, Flip, Fst, Get, If, Inl, Inr, Lam, ListRec, ListTy,
     NatCost, NatRec, NatTy, Nil, Pair, Par, ProdTy, Program, Put, Ret, Snd,
     Step, Suc, SumCase, SumTy, Term, Triv, UnitTy, ValueTy, Var, Zero,
-    free_vars, term_str, unfold_arrows,
+    free_vars, scopes, term_str, unfold_arrows,
 )
 from .typecheck import elaborate
 
@@ -213,10 +213,10 @@ class NondetOutcome(Outcome):
         return "{" + body + "}"
 
     def max_cost(self):
-        return _extreme_cost(self.monoid, (c for c, _ in self.branches), max)
+        return _extreme_cost((c for c, _ in self.branches), max)
 
     def min_cost(self):
-        return _extreme_cost(self.monoid, (c for c, _ in self.branches), min)
+        return _extreme_cost((c for c, _ in self.branches), min)
 
 
 class Dist:
@@ -262,10 +262,10 @@ class ProbOutcome(Outcome):
         return "{" + body + "}"
 
     def max_cost(self):
-        return _extreme_cost(self.monoid, (c for (c, _), _ in self.dist), max)
+        return _extreme_cost((c for (c, _), _ in self.dist), max)
 
     def min_cost(self):
-        return _extreme_cost(self.monoid, (c for (c, _), _ in self.dist), min)
+        return _extreme_cost((c for (c, _), _ in self.dist), min)
 
 
 @dataclass(frozen=True)
@@ -286,13 +286,13 @@ class StateOutcome(Outcome):
         return "{" + body + "}" + esc
 
     def max_cost(self):
-        return _extreme_cost(self.monoid, (c for _, (c, _, _) in self.table), max)
+        return _extreme_cost((c for _, (c, _, _) in self.table), max)
 
     def min_cost(self):
-        return _extreme_cost(self.monoid, (c for _, (c, _, _) in self.table), min)
+        return _extreme_cost((c for _, (c, _, _) in self.table), min)
 
 
-def _extreme_cost(monoid, costs, pick):
+def _extreme_cost(costs, pick):
     costs = list(costs)
     if not costs:
         return None
@@ -787,14 +787,13 @@ class Evaluator:
 def _capture_names(node) -> tuple:
     """Sorted names of the variables a tabled node captures: the free
     variables of a λ or thunk, or of the branches of a recursor."""
-    memo: dict = {}
-    match node:
-        case NatRec(_, z, k, ih, sb):
-            fv = free_vars(z, memo) | (free_vars(sb, memo) - {k, ih})
-        case ListRec(_, z, x, xs, ih, cb):
-            fv = free_vars(z, memo) | (free_vars(cb, memo) - {x, xs, ih})
-        case _:
-            fv = free_vars(node, memo)
+    if isinstance(node, (NatRec, ListRec)):
+        fv = frozenset().union(*(
+            free_vars(sub).difference(names)
+            for field, sub, names in scopes(node) if field != "scrut"
+        ))
+    else:
+        fv = free_vars(node)
     return tuple(sorted(fv))
 
 

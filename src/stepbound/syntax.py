@@ -36,6 +36,7 @@ monoid unit at run time.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -442,78 +443,76 @@ def list_lit(items) -> ValueTerm:
 
 
 # ---------------------------------------------------------------------------
-# Free variables / substitution / alpha normalization
+# Binding structure: one table, and the walks over it
 # ---------------------------------------------------------------------------
 
-_FV_CACHE: dict = {}
-_FV_CACHE_CAP = 200_000
+# Each form's sub-term fields in traversal order, each with the fields that
+# name the binders it is under.  A form not listed has no sub-terms.  A
+# ``Step`` cost is walked too: a ``NatCost`` has its term as a sub-term.
+_SCOPES = {
+    Suc: (("arg", ()),),
+    Cons: (("head", ()), ("tail", ())),
+    Pair: (("fst", ()), ("snd", ())),
+    Fst: (("pair", ()),),
+    Snd: (("pair", ()),),
+    Inl: (("arg", ()),),
+    Inr: (("arg", ()),),
+    NatCost: (("term", ()),),
+    Ret: (("value", ()),),
+    Bind: (("comp", ()), ("body", ("var",))),
+    Lam: (("body", ("var",)),),
+    Ap: (("fn", ()), ("arg", ())),
+    Step: (("cost", ()), ("body", ())),
+    NatRec: (("scrut", ()), ("zero_branch", ()),
+             ("suc_branch", ("var_pred", "var_ih"))),
+    ListRec: (("scrut", ()), ("nil_branch", ()),
+              ("cons_branch", ("var_head", "var_tail", "var_ih"))),
+    SumCase: (("scrut", ()), ("left_branch", ("var_left",)),
+              ("right_branch", ("var_right",))),
+    If: (("cond", ()), ("then_branch", ()), ("else_branch", ())),
+    Branch: (("left", ()), ("right", ())),
+    Flip: (("left", ()), ("right", ())),
+    Get: (("body", ("var",)),),
+    Put: (("value", ()), ("body", ())),
+    Par: (("left", ()), ("right", ())),
+}
 
 
-def free_vars(t: Term, memo: Optional[dict] = None) -> frozenset:
-    """Free variables of ``t``.
+def scopes(t):
+    """Yield ``(field, sub-term, binder names over it)`` for each sub-term
+    of ``t`` in traversal order."""
+    for field, binders in _SCOPES.get(type(t), ()):
+        yield field, getattr(t, field), tuple(getattr(t, b) for b in binders)
 
-    Results are memoised per node in ``memo`` (``id(node) -> (node, set)``),
-    by default a module-wide cache.  A caller that passes its own ``memo``
-    keeps the nodes it visits out of the module cache.
-    """
-    if memo is None:
-        memo = _FV_CACHE
-        if len(memo) >= _FV_CACHE_CAP:
-            memo.clear()
-    cached = memo.get(id(t))
-    if cached is not None and cached[0] is t:
-        return cached[1]
-    fv = _free_vars(t, memo)
-    memo[id(t)] = (t, fv)
+
+def map_scopes(t, f):
+    """``t`` rebuilt from ``f(sub-term, binder names) -> (names, sub-term)``
+    over its scopes; ``t`` itself when nothing changes.  Other fields
+    (location, elaborated type, motive) are kept."""
+    changes = {}
+    for field, binders in _SCOPES.get(type(t), ()):
+        sub = getattr(t, field)
+        names = tuple(getattr(t, b) for b in binders)
+        new_names, new_sub = f(sub, names)
+        if new_sub is not sub:
+            changes[field] = new_sub
+        for b, old, new in zip(binders, names, new_names):
+            if new != old:
+                changes[b] = new
+    return dataclasses.replace(t, **changes) if changes else t
+
+
+def free_vars(t) -> frozenset:
+    """Free variables of a term (or of a ``NatCost``)."""
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    fv = frozenset()
+    for _, sub, names in scopes(t):
+        fv |= free_vars(sub).difference(names)
     return fv
 
 
-def _free_vars(t: Term, memo: dict) -> frozenset:
-    sub = lambda u: free_vars(u, memo)
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case Bind(comp, var, body):
-            return sub(comp) | (sub(body) - {var})
-        case Lam(var, _, body):
-            return sub(body) - {var}
-        case Get(var, body):
-            return sub(body) - {var}
-        case NatRec(scrut, zero_branch, k, ih, suc_branch):
-            return (
-                sub(scrut)
-                | sub(zero_branch)
-                | (sub(suc_branch) - {k, ih})
-            )
-        case ListRec(scrut, nil_branch, x, xs, ih, cons_branch):
-            return (
-                sub(scrut)
-                | sub(nil_branch)
-                | (sub(cons_branch) - {x, xs, ih})
-            )
-        case SumCase(scrut, xl, left, xr, right):
-            return (
-                sub(scrut)
-                | (sub(left) - {xl})
-                | (sub(right) - {xr})
-            )
-        case Step(cost, body):
-            fv = sub(body)
-            if isinstance(cost, NatCost):
-                fv |= sub(cost.term)
-            return fv
-        case _:
-            fv = frozenset()
-            for f in dataclasses.fields(t):
-                if f.name in ("loc", "ty", "list_charge"):
-                    continue
-                v = getattr(t, f.name)
-                if isinstance(v, Term):
-                    fv |= sub(v)
-            return fv
-
-
-def _fresh(base: str, avoid: set) -> str:
+def _fresh(base: str, avoid) -> str:
     if base not in avoid:
         return base
     i = 1
@@ -522,133 +521,70 @@ def _fresh(base: str, avoid: set) -> str:
     return f"{base}{i}"
 
 
-def _subst_under(body: Term, binders: tuple, mapping: dict):
-    """Substitute inside a binder scope, freshening binders to avoid capture.
-
-    Returns (renamed binder names, substituted body).
-    """
-    inner = {k: v for k, v in mapping.items() if k not in binders}
-    if not inner or not (free_vars(body) & inner.keys()):
-        return binders, body
-    avoid = set()
-    for v in inner.values():
-        avoid |= free_vars(v)
-    renames = {}
-    fresh_binders = []
-    for b in binders:
-        if b in avoid:
-            nb = _fresh(b, avoid | set(binders) | set(renames.values()))
-            renames[b] = nb
-            fresh_binders.append(nb)
-        else:
-            fresh_binders.append(b)
-    if renames:
-        body = subst(body, {o: Var(n) for o, n in renames.items()})
-    return tuple(fresh_binders), subst(body, inner)
+def _free_in_values(mapping: dict) -> frozenset:
+    return frozenset().union(*map(free_vars, mapping.values()))
 
 
 def subst(t: Term, mapping: dict) -> Term:
-    """Capture-avoiding substitution of value terms for free variables."""
-    if not mapping or not (free_vars(t) & mapping.keys()):
+    """Capture-avoiding simultaneous substitution of value terms for free
+    variables.  A binder free in a substituted value is renamed to a name
+    free in neither the values nor its scope."""
+    if not mapping:
         return t
-    sub = lambda x: subst(x, mapping)
-    match t:
-        case Var(name):
-            return mapping.get(name, t)
-        case Bind(e, x, b):
-            (x,), b = _subst_under(b, (x,), mapping)
-            return Bind(sub(e), x, b)
-        case Lam(x, xty, b):
-            (x,), b = _subst_under(b, (x,), mapping)
-            return Lam(x, xty, b)
-        case Get(x, b):
-            (x,), b = _subst_under(b, (x,), mapping)
-            return Get(x, b)
-        case NatRec(n, z, k, ih, sb):
-            (k, ih), sb = _subst_under(sb, (k, ih), mapping)
-            return NatRec(sub(n), sub(z), k, ih, sb, t.motive)
-        case ListRec(l, z, x, xs, ih, cb):
-            (x, xs, ih), cb = _subst_under(cb, (x, xs, ih), mapping)
-            return ListRec(sub(l), sub(z), x, xs, ih, cb, t.motive)
-        case SumCase(sc, xl, lb, xr, rb):
-            (xl,), lb = _subst_under(lb, (xl,), mapping)
-            (xr,), rb = _subst_under(rb, (xr,), mapping)
-            return SumCase(sub(sc), xl, lb, xr, rb)
-        case Step(c, b):
-            if isinstance(c, NatCost):
-                c = NatCost(sub(c.term))
-            return Step(c, sub(b))
-        case _:
-            updates = {}
-            for f in dataclasses.fields(t):
-                if f.name in ("loc", "ty", "list_charge"):
-                    updates[f.name] = None
-                    continue
-                v = getattr(t, f.name)
-                updates[f.name] = sub(v) if isinstance(v, Term) else v
-            return type(t)(**updates)
+    return _subst(t, mapping, _free_in_values(mapping))
 
 
-def alpha_normalize(t: Term, _env=None, _counter=None) -> Term:
-    """Rename every binder to v0, v1, ... in traversal order."""
-    env = _env or {}
-    counter = _counter if _counter is not None else [0]
+def _subst(t, mapping: dict, avoid: frozenset):
+    """``subst`` with ``avoid`` the free variables of ``mapping``'s values."""
+    if isinstance(t, Var):
+        return mapping.get(t.name, t)
 
-    def rename_binder(old):
-        new = f"v{counter[0]}"
-        counter[0] += 1
-        return new
+    def scope(body, names):
+        inner, inner_avoid = mapping, avoid
+        if any(n in mapping for n in names):
+            inner = {k: v for k, v in mapping.items() if k not in names}
+            if not inner:
+                return names, body
+            inner_avoid = _free_in_values(inner)
+        if inner_avoid.isdisjoint(names):
+            return names, _subst(body, inner, inner_avoid)
+        fv = free_vars(body)
+        if fv.isdisjoint(inner):
+            return names, body
+        taken = {*inner_avoid, *fv, *names}
+        fresh = []
+        for b in names:
+            if b in inner_avoid:
+                nb = _fresh(b, taken)
+                taken.add(nb)
+                inner = {**inner, b: Var(nb)}
+                b = nb
+            fresh.append(b)
+        return tuple(fresh), _subst(body, inner, _free_in_values(inner))
 
-    match t:
-        case Var(name):
-            return Var(env.get(name, name))
-        case Bind(comp, var, body):
-            c = alpha_normalize(comp, env, counter)
-            nv = rename_binder(var)
-            b = alpha_normalize(body, {**env, var: nv}, counter)
-            return Bind(c, nv, b)
-        case Lam(var, var_ty, body):
-            nv = rename_binder(var)
-            return Lam(nv, var_ty, alpha_normalize(body, {**env, var: nv}, counter))
-        case Get(var, body):
-            nv = rename_binder(var)
-            return Get(nv, alpha_normalize(body, {**env, var: nv}, counter))
-        case NatRec(scrut, zero_branch, k, ih, suc_branch):
-            s = alpha_normalize(scrut, env, counter)
-            z = alpha_normalize(zero_branch, env, counter)
-            nk, nih = rename_binder(k), rename_binder(ih)
-            sb = alpha_normalize(suc_branch, {**env, k: nk, ih: nih}, counter)
-            return NatRec(s, z, nk, nih, sb, t.motive)
-        case ListRec(scrut, nil_branch, x, xs, ih, cons_branch):
-            s = alpha_normalize(scrut, env, counter)
-            n = alpha_normalize(nil_branch, env, counter)
-            nx, nxs, nih = rename_binder(x), rename_binder(xs), rename_binder(ih)
-            cb = alpha_normalize(
-                cons_branch, {**env, x: nx, xs: nxs, ih: nih}, counter
-            )
-            return ListRec(s, n, nx, nxs, nih, cb, t.motive)
-        case SumCase(scrut, xl, left, xr, right):
-            s = alpha_normalize(scrut, env, counter)
-            nxl = rename_binder(xl)
-            lb = alpha_normalize(left, {**env, xl: nxl}, counter)
-            nxr = rename_binder(xr)
-            rb = alpha_normalize(right, {**env, xr: nxr}, counter)
-            return SumCase(s, nxl, lb, nxr, rb)
-        case Step(cost, body):
-            if isinstance(cost, NatCost):
-                cost = NatCost(alpha_normalize(cost.term, env, counter))
-            return Step(cost, alpha_normalize(body, env, counter))
-        case _:
-            updates = {}
-            for f in dataclasses.fields(t):
-                if f.name in ("loc", "ty", "list_charge"):
-                    updates[f.name] = None
-                    continue
-                v = getattr(t, f.name)
-                updates[f.name] = (
-                    alpha_normalize(v, env, counter) if isinstance(v, Term) else v
-                )
-            return type(t)(**updates)
+    return map_scopes(t, scope)
+
+
+def alpha_normalize(t: Term) -> Term:
+    """Rename every binder to v0, v1, ... in traversal order, skipping the
+    names free in ``t``."""
+    free = free_vars(t)
+    fresh_names = (n for n in map("v{}".format, itertools.count())
+                   if n not in free)
+
+    def walk(t, env):
+        if isinstance(t, Var):
+            return Var(env.get(t.name, t.name))
+
+        def scope(sub, names):
+            if not names:
+                return names, walk(sub, env)
+            fresh = tuple(next(fresh_names) for _ in names)
+            return fresh, walk(sub, {**env, **dict(zip(names, fresh))})
+
+        return map_scopes(t, scope)
+
+    return walk(t, {})
 
 
 def alpha_eq(a: Term, b: Term) -> bool:

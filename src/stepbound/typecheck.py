@@ -545,18 +545,7 @@ def check_program(p: Program) -> None:
     Checker(p.theory, p.monoid).check_comp((), p.body, p.declared_ty)
 
 
-_ELAB_CACHE: dict = {}
-_ELAB_CACHE_CAP = 4096
-
-
 def elaborate(p: Program) -> Program:
     """Type-check ``p`` and return it with type-annotated computation nodes."""
-    hit = _ELAB_CACHE.get(id(p))
-    if hit is not None and hit[0] is p:
-        return hit[1]
     body = Checker(p.theory, p.monoid).check_comp((), p.body, p.declared_ty)
-    ep = dataclasses.replace(p, body=body)
-    if len(_ELAB_CACHE) >= _ELAB_CACHE_CAP:
-        _ELAB_CACHE.clear()
-    _ELAB_CACHE[id(p)] = (p, ep)
-    return ep
+    return dataclasses.replace(p, body=body)

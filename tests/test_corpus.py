@@ -224,6 +224,24 @@ def test_cli_mutation_run_fails(tmp_path):
     assert "counterexample" in proc.stdout
 
 
+@pytest.mark.parametrize("args, code", [
+    (["--spec", "isort-upper", "--list-len", "3"], 0),
+    (["--spec", "isort-lower", "--list-len", "3", "--mutate", "isort"], 1),
+])
+def test_cli_closed_stdout_keeps_the_exit_status(args, code):
+    # `stepbound check | head -0`: the reader is gone before the table is
+    # printed, and the exit status still tells whether every check held
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stepbound.cli", "check", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == code, stderr
+    assert stderr == ""
+
+
 @pytest.mark.parametrize("args, message", [
     (["--spec", "isort-upper", "--list-len", "-1"], "list_len must be at least 0"),
     (["--spec", "nope"], "no spec named 'nope'"),

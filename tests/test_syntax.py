@@ -1,5 +1,6 @@
 """Parser and printer: examples, round trips, canonical rendering."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,10 +10,12 @@ import pytest
 from stepbound.corpus import ALL_PROGRAMS
 from stepbound.gen import TermGen, random_theory
 from stepbound.syntax import (
-    Bind, CostLit, Flip, NatCost, NatRec, Ret, Step, Suc, SyntaxError_,
-    Triv, Var, Zero, alpha_eq, alpha_normalize, parse, print_program,
+    BOOL, NAT, Bind, CostLit, FTy, Flip, Lam, NatCost, NatRec, Pair, Ret,
+    Step, Suc, SumTy, SyntaxError_, Term, Triv, Var, Zero, alpha_eq,
+    alpha_normalize, free_vars, nat_lit, parse, print_program, scopes, subst,
     term_str,
 )
+from stepbound.typecheck import check_program
 
 DOUBLE_SRC = """
 #name double
@@ -162,6 +165,12 @@ def test_alpha_eq_ignores_binder_names():
     assert not alpha_eq(a, c)
 
 
+def test_alpha_eq_keeps_a_free_variable_named_like_a_normal_binder():
+    # lam x. ret v0 has v0 free; lam v0. ret v0 is closed
+    assert not alpha_eq(Lam("x", NAT, Ret(Var("v0"))),
+                        Lam("v0", NAT, Ret(Var("v0"))))
+
+
 def test_nat_cost_annotation_round_trip():
     src = "(: (-> nat (F nat)) (lam (n : nat) (step n (ret n))))"
     p = parse(src)
@@ -211,3 +220,126 @@ def test_charged_list_type_round_trip():
     assert q.declared_ty == parse(
         "(: (-> (list nat) (F nat)) (lam (l : (list nat)) (ret 0)))"
     ).declared_ty
+
+
+# -- binding structure: free variables, substitution, alpha equivalence -------
+
+# The corpus has no sum case; this program adds one, with a nat-cost step
+# and a recursor under its binders.
+CASE_SRC = """
+(: (-> (sum nat bool) nat (F nat))
+   (lam (s : (sum nat bool))
+     (lam (m : nat)
+       (case s
+         (n (step n (natrec n (ret m) (k ih (bind ih (r (ret (suc r))))))))
+         (b (if b (ret m) (ret 0)))))))
+"""
+BINDING_PROGRAMS = ALL_PROGRAMS + (parse(CASE_SRC),)
+
+
+def _peel(t):
+    """The λ-bound names of ``t``'s leading λs, and the body under them."""
+    names = []
+    while isinstance(t, Lam):
+        names.append(t.var)
+        t = t.body
+    return names, t
+
+
+def _nodes(t):
+    yield t
+    for _, sub, _ in scopes(t):
+        yield from _nodes(sub)
+
+
+def _bound_names(t) -> set:
+    return {n for node in _nodes(t) for _, _, names in scopes(node)
+            for n in names}
+
+
+def _open_terms():
+    """Peeled corpus bodies, then generated terms open in a context."""
+    for prog in BINDING_PROGRAMS:
+        names, body = _peel(prog.body)
+        yield body, names
+    rng = random.Random(5)
+    ctx = {"a": NAT, "b": BOOL, "c": SumTy(NAT, BOOL)}
+    for _ in range(150):
+        gen = TermGen(rng, random_theory(rng))
+        yield gen.comp(ctx, FTy(NAT), 4), list(ctx)
+
+
+def test_case_program_checks():
+    check_program(BINDING_PROGRAMS[-1])
+
+
+def test_scopes_cover_every_sub_term():
+    for body, _ in _open_terms():
+        for node in _nodes(body):
+            listed = {field for field, _, _ in scopes(node)}
+            for f in dataclasses.fields(node):
+                if isinstance(getattr(node, f.name), (Term, NatCost, CostLit)):
+                    assert f.name in listed, (type(node).__name__, f.name)
+
+
+@pytest.mark.parametrize("prog", BINDING_PROGRAMS, ids=lambda p: p.name)
+def test_corpus_programs_are_closed(prog):
+    assert free_vars(prog.body) == frozenset()
+    names, body = _peel(prog.body)
+    assert free_vars(body) <= set(names)
+
+
+def test_subst_of_a_closed_value_removes_exactly_its_variable():
+    v = nat_lit(2)
+    checked = 0
+    for body, names in _open_terms():
+        fv = free_vars(body)
+        for x in set(names) | _bound_names(body):
+            assert free_vars(subst(body, {x: v})) == fv - {x}
+            checked += x in fv
+    assert checked > 150
+
+
+def test_subst_of_an_open_value_never_captures():
+    # substituting a variable named like one of the term's own binders is
+    # where capture would happen
+    checked = 0
+    for body, _ in _open_terms():
+        fv = free_vars(body)
+        for x in sorted(fv):
+            for y in sorted(_bound_names(body))[:4]:
+                assert free_vars(subst(body, {x: Var(y)})) == (fv - {x}) | {y}
+                checked += 1
+    assert checked > 200
+
+
+def test_subst_avoids_the_free_names_of_the_binder_scope():
+    # lam x. ret (pair x (pair x1 y)), with y := x: the renamed binder must
+    # avoid x (free in the value) and x1 (free in the body)
+    t = Lam("x", NAT, Ret(Pair(Var("x"), Pair(Var("x1"), Var("y")))))
+    r = subst(t, {"y": Var("x")})
+    assert free_vars(r) == {"x", "x1"}
+    assert alpha_eq(r, Lam("z", NAT, Ret(Pair(Var("z"), Pair(Var("x1"), Var("x"))))))
+    # lam x. lam x1. ret (pair x y), with y := x: x is renamed to x1, so
+    # the inner x1 must be renamed in turn
+    t = Lam("x", NAT, Lam("x1", NAT, Ret(Pair(Var("x"), Var("y")))))
+    r = subst(t, {"y": Var("x")})
+    assert free_vars(r) == {"x"}
+    assert alpha_eq(r, Lam("a", NAT, Lam("b", NAT, Ret(Pair(Var("a"), Var("x"))))))
+
+
+def test_alpha_eq_survives_renaming_to_a_fresh_name_and_back():
+    checked = 0
+    for body, names in _open_terms():
+        taken = free_vars(body) | _bound_names(body)
+        fresh = next(f"z{i}" for i in range(100) if f"z{i}" not in taken)
+        for x in free_vars(body):
+            there = subst(body, {x: Var(fresh)})
+            assert not alpha_eq(there, body)
+            assert alpha_eq(subst(there, {fresh: Var(x)}), body)
+            checked += 1
+        # renaming a binder is alpha equivalent
+        for x in names:
+            renamed = Lam(fresh, NAT, subst(body, {x: Var(fresh)}))
+            assert alpha_eq(renamed, Lam(x, NAT, body))
+    assert checked > 150
