@@ -9,7 +9,8 @@
     stepbound check --json report.json
 
 Exit status is 0 iff every requested check holds, 1 if one fails, and 2
-on a usage error (unknown name, bad or oversized domain) told in one line.
+on a usage error (unknown name, bad or oversized domain, a report path
+that cannot be written) told in one line.
 """
 
 from __future__ import annotations
@@ -77,8 +78,13 @@ def main(argv=None) -> int:
         print(f"stepbound: error: {e}", file=sys.stderr)
         return 2
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(reports_to_json(reports, law_reports))
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(reports_to_json(reports, law_reports))
+        except OSError as e:
+            print(f"stepbound: error: cannot write the report: {e}",
+                  file=sys.stderr)
+            return 2
     try:
         print(format_table(reports, law_reports))
         if args.json:

@@ -5,8 +5,9 @@
 * first-order specs tabulate both programs over the enumerated input
   domain and compare outcomes pointwise;
 * hypothesis specs generate candidate arguments for the leading suspended
-  parameter, keep those satisfying the hypothesis bound, and check the
-  conclusion for each admitted candidate.  Fewer than the configured
+  parameter, keep those satisfying the hypothesis spec, and check the
+  conclusion for each admitted candidate; both are decided by their own
+  relation, pointwise with the candidate fixed.  Fewer than the configured
   minimum of admitted candidates makes the run *inconclusive* rather than
   passing vacuously.
 
@@ -23,7 +24,6 @@ dropping the instrumentation must break that program's cost lower bound.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import random
 import time
@@ -34,12 +34,10 @@ from .corpus import BoundSpec, Relation, SPEC_HELPERS, corpus
 from .costs import SEQ_NAT, cost_to_json
 from .gen import TermGen
 from .laws import LawReport, catalog, check_law
-from .order import (
-    OrderError, Verdict, eq_outcome, eq_program, leq_outcome, leq_program,
-)
+from .order import OrderError, Verdict, eq_outcome, leq_outcome, pointwise
 from .semantics import (
     DomainConfig, EvalError, EvalMode, cost_sort_key, enumerate_inputs,
-    enumerate_value_ty, get_evaluator, val_str,
+    get_evaluator, val_str,
 )
 from .syntax import (
     CostLit, PURE, Program, Step, Term, UTy, map_scopes, term_str,
@@ -113,22 +111,28 @@ def _cost_stats(program: Program, mode, cfg, scope):
 
 
 def _relation_check(
-    spec: BoundSpec, mode: EvalMode, cfg: DomainConfig, scope: dict
+    spec: BoundSpec, mode: EvalMode, cfg: DomainConfig, scope: dict,
+    lead: tuple = (),
 ) -> Verdict:
+    """Decide ``spec``'s relation at every input; the inputs start with
+    the fixed values ``lead`` (a hypothesis spec's candidate argument)."""
+    lhs, rhs = spec.program, spec.bound
     if mode is EvalMode.EXTENSIONAL:
         # with cost collapsed, every stated approximation must be an equality
-        return eq_program(spec.program, spec.bound, mode, cfg, scope)
-    match spec.relation:
-        case Relation.LEQ_UPPER:
-            return leq_program(spec.program, spec.bound, mode, cfg, scope)
-        case Relation.LEQ_LOWER:
-            return leq_program(spec.bound, spec.program, mode, cfg, scope)
-        case Relation.EQUAL:
-            return eq_program(spec.program, spec.bound, mode, cfg, scope)
-        case Relation.EXT_EQUAL:
-            return eq_program(spec.program, spec.bound,
-                              EvalMode.EXTENSIONAL, cfg, scope)
-    raise ValueError(spec.relation)
+        decide = eq_outcome
+    else:
+        match spec.relation:
+            case Relation.LEQ_UPPER:
+                decide = leq_outcome
+            case Relation.LEQ_LOWER:
+                decide, lhs, rhs = leq_outcome, rhs, lhs
+            case Relation.EQUAL:
+                decide = eq_outcome
+            case Relation.EXT_EQUAL:
+                decide, mode = eq_outcome, EvalMode.EXTENSIONAL
+            case _:
+                raise ValueError(spec.relation)
+    return pointwise(decide, lhs, rhs, mode, cfg, scope, lead)
 
 
 def _table_counters(scope: dict) -> dict:
@@ -188,27 +192,6 @@ def _report_from_verdict(spec, verdict, cfg, mode, scope) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_applied(spec_like: BoundSpec, thunk, mode, cfg, scope) -> Verdict:
-    """Pointwise check of a spec whose programs take the thunk first."""
-    arg_tys, _ = unfold_arrows(spec_like.program.declared_ty)
-    rest = arg_tys[1:]
-    domains = [enumerate_value_ty(t, cfg) for t in rest]
-    ev_p = get_evaluator(spec_like.program, mode, cfg, scope)
-    ev_b = get_evaluator(spec_like.bound, mode, cfg, scope)
-    for tail in itertools.product(*domains):
-        args = (thunk,) + tail
-        out_p = ev_p.outcome(args)
-        out_b = ev_b.outcome(args)
-        if mode is EvalMode.EXTENSIONAL:
-            v = eq_outcome(out_p, out_b, cfg, spec_like.program.theory)
-        else:
-            v = leq_outcome(out_p, out_b, cfg, spec_like.program.theory)
-        if not v.holds:
-            v.witness.input = ", ".join(val_str(a) for a in args)
-            return v
-    return Verdict(True)
-
-
 def _verify_hypothesis(spec, mode, cfg, seed, scope) -> CheckReport:
     arg_tys, _ = unfold_arrows(spec.program.declared_ty)
     if not arg_tys or not isinstance(arg_tys[0], UTy):
@@ -233,12 +216,12 @@ def _verify_hypothesis(spec, mode, cfg, seed, scope) -> CheckReport:
             elab = checker.check_comp((), cand, inner_ty)
         except TypeCheckError:  # defensive; candidates are well-typed
             continue
-        thunk = ("thunk", (), elab)
-        hyp_v = _check_applied(spec.hypothesis, thunk, mode, cfg, scope)
+        lead = (("thunk", (), elab),)
+        hyp_v = _relation_check(spec.hypothesis, mode, cfg, scope, lead)
         if not hyp_v.holds:
             continue
         admitted += 1
-        concl = _check_applied(spec, thunk, mode, cfg, scope)
+        concl = _relation_check(spec, mode, cfg, scope, lead)
         if not concl.holds and failure is None:
             failure = concl
             failure.witness.input = (

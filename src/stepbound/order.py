@@ -527,13 +527,18 @@ def _check_programs(lhs: Program, rhs: Program):
         raise OrderError("programs declare different cost monoids")
 
 
-def _pointwise(
+def pointwise(
     decide, lhs: Program, rhs: Program, mode: EvalMode, cfg: DomainConfig,
-    scope: Optional[dict] = None,
+    scope: Optional[dict] = None, lead: tuple = (),
 ) -> Verdict:
+    """``decide`` on the two programs' outcomes at every input, in order.
+
+    Inputs start with the fixed values ``lead`` and enumerate the rest
+    of the domain.  The first failing input becomes the witness.
+    """
     _check_programs(lhs, rhs)
     try:
-        _, inputs = enumerate_inputs(lhs.declared_ty, cfg)
+        _, inputs = enumerate_inputs(lhs.declared_ty, cfg, lead)
     except EvalError as e:
         raise OrderError(str(e))
     ev_l = get_evaluator(lhs, mode, cfg, scope)
@@ -564,7 +569,7 @@ def leq_program(
     failing one becomes the witness, so verdicts are deterministic.
     ``scope`` is the check's evaluator pool (see ``get_evaluator``).
     """
-    return _pointwise(leq_outcome, lhs, rhs, mode, cfg, scope)
+    return pointwise(leq_outcome, lhs, rhs, mode, cfg, scope)
 
 
 def eq_program(
@@ -575,11 +580,11 @@ def eq_program(
     scope: Optional[dict] = None,
 ) -> Verdict:
     """Pointwise outcome equality over the enumerated input domain."""
-    return _pointwise(eq_outcome, lhs, rhs, mode, cfg, scope)
+    return pointwise(eq_outcome, lhs, rhs, mode, cfg, scope)
 
 
 def ext_equal_program(
     lhs: Program, rhs: Program, cfg: DomainConfig = DEFAULT_CONFIG
 ) -> Verdict:
     """Behavioral equality: outcome equality with all costs collapsed."""
-    return _pointwise(eq_outcome, lhs, rhs, EvalMode.EXTENSIONAL, cfg)
+    return pointwise(eq_outcome, lhs, rhs, EvalMode.EXTENSIONAL, cfg)

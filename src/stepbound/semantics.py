@@ -156,24 +156,6 @@ def val_str(v) -> str:
             return repr(v)
 
 
-def val_to_json(v):
-    match v[0]:
-        case "unit":
-            return "tt"
-        case "bool" | "nat":
-            return v[1]
-        case "pair":
-            return [val_to_json(v[1]), val_to_json(v[2])]
-        case "inl":
-            return {"inl": val_to_json(v[1])}
-        case "inr":
-            return {"inr": val_to_json(v[1])}
-        case "list":
-            return [val_to_json(x) for x in v[1]]
-        case _:
-            return val_str(v)
-
-
 # ---------------------------------------------------------------------------
 # Outcomes
 # ---------------------------------------------------------------------------
@@ -894,10 +876,15 @@ def state_domain(ty: ValueTy, cfg: DomainConfig):
     return enumerate_value_ty(ty, cfg)
 
 
-def enumerate_inputs(ty: CompTy, cfg: DomainConfig):
-    """Enumerate argument tuples for a first-order curried program type."""
+def enumerate_inputs(ty: CompTy, cfg: DomainConfig, lead: tuple = ()):
+    """Enumerate argument tuples for a first-order curried program type.
+
+    Every tuple starts with the fixed values ``lead``; only the remaining
+    arguments are enumerated (a hypothesis spec's suspended argument is
+    fixed this way)."""
     arg_tys, _ = unfold_arrows(ty)
-    domains = [enumerate_value_ty(a, cfg) for a in arg_tys]
+    domains = [[v] for v in lead]
+    domains += [enumerate_value_ty(a, cfg) for a in arg_tys[len(lead):]]
     count = 1
     for d in domains:
         count *= len(d)

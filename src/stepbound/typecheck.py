@@ -8,9 +8,16 @@ computation position) and the effect discipline (branch/fail only under
 the nondeterminism theory, flip under the probabilistic one, get/set
 under state, par only for pure programs with the parallel monoid).
 
-The effect operations and ``step`` primarily *check* against the ambient
-computation type; inference for them propagates through subterms where
-that is unambiguous (``fail`` never synthesizes).
+Computations are elaborated by one walk, ``Checker._comp(ctx, t, ty)``,
+with one rule per form and two modes (Pierce & Turner, "Local Type
+Inference"): given a type it *checks* ``t`` against it, given None it
+*infers* one.  Either way it returns the type and the elaborated term.
+A rule passes the mode down where the type flows through (``step``, the
+effect operations, a bind body, the first arm of ``if`` and ``case``, a
+recursor's base case), and the type found there checks the remaining
+arms.  ``fail`` never synthesizes; a variable or an application checks
+by inferring and comparing.  ``check_comp`` and ``infer_comp`` are the
+two entry points.
 
 ``elaborate`` runs the checker over a whole program and returns a copy
 whose computation nodes carry their checked type (and list recursors
@@ -82,15 +89,15 @@ class Checker:
     def check(self, ctx: Ctx, t: Term, ty) -> None:
         """Raise TypeCheckError unless ``t`` has type ``ty`` under ``ctx``."""
         if isinstance(ty, CompTy):
-            self.check_comp(ctx, t, ty)
+            self._comp(ctx, t, ty)
         else:
-            self.check_value(ctx, t, ty)
+            self._check_value(ctx, t, ty)
 
     def infer(self, ctx: Ctx, t: Term):
-        if isinstance(t, Var) or isinstance(t, ValueTerm):
+        if isinstance(t, ValueTerm):
             # A bare variable synthesizes its value type, never a forced one.
             return self.infer_value(ctx, t)[0]
-        return self.infer_comp(ctx, t)[0]
+        return self._comp(ctx, t, None)[0]
 
     # -- values --------------------------------------------------------------
 
@@ -145,13 +152,10 @@ class Checker:
                     "term needs a type ascription to synthesize", t.loc
                 )
             case CompTerm():
-                x, t2 = self.infer_comp(ctx, t)
+                x, t2 = self._comp(ctx, t, None)
                 return UTy(x), t2
             case _:
                 raise TypeCheckError(f"cannot infer {type(t).__name__}", t.loc)
-
-    def check_value(self, ctx: Ctx, t: Term, ty: ValueTy) -> None:
-        self._check_value(ctx, t, ty)
 
     def _check_value(self, ctx: Ctx, t: Term, ty: ValueTy):
         if not isinstance(ty, ValueTy):
@@ -176,11 +180,8 @@ class Checker:
             case (Inr(a), SumTy(_, r)):
                 _, a2 = self._check_value(ctx, a, r)
                 return ty, Inr(a2, loc=t.loc)
-            case (Suc(a), NAT_ty) if NAT_ty == NAT:
-                _, a2 = self._check_value(ctx, a, NAT)
-                return ty, Suc(a2, loc=t.loc)
             case (CompTerm(), UTy(x)):
-                return ty, self.check_comp(ctx, t, x)
+                return ty, self._comp(ctx, t, x)[1]
             case (CompTerm(), _):
                 raise TypeCheckError(
                     "computation term where a value is required",
@@ -197,35 +198,68 @@ class Checker:
     # -- computations ----------------------------------------------------------
 
     def infer_comp(self, ctx: Ctx, t: Term):
+        """Synthesize ``t``'s computation type: ``(type, elaborated term)``."""
+        return self._comp(ctx, t, None)
+
+    def check_comp(self, ctx: Ctx, t: Term, ty: CompTy):
+        """Check ``t`` against ``ty`` and return the elaborated term."""
+        return self._comp(ctx, t, ty)[1]
+
+    def _comp(self, ctx: Ctx, t: Term, ty: Optional[CompTy]):
+        """The one elaboration walk: check ``t`` against ``ty``, or infer
+        when ``ty`` is None.  Returns ``(type, elaborated term)``."""
+        if ty is not None and not isinstance(ty, CompTy):
+            raise TypeCheckError(
+                "value type where a computation type is required",
+                getattr(t, "loc", None), expected=ty,
+            )
         match t:
-            case Var(name):
-                ty = ctx_lookup(ctx, name)
-                if ty is None:
-                    raise TypeCheckError(f"unbound variable '{name}'", t.loc)
-                if not isinstance(ty, UTy):
-                    raise TypeCheckError(
-                        "value used where a computation is required",
-                        t.loc, found=ty,
-                    )
-                return ty.comp, t
             case Ret(v):
-                tv, v2 = self.infer_value(ctx, v)
-                x = FTy(tv)
-                return x, Ret(v2, loc=t.loc, ty=x)
+                if ty is None:
+                    tv, v2 = self.infer_value(ctx, v)
+                    ty = FTy(tv)
+                elif not isinstance(ty, FTy):
+                    raise TypeCheckError(
+                        "ret checks only at an F type", t.loc, expected=ty
+                    )
+                else:
+                    _, v2 = self._check_value(ctx, v, ty.value)
+                return ty, Ret(v2, loc=t.loc, ty=ty)
             case Bind(e, xv, body):
-                te, e2 = self.infer_comp(ctx, e)
+                te, e2 = self._comp(ctx, e, None)
                 if not isinstance(te, FTy):
                     raise TypeCheckError(
                         "bind scrutinee must have an F type", t.loc, found=te
                     )
-                tb, body2 = self.infer_comp(ctx_extend(ctx, xv, te.value), body)
-                return tb, Bind(e2, xv, body2, loc=t.loc, ty=tb)
+                ty, body2 = self._comp(ctx_extend(ctx, xv, te.value), body, ty)
+                return ty, Bind(e2, xv, body2, loc=t.loc, ty=ty)
             case Lam(xv, xty, body):
-                tb, body2 = self.infer_comp(ctx_extend(ctx, xv, xty), body)
-                x = ArrowTy(xty, tb)
-                return x, Lam(xv, xty, body2, loc=t.loc, ty=x)
+                if ty is None:
+                    tb, body2 = self._comp(ctx_extend(ctx, xv, xty), body, None)
+                    ty = ArrowTy(xty, tb)
+                else:
+                    if not isinstance(ty, ArrowTy):
+                        raise TypeCheckError(
+                            "lam checks only at an arrow type", t.loc,
+                            expected=ty,
+                        )
+                    if xty is not None and xty != ty.dom:
+                        raise TypeCheckError(
+                            "lam annotation disagrees with the expected domain",
+                            t.loc, expected=ty.dom, found=xty,
+                        )
+                    _, body2 = self._comp(
+                        ctx_extend(ctx, xv, ty.dom), body, ty.cod
+                    )
+                return ty, Lam(xv, ty.dom, body2, loc=t.loc, ty=ty)
             case Ap(f, a):
-                tf, f2 = self.infer_comp(ctx, f)
+                if ty is not None:
+                    try:
+                        found, t2 = self._comp(ctx, t, None)
+                    except TypeCheckError:
+                        return ty, self._check_ap_spine(ctx, t, ty)
+                    return self._expect(t, found, ty), t2
+                tf, f2 = self._comp(ctx, f, None)
                 if not isinstance(tf, ArrowTy):
                     raise TypeCheckError(
                         "application of a non-function", t.loc, found=tf
@@ -234,248 +268,141 @@ class Checker:
                 return tf.cod, Ap(f2, a2, loc=t.loc, ty=tf.cod)
             case Step(c, body):
                 c2 = self._check_cost(ctx, c)
-                tb, body2 = self.infer_comp(ctx, body)
-                return tb, Step(c2, body2, loc=t.loc, ty=tb)
+                ty, body2 = self._comp(ctx, body, ty)
+                return ty, Step(c2, body2, loc=t.loc, ty=ty)
             case Branch(l, r):
                 self._require_theory("branch", "nondet", t)
-                try:
-                    tl, l2 = self.infer_comp(ctx, l)
-                    r2 = self.check_comp(ctx, r, tl)
-                except TypeCheckError:
-                    tl, r2 = self.infer_comp(ctx, r)
-                    l2 = self.check_comp(ctx, l, tl)
-                return tl, Branch(l2, r2, loc=t.loc, ty=tl)
-            case Flip(p, l, r):
-                self._require_theory("flip", "prob", t)
-                try:
-                    tl, l2 = self.infer_comp(ctx, l)
-                    r2 = self.check_comp(ctx, r, tl)
-                except TypeCheckError:
-                    tl, r2 = self.infer_comp(ctx, r)
-                    l2 = self.check_comp(ctx, l, tl)
-                return tl, Flip(p, l2, r2, loc=t.loc, ty=tl)
-            case Get(sv, body):
-                self._require_theory("get", "state", t)
-                tb, body2 = self.infer_comp(
-                    ctx_extend(ctx, sv, self.theory.state_ty), body
-                )
-                return tb, Get(sv, body2, loc=t.loc, ty=tb)
-            case Put(v, body):
-                self._require_theory("set", "state", t)
-                _, v2 = self._check_value(ctx, v, self.theory.state_ty)
-                tb, body2 = self.infer_comp(ctx, body)
-                return tb, Put(v2, body2, loc=t.loc, ty=tb)
-            case Par(l, r):
-                self._require_par(t)
-                tl, l2 = self.infer_comp(ctx, l)
-                tr, r2 = self.infer_comp(ctx, r)
-                if not isinstance(tl, FTy) or not isinstance(tr, FTy):
-                    raise TypeCheckError("par arms must have F types", t.loc)
-                x = FTy(ProdTy(tl.value, tr.value))
-                return x, Par(l2, r2, loc=t.loc, ty=x)
-            case If(b, th, el):
-                _, b2 = self._check_value(ctx, b, BOOL)
-                tt_, th2 = self.infer_comp(ctx, th)
-                el2 = self.check_comp(ctx, el, tt_)
-                return tt_, If(b2, th2, el2, loc=t.loc, ty=tt_)
-            case SumCase(sc, xl, lb, xr, rb):
-                ts, sc2 = self.infer_value(ctx, sc)
-                if not isinstance(ts, SumTy):
-                    raise TypeCheckError("case of a non-sum", t.loc, found=ts)
-                tl, lb2 = self.infer_comp(ctx_extend(ctx, xl, ts.left), lb)
-                rb2 = self.check_comp(ctx_extend(ctx, xr, ts.right), rb, tl)
-                return tl, SumCase(sc2, xl, lb2, xr, rb2, loc=t.loc, ty=tl)
-            case NatRec(n, z, kv, ihv, sb):
-                _, n2 = self._check_value(ctx, n, NAT)
-                if t.motive is not None:
-                    tz = t.motive
-                    z2 = self.check_comp(ctx, z, tz)
-                else:
-                    tz, z2 = self.infer_comp(ctx, z)
-                sb2 = self.check_comp(
-                    ctx_extend(ctx_extend(ctx, kv, NAT), ihv, UTy(tz)), sb, tz
-                )
-                return tz, NatRec(n2, z2, kv, ihv, sb2, t.motive,
-                                  loc=t.loc, ty=tz)
-            case ListRec(l, z, xv, xsv, ihv, cb):
-                tlist, l2 = self.infer_value(ctx, l)
-                if not isinstance(tlist, ListTy):
-                    raise TypeCheckError(
-                        "listrec of a non-list", t.loc, found=tlist
-                    )
-                if t.motive is not None:
-                    tz = t.motive
-                    z2 = self.check_comp(ctx, z, tz)
-                else:
-                    tz, z2 = self.infer_comp(ctx, z)
-                ctx2 = ctx_extend(
-                    ctx_extend(ctx_extend(ctx, xv, tlist.elem), xsv, tlist),
-                    ihv, UTy(tz),
-                )
-                cb2 = self.check_comp(ctx2, cb, tz)
-                return tz, ListRec(
-                    l2, z2, xv, xsv, ihv, cb2, t.motive,
-                    loc=t.loc, ty=tz, list_charge=tlist.charge,
-                )
+                ty, l2, r2 = self._arms(ctx, l, r, ty)
+                return ty, Branch(l2, r2, loc=t.loc, ty=ty)
             case Fail():
-                raise TypeCheckError(
-                    "fail needs a type ascription to synthesize", t.loc
-                )
-            case ValueTerm():
-                raise TypeCheckError(
-                    "value term where a computation is required", t.loc
-                )
-            case _:
-                raise TypeCheckError(f"cannot infer {type(t).__name__}", t.loc)
-
-    def check_comp(self, ctx: Ctx, t: Term, ty: CompTy):
-        if not isinstance(ty, CompTy):
-            raise TypeCheckError(
-                "value type where a computation type is required",
-                getattr(t, "loc", None), expected=ty,
-            )
-        match t:
-            case Ret(v):
-                if not isinstance(ty, FTy):
+                if ty is None:
                     raise TypeCheckError(
-                        "ret checks only at an F type", t.loc, expected=ty
+                        "fail needs a type ascription to synthesize", t.loc
                     )
-                _, v2 = self._check_value(ctx, v, ty.value)
-                return Ret(v2, loc=t.loc, ty=ty)
-            case Bind(e, xv, body):
-                te, e2 = self.infer_comp(ctx, e)
-                if not isinstance(te, FTy):
-                    raise TypeCheckError(
-                        "bind scrutinee must have an F type", t.loc, found=te
-                    )
-                body2 = self.check_comp(ctx_extend(ctx, xv, te.value), body, ty)
-                return Bind(e2, xv, body2, loc=t.loc, ty=ty)
-            case Lam(xv, xty, body):
-                if not isinstance(ty, ArrowTy):
-                    raise TypeCheckError(
-                        "lam checks only at an arrow type", t.loc, expected=ty
-                    )
-                if xty is not None and xty != ty.dom:
-                    raise TypeCheckError(
-                        "lam annotation disagrees with the expected domain",
-                        t.loc, expected=ty.dom, found=xty,
-                    )
-                body2 = self.check_comp(ctx_extend(ctx, xv, ty.dom), body, ty.cod)
-                return Lam(xv, ty.dom, body2, loc=t.loc, ty=ty)
-            case Step(c, body):
-                c2 = self._check_cost(ctx, c)
-                body2 = self.check_comp(ctx, body, ty)
-                return Step(c2, body2, loc=t.loc, ty=ty)
-            case Branch(l, r):
-                self._require_theory("branch", "nondet", t)
-                l2 = self.check_comp(ctx, l, ty)
-                r2 = self.check_comp(ctx, r, ty)
-                return Branch(l2, r2, loc=t.loc, ty=ty)
-            case Fail():
                 self._require_theory("fail", "nondet", t)
-                return Fail(loc=t.loc, ty=ty)
+                return ty, Fail(loc=t.loc, ty=ty)
             case Flip(p, l, r):
                 self._require_theory("flip", "prob", t)
-                l2 = self.check_comp(ctx, l, ty)
-                r2 = self.check_comp(ctx, r, ty)
-                return Flip(p, l2, r2, loc=t.loc, ty=ty)
+                ty, l2, r2 = self._arms(ctx, l, r, ty)
+                return ty, Flip(p, l2, r2, loc=t.loc, ty=ty)
             case Get(sv, body):
                 self._require_theory("get", "state", t)
-                body2 = self.check_comp(
+                ty, body2 = self._comp(
                     ctx_extend(ctx, sv, self.theory.state_ty), body, ty
                 )
-                return Get(sv, body2, loc=t.loc, ty=ty)
+                return ty, Get(sv, body2, loc=t.loc, ty=ty)
             case Put(v, body):
                 self._require_theory("set", "state", t)
                 _, v2 = self._check_value(ctx, v, self.theory.state_ty)
-                body2 = self.check_comp(ctx, body, ty)
-                return Put(v2, body2, loc=t.loc, ty=ty)
+                ty, body2 = self._comp(ctx, body, ty)
+                return ty, Put(v2, body2, loc=t.loc, ty=ty)
             case Par(l, r):
                 self._require_par(t)
-                if not isinstance(ty, FTy) or not isinstance(ty.value, ProdTy):
+                if ty is None:
+                    tl, l2 = self._comp(ctx, l, None)
+                    tr, r2 = self._comp(ctx, r, None)
+                    if not isinstance(tl, FTy) or not isinstance(tr, FTy):
+                        raise TypeCheckError(
+                            "par arms must have F types", t.loc
+                        )
+                    ty = FTy(ProdTy(tl.value, tr.value))
+                elif not (isinstance(ty, FTy) and isinstance(ty.value, ProdTy)):
                     raise TypeCheckError(
                         "par checks only at F of a product", t.loc, expected=ty
                     )
-                l2 = self.check_comp(ctx, l, FTy(ty.value.fst))
-                r2 = self.check_comp(ctx, r, FTy(ty.value.snd))
-                return Par(l2, r2, loc=t.loc, ty=ty)
+                else:
+                    _, l2 = self._comp(ctx, l, FTy(ty.value.fst))
+                    _, r2 = self._comp(ctx, r, FTy(ty.value.snd))
+                return ty, Par(l2, r2, loc=t.loc, ty=ty)
             case If(b, th, el):
                 _, b2 = self._check_value(ctx, b, BOOL)
-                th2 = self.check_comp(ctx, th, ty)
-                el2 = self.check_comp(ctx, el, ty)
-                return If(b2, th2, el2, loc=t.loc, ty=ty)
+                ty, th2 = self._comp(ctx, th, ty)
+                _, el2 = self._comp(ctx, el, ty)
+                return ty, If(b2, th2, el2, loc=t.loc, ty=ty)
             case SumCase(sc, xl, lb, xr, rb):
                 ts, sc2 = self.infer_value(ctx, sc)
                 if not isinstance(ts, SumTy):
                     raise TypeCheckError("case of a non-sum", t.loc, found=ts)
-                lb2 = self.check_comp(ctx_extend(ctx, xl, ts.left), lb, ty)
-                rb2 = self.check_comp(ctx_extend(ctx, xr, ts.right), rb, ty)
-                return SumCase(sc2, xl, lb2, xr, rb2, loc=t.loc, ty=ty)
+                ty, lb2 = self._comp(ctx_extend(ctx, xl, ts.left), lb, ty)
+                _, rb2 = self._comp(ctx_extend(ctx, xr, ts.right), rb, ty)
+                return ty, SumCase(sc2, xl, lb2, xr, rb2, loc=t.loc, ty=ty)
             case NatRec(n, z, kv, ihv, sb):
-                if t.motive is not None and t.motive != ty:
-                    raise TypeCheckError(
-                        "recursor motive disagrees with the expected type",
-                        t.loc, expected=ty, found=t.motive,
-                    )
+                ty = self._motive(t, ty)
                 _, n2 = self._check_value(ctx, n, NAT)
-                z2 = self.check_comp(ctx, z, ty)
-                sb2 = self.check_comp(
+                ty, z2 = self._comp(ctx, z, ty)
+                _, sb2 = self._comp(
                     ctx_extend(ctx_extend(ctx, kv, NAT), ihv, UTy(ty)), sb, ty
                 )
-                return NatRec(n2, z2, kv, ihv, sb2, t.motive, loc=t.loc, ty=ty)
+                return ty, NatRec(n2, z2, kv, ihv, sb2, t.motive,
+                                  loc=t.loc, ty=ty)
             case ListRec(l, z, xv, xsv, ihv, cb):
-                if t.motive is not None and t.motive != ty:
-                    raise TypeCheckError(
-                        "recursor motive disagrees with the expected type",
-                        t.loc, expected=ty, found=t.motive,
-                    )
+                ty = self._motive(t, ty)
                 tlist, l2 = self.infer_value(ctx, l)
                 if not isinstance(tlist, ListTy):
                     raise TypeCheckError(
                         "listrec of a non-list", t.loc, found=tlist
                     )
-                z2 = self.check_comp(ctx, z, ty)
+                ty, z2 = self._comp(ctx, z, ty)
                 ctx2 = ctx_extend(
                     ctx_extend(ctx_extend(ctx, xv, tlist.elem), xsv, tlist),
                     ihv, UTy(ty),
                 )
-                cb2 = self.check_comp(ctx2, cb, ty)
-                return ListRec(
+                _, cb2 = self._comp(ctx2, cb, ty)
+                return ty, ListRec(
                     l2, z2, xv, xsv, ihv, cb2, t.motive,
                     loc=t.loc, ty=ty, list_charge=tlist.charge,
                 )
-            case Ap(_, _):
-                try:
-                    found, t2 = self.infer_comp(ctx, t)
-                except TypeCheckError:
-                    return self._check_ap_spine(ctx, t, ty)
-                if found != ty:
+            case Var(name):
+                found = ctx_lookup(ctx, name)
+                if found is None:
+                    raise TypeCheckError(f"unbound variable '{name}'", t.loc)
+                if not isinstance(found, UTy):
                     raise TypeCheckError(
-                        "computation type mismatch", t.loc,
-                        expected=ty, found=found,
+                        "value used where a computation is required",
+                        t.loc, found=found,
                     )
-                return t2
-            case Var(_):
-                found, t2 = self.infer_comp(ctx, t)
-                if found != ty:
-                    raise TypeCheckError(
-                        "computation type mismatch", t.loc,
-                        expected=ty, found=found,
-                    )
-                return t2
+                return self._expect(t, found.comp, ty), t
             case ValueTerm():
                 raise TypeCheckError(
                     "value term where a computation is required",
-                    getattr(t, "loc", None), expected=ty,
+                    t.loc, expected=ty,
                 )
             case _:
-                found, t2 = self.infer_comp(ctx, t)
-                if found != ty:
-                    raise TypeCheckError(
-                        "computation type mismatch", t.loc,
-                        expected=ty, found=found,
-                    )
-                return t2
+                raise TypeCheckError(f"cannot infer {type(t).__name__}", t.loc)
+
+    @staticmethod
+    def _expect(t, found: CompTy, ty: Optional[CompTy]) -> CompTy:
+        """``found`` when inferring; when checking, ``ty`` if they agree."""
+        if ty is not None and found != ty:
+            raise TypeCheckError(
+                "computation type mismatch", t.loc, expected=ty, found=found
+            )
+        return found
+
+    def _arms(self, ctx: Ctx, l, r, ty: Optional[CompTy]):
+        """Two arms of one type: both checked at ``ty``, or when inferring,
+        the type of the left arm, else of the right one."""
+        if ty is not None:
+            return ty, self._comp(ctx, l, ty)[1], self._comp(ctx, r, ty)[1]
+        try:
+            ty, l2 = self._comp(ctx, l, None)
+            return ty, l2, self._comp(ctx, r, ty)[1]
+        except TypeCheckError:
+            ty, r2 = self._comp(ctx, r, None)
+            return ty, self._comp(ctx, l, ty)[1], r2
+
+    @staticmethod
+    def _motive(t, ty: Optional[CompTy]) -> Optional[CompTy]:
+        """A recursor's type: the expected one, which an ascribed motive
+        must equal, or else the motive (None: infer from the base case)."""
+        if ty is None:
+            return t.motive
+        if t.motive is not None and t.motive != ty:
+            raise TypeCheckError(
+                "recursor motive disagrees with the expected type",
+                t.loc, expected=ty, found=t.motive,
+            )
+        return ty
 
     # -- helpers ---------------------------------------------------------------
 
@@ -500,8 +427,7 @@ class Checker:
             arg_tys.append(a_ty)
         for a_ty in reversed(arg_tys):
             fn_ty = ArrowTy(a_ty, fn_ty)
-        head2 = self.check_comp(ctx, head, fn_ty)
-        out = head2
+        _, out = self._comp(ctx, head, fn_ty)
         cod = fn_ty
         for a, a_ty in zip(args, arg_tys):
             _, a2 = self._check_value(ctx, a, a_ty)

@@ -127,6 +127,18 @@ def test_hypothesis_failure_names_the_candidate():
     assert rep.counterexample["input"].startswith("argument ")
 
 
+@pytest.mark.parametrize("relation", [Relation.LEQ_LOWER, Relation.EQUAL])
+def test_hypothesis_conclusion_decides_the_spec_relation(relation):
+    # twice-hypothesis holds as an upper bound only: swapped (bound <= twice)
+    # or as an equality it fails on the first admitted candidate
+    import dataclasses
+
+    spec = dataclasses.replace(by_name("twice-hypothesis"), relation=relation)
+    rep = verify(spec)
+    assert rep.verdict == "fails"
+    assert rep.counterexample["input"].startswith("argument ")
+
+
 def test_hypothesis_inconclusive_when_too_few_admitted():
     spec = by_name("twice-hypothesis")
     rep = verify(spec, domain_override={"hyp_candidates": 30})
@@ -256,6 +268,19 @@ def test_cli_usage_errors_are_one_line(args, message):
     assert proc.stdout == ""
     assert proc.stderr.startswith("stepbound: error: ")
     assert message in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_cli_unwritable_report_path_is_a_usage_error(tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "stepbound.cli", "check",
+         "--spec", "double-closed-form", "--json", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("stepbound: error: ")
+    assert str(path) in proc.stderr and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("field, value", [

@@ -4,16 +4,18 @@ import random
 
 import pytest
 
-from stepbound.corpus import DOUBLE, QSORT
+from stepbound.corpus import DOUBLE, QSORT, corpus
 from stepbound.gen import TermGen, random_theory
 from stepbound.semantics import DomainConfig, EvalMode, evaluate
 from stepbound.syntax import (
-    BOOL, NAT, UNIT, ArrowTy, Bind, BoolLit, Branch, CostLit, FTy, Fail,
-    Flip, Get, Lam, ListTy, NONDET, PROB, PURE, Par, Put, Ret, Step, Triv,
-    UTy, Var, Zero, state_theory,
+    BOOL, NAT, UNIT, ArrowTy, Bind, BoolLit, Branch, CompTerm, CompTy,
+    CostLit, FTy, Fail, Flip, Get, Lam, ListRec, ListTy, NONDET, PROB, PURE,
+    Par, Put, Ret, Step, Triv, UTy, Var, Zero, parse, scopes, state_theory,
 )
 from stepbound.costs import SEQ_NAT, WORK_SPAN
-from stepbound.typecheck import Checker, TypeCheckError, check_program
+from stepbound.typecheck import (
+    Checker, TypeCheckError, check_program, elaborate,
+)
 
 from fractions import Fraction
 
@@ -113,6 +115,30 @@ def test_state_ops_use_declared_state_type():
         c.check((), Put(Zero(), Ret(Triv())), FTy(UNIT))
 
 
+def _annotations(t):
+    """Each node's form, elaborated type and list charge, in traversal
+    order (``==`` on terms skips the last two)."""
+    out = [(type(t).__name__, getattr(t, "ty", None),
+            getattr(t, "list_charge", None))]
+    for _, sub, _ in scopes(t):
+        out += _annotations(sub)
+    return out
+
+
+def _infer_check_agree(c, body):
+    """Elaborate ``body`` by inference and by checking at the inferred
+    type; both must give the same tree and the same annotations.  False
+    when the body does not synthesize."""
+    try:
+        ty, inferred = c.infer_comp((), body)
+    except TypeCheckError:
+        return False
+    checked = c.check_comp((), body, ty)
+    assert checked == inferred
+    assert _annotations(checked) == _annotations(inferred)
+    return True
+
+
 def test_infer_check_agreement_on_generated_programs():
     rng = random.Random(23)
     agreed = 0
@@ -120,14 +146,55 @@ def test_infer_check_agreement_on_generated_programs():
         theory = random_theory(rng)
         gen = TermGen(rng, theory)
         prog = gen.program(depth=4)
-        c = Checker(theory, SEQ_NAT)
-        try:
-            ty = c.infer((), prog.body)
-        except TypeCheckError:
-            continue
-        c.check((), prog.body, ty)  # must not raise
-        agreed += 1
+        agreed += _infer_check_agree(Checker(theory, SEQ_NAT), prog.body)
     assert agreed >= 100
+
+
+# no corpus program recurses over a cost-annotated list
+CHARGED_LENGTH = parse("""
+(: (-> (list 2 nat) (F nat))
+   (lam (l : (list 2 nat))
+     (listrec l (ret zero) (x xs r (bind r (n (ret (suc n))))))))
+""")
+
+
+def _programs():
+    for spec in corpus():
+        yield spec.program
+        yield spec.bound
+        if spec.hypothesis is not None:
+            yield spec.hypothesis.program
+            yield spec.hypothesis.bound
+    yield CHARGED_LENGTH
+
+
+def test_infer_check_agreement_on_corpus_programs():
+    # a few corpus bodies (isort's nil case, lookup's fail) only check
+    agreed = sum(
+        _infer_check_agree(Checker(p.theory, p.monoid), p.body)
+        for p in _programs()
+    )
+    assert agreed >= 30
+
+
+def _comp_nodes(t):
+    if isinstance(t, CompTerm):
+        yield t
+    for _, sub, _ in scopes(t):
+        yield from _comp_nodes(sub)
+
+
+def test_elaborated_corpus_computations_carry_their_type():
+    # the evaluator reads each computation node's checked type
+    for p in _programs():
+        body = elaborate(p).body
+        assert body.ty == p.declared_ty
+        for node in _comp_nodes(body):
+            assert isinstance(node.ty, CompTy), (p.name, node)
+    # and a list recursor carries its list type's per-cons charge
+    rec, = (n for n in _comp_nodes(elaborate(CHARGED_LENGTH).body)
+            if isinstance(n, ListRec))
+    assert rec.list_charge == 2
 
 
 def _term_size(t):
