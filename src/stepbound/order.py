@@ -417,13 +417,16 @@ def cdf_dominates(lhs, rhs) -> bool:
     True iff at every threshold the left CDF is at least the right CDF,
     i.e. the left-hand mass sits at lower costs.
     """
-    support = sorted({c for c, _ in lhs} | {c for c, _ in rhs})
-    fl = Fraction(0)
-    fr = Fraction(0)
-    for t in support:
-        fl += sum((w for c, w in lhs if c == t), Fraction(0))
-        fr += sum((w for c, w in rhs if c == t), Fraction(0))
-        if fl < fr:
+    diff: dict = {}
+    for c, w in lhs:
+        diff[c] = diff[c] + w if c in diff else w
+    for c, w in rhs:
+        diff[c] = diff[c] - w if c in diff else -w
+    # the left CDF minus the right one, swept over the union of costs
+    gap = 0
+    for c in sorted(diff):
+        gap += diff[c]
+        if gap < 0:
             return False
     return True
 

@@ -201,18 +201,32 @@ class NondetOutcome(Outcome):
         return _extreme_cost((c for c, _ in self.branches), min)
 
 
-class Dist:
-    """Immutable finite map from (cost, value) to positive Fraction."""
+_ONE = Fraction(1)
 
-    __slots__ = ("items", "_map", "_hash")
+
+class Dist:
+    """Immutable finite map from (cost, value) to positive Fraction.
+
+    The map is unordered: equality, hashing, size and mass read it
+    directly.  ``items`` and iteration list it sorted by ``pair_sort_key``;
+    that order is computed on first use and kept, since only printing,
+    witnesses and the deciders read it.
+    """
+
+    __slots__ = ("_map", "_items", "_hash")
 
     def __init__(self, mapping):
-        clean = {k: w for k, w in mapping.items() if w != 0}
-        self.items = tuple(
-            sorted(clean.items(), key=lambda kw: pair_sort_key(kw[0]))
-        )
-        self._map = clean
+        self._map = {k: w for k, w in mapping.items() if w}
+        self._items = None
         self._hash = None
+
+    @property
+    def items(self) -> tuple:
+        if self._items is None:
+            self._items = tuple(
+                sorted(self._map.items(), key=lambda kw: pair_sort_key(kw[0]))
+            )
+        return self._items
 
     def __eq__(self, other):
         return isinstance(other, Dist) and self._map == other._map
@@ -226,10 +240,10 @@ class Dist:
         return iter(self.items)
 
     def __len__(self):
-        return len(self.items)
+        return len(self._map)
 
     def total(self) -> Fraction:
-        return sum((w for _, w in self.items), Fraction(0))
+        return sum(self._map.values(), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -355,19 +369,26 @@ class _ProbOps(_PureOps):
     kind = "prob"
 
     def unit(self, v):
-        return Dist({(self.monoid.zero, v): Fraction(1)})
+        return Dist({(self.monoid.zero, v): _ONE})
 
     def charge(self, c, m):
         add = self.monoid.add
-        return Dist({(add(c, c0), v): w for (c0, v), w in m})
+        return Dist({(add(c, c0), v): w for (c0, v), w in m._map.items()})
 
     def bind(self, m, k):
+        if len(m._map) == 1:
+            ((c0, v), w), = m._map.items()
+            if w == 1:
+                # a point mass: the continuation's weights stand as they are
+                d = k(v)
+                return d if c0 == self.monoid.zero else self.charge(c0, d)
         add = self.monoid.add
         acc: dict = {}
-        for (c0, v), w in m:
-            for (c1, v1), w1 in k(v):
+        for (c0, v), w in m._map.items():
+            for (c1, v1), w1 in k(v)._map.items():
                 key = (add(c0, c1), v1)
-                acc[key] = acc.get(key, Fraction(0)) + w * w1
+                prior = acc.get(key)
+                acc[key] = w * w1 if prior is None else prior + w * w1
         return Dist(acc)
 
     def flip(self, p: Fraction, m0, m1):
@@ -375,11 +396,11 @@ class _ProbOps(_PureOps):
             return m0
         if p == 1:
             return m1
-        acc: dict = {}
-        for (c, v), w in m0:
-            acc[(c, v)] = acc.get((c, v), Fraction(0)) + (1 - p) * w
-        for (c, v), w in m1:
-            acc[(c, v)] = acc.get((c, v), Fraction(0)) + p * w
+        q = 1 - p
+        acc = {key: q * w for key, w in m0._map.items()}
+        for key, w in m1._map.items():
+            prior = acc.get(key)
+            acc[key] = p * w if prior is None else prior + p * w
         return Dist(acc)
 
 

@@ -235,6 +235,10 @@ class Checker:
                 return ty, Bind(e2, xv, body2, loc=t.loc, ty=ty)
             case Lam(xv, xty, body):
                 if ty is None:
+                    if xty is None:
+                        raise TypeCheckError(
+                            "lam needs a type annotation to synthesize", t.loc
+                        )
                     tb, body2 = self._comp(ctx_extend(ctx, xv, xty), body, None)
                     ty = ArrowTy(xty, tb)
                 else:

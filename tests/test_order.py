@@ -144,6 +144,78 @@ def test_cdf_dominates_direction():
     assert not cdf_dominates(high, low)
 
 
+def _cdf_dominates_per_threshold(lhs, rhs):
+    # the definition: at every threshold of the joint support, the left
+    # CDF is at least the right one
+    for t in sorted({c for c, _ in lhs} | {c for c, _ in rhs}):
+        if sum(w for c, w in lhs if c <= t) < sum(w for c, w in rhs if c <= t):
+            return False
+    return True
+
+
+def _cost_list(rng, costs, mass):
+    raw = [rng.randrange(1, 6) for _ in range(rng.randrange(1, 5))]
+    return [(rng.choice(costs), mass * Fraction(r, sum(raw))) for r in raw]
+
+
+def test_cdf_dominates_matches_the_per_threshold_definition():
+    rng = random.Random(307)
+    seen = {True: 0, False: 0}
+    for i in range(1500):
+        mass = Fraction(rng.randrange(1, 4), rng.randrange(1, 4))
+        case = i % 3
+        if case == 0:  # shared costs, repeated within a list too
+            lhs = _cost_list(rng, range(4), mass)
+            rhs = _cost_list(rng, range(4), mass)
+        elif case == 1:  # disjoint supports, either side lower
+            lo, hi = range(0, 3), range(3, 6)
+            if rng.random() < 0.5:
+                lo, hi = hi, lo
+            lhs, rhs = _cost_list(rng, lo, mass), _cost_list(rng, hi, mass)
+        else:  # ties: the same law, shuffled and with weights split
+            lhs = _cost_list(rng, range(4), mass)
+            rhs = []
+            for c, w in lhs:
+                rhs += [(c, w / 2), (c, w / 2)] if rng.random() < 0.5 else [(c, w)]
+            rng.shuffle(rhs)
+        want = _cdf_dominates_per_threshold(lhs, rhs)
+        assert cdf_dominates(lhs, rhs) == want, (lhs, rhs)
+        seen[want] += 1
+    assert min(seen.values()) > 300
+
+
+# printed while `Dist` still sorted on construction; the mappings are
+# inserted out of print order on purpose
+_WITNESS_LHS = "{(0, [2]) -> 1/4, (2, 1) -> 1/3, (3, [1 0]) -> 1/6, (4, 0) -> 1/4}"
+_WITNESS_RHS = "{(1, [1 0]) -> 1/6, (1, 1) -> 1/3, (2, 0) -> 1/4, (3, [2]) -> 1/4}"
+
+
+def _witness_pair():
+    lhs = prob({
+        (3, natlist([1, 0])): Fraction(1, 6), (2, nat(1)): Fraction(1, 3),
+        (0, natlist([2])): Fraction(1, 4), (4, nat(0)): Fraction(1, 4),
+    })
+    rhs = prob({
+        (2, nat(0)): Fraction(1, 4), (1, nat(1)): Fraction(1, 3),
+        (3, natlist([2])): Fraction(1, 4), (1, natlist([1, 0])): Fraction(1, 6),
+    })
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("decide, explanation", [
+    # values 0, 1 and [1 0] all fail; 1 is the first in print order
+    (leq_outcome,
+     "cost distribution at value 1 is not stochastically below the "
+     "right-hand one"),
+    (eq_outcome, "distributions differ"),
+])
+def test_prob_witness_text_is_pinned(decide, explanation):
+    w = decide(*_witness_pair()).witness
+    assert (w.explanation, w.lhs, w.rhs) == (
+        explanation, _WITNESS_LHS, _WITNESS_RHS
+    )
+
+
 def test_fast_and_flow_prob_deciders_agree():
     rng = random.Random(101)
     for _ in range(300):

@@ -17,8 +17,8 @@ from stepbound.gen import TermGen, random_theory
 from stepbound.order import eq_outcome
 from stepbound.harness import run_all
 from stepbound.semantics import (
-    DEFAULT_CONFIG, Dist, DomainConfig, EvalMode, EvalError, enumerate_inputs,
-    eval_fn, evaluate, get_evaluator,
+    DEFAULT_CONFIG, Dist, DomainConfig, EvalMode, EvalError, ProbOutcome,
+    _ProbOps, enumerate_inputs, eval_fn, evaluate, get_evaluator,
 )
 from stepbound.syntax import (
     NAT, Bind, CostLit, FTy, Program, PURE, Ret, Step, parse,
@@ -145,6 +145,45 @@ def _eval_both(theory, body_a, body_b, ty, cfg):
     oa = evaluate(pa, COST, cfg)
     ob = evaluate(pb, COST, cfg)
     return oa, ob, eq_outcome(oa, ob, cfg, theory).holds
+
+
+def test_dist_insertion_order_is_not_observable():
+    pairs = [
+        ((3, natlist([1, 0])), Fraction(1, 6)), ((2, nat(1)), Fraction(1, 3)),
+        ((0, natlist([2])), Fraction(1, 4)), ((2, nat(0)), Fraction(1, 4)),
+    ]
+    a, b = Dist(dict(pairs)), Dist(dict(reversed(pairs)))
+    assert a == b and hash(a) == hash(b) and len(a) == len(b) == 4
+    assert a.items == b.items and list(a) == list(b) == list(a.items)
+    assert [k for k, _ in a] == [
+        (0, natlist([2])), (2, nat(0)), (2, nat(1)), (3, natlist([1, 0]))
+    ]
+    show = lambda d: str(ProbOutcome("prob", SEQ_NAT, COST, d))
+    assert show(a) == show(b) == (
+        "{(0, [2]) -> 1/4, (2, 0) -> 1/4, (2, 1) -> 1/3, (3, [1 0]) -> 1/6}"
+    )
+
+
+def _continuation(v):
+    return Dist({(1, v): Fraction(1, 2), (0, nat(2)): Fraction(1, 2)})
+
+
+def test_prob_bind_scales_a_one_item_scrutinee_of_weight_below_one():
+    ops = _ProbOps(SEQ_NAT)
+    m = Dist({(2, nat(0)): Fraction(1, 2)})
+    assert ops.bind(m, _continuation) == Dist(
+        {(3, nat(0)): Fraction(1, 4), (2, nat(2)): Fraction(1, 4)}
+    )
+
+
+def test_prob_bind_on_a_point_mass():
+    ops = _ProbOps(SEQ_NAT)
+    d = _continuation(nat(0))
+    # at cost zero the continuation's denotation is returned as is
+    assert ops.bind(Dist({(0, nat(0)): Fraction(1)}), lambda v: d) is d
+    assert ops.bind(Dist({(2, nat(0)): Fraction(1)}), _continuation) == Dist(
+        {(3, nat(0)): Fraction(1, 2), (2, nat(2)): Fraction(1, 2)}
+    )
 
 
 def test_step_laws_hold_semantically():

@@ -107,6 +107,20 @@ def test_lam_annotation_must_agree():
         checker().check((), t, ArrowTy(NAT, FTy(NAT)))
 
 
+@pytest.mark.parametrize("body", [Ret(Var("x")), Ret(Zero())])
+def test_unannotated_lam_does_not_synthesize(body):
+    # neither "unbound variable 'x'" nor a synthesized ArrowTy(dom=None, ...)
+    with pytest.raises(TypeCheckError) as e:
+        checker().infer_comp((), Lam("x", None, body))
+    assert str(e.value) == "lam needs a type annotation to synthesize"
+
+
+def test_unannotated_lam_checks_at_an_arrow_and_gets_its_domain():
+    ty = ArrowTy(NAT, FTy(NAT))
+    lam = checker().check_comp((), Lam("x", None, Ret(Var("x"))), ty)
+    assert lam.var_ty == NAT and lam.ty == ty
+
+
 def test_state_ops_use_declared_state_type():
     th = state_theory(BOOL)
     c = Checker(th, SEQ_NAT)
