@@ -1,9 +1,12 @@
 """Seeded random generation of terms, programs, outcomes and distributions.
 
 Everything here is deterministic given a ``random.Random`` instance.
-Generated terms are well-typed by construction (and the law/property
-harnesses re-check them defensively).  Result types are kept first-order
-so outcomes compare structurally.
+Generated terms are born elaborated: the generator picks every node's
+type, so each computation node carries it (``ty``) exactly as
+``typecheck.elaborate`` would set it, and the evaluator takes them
+without running the checker.  A Tier-1 property re-elaborates them to
+hold that promise.  Result types are kept first-order so outcomes
+compare structurally.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .syntax import (
     Nil, PROB, PURE, Pair, ProdTy, Program, Put, Ret, Step, SumTy, Triv,
     Var, nat_lit, state_theory,
 )
-from .typecheck import Checker, TypeCheckError
 
 RATIONAL_POOL = [
     Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -79,11 +81,13 @@ class TermGen:
                 raise ValueError(f"cannot generate values of {ty!r}")
 
     def comp(self, ctx: dict, ty: CompTy, depth: int):
-        """A computation of type ``ty``; effects drawn from the theory."""
+        """A computation of type ``ty``; effects drawn from the theory.
+        Every computation node is built with its type."""
         rng = self.rng
         if isinstance(ty, ArrowTy):
             x = f"a{depth}_{rng.randrange(1000)}"
-            return Lam(x, ty.dom, self.comp({**ctx, x: ty.dom}, ty.cod, depth))
+            body = self.comp({**ctx, x: ty.dom}, ty.cod, depth)
+            return Lam(x, ty.dom, body, ty=ty)
         if not isinstance(ty, FTy):
             raise ValueError(f"cannot generate computations of {ty!r}")
         if depth <= 0:
@@ -93,56 +97,55 @@ class TermGen:
         if roll < 0.25:
             return self._leaf(ctx, ty)
         if roll < 0.40:
-            return Step(CostLit(self.cost()), self.comp(ctx, ty, depth - 1))
+            return Step(CostLit(self.cost()), self.comp(ctx, ty, depth - 1),
+                        ty=ty)
         if roll < 0.58:
             a_ty = rng.choice((NAT, BOOL, UNIT))
             x = f"g{depth}_{rng.randrange(1000)}"
             scrut = self.comp(ctx, FTy(a_ty), depth - 1)
-            if not self._synthesizes(ctx, scrut):
-                scrut = Ret(self.value(ctx, a_ty))
+            if not synthesizes(scrut):
+                scrut = self._leaf(ctx, FTy(a_ty))
             body = self.comp({**ctx, x: a_ty}, ty, depth - 1)
-            return Bind(scrut, x, body)
+            return Bind(scrut, x, body, ty=ty)
         if roll < 0.66:
             return If(
                 self.value(ctx, BOOL),
                 self.comp(ctx, ty, depth - 1),
                 self.comp(ctx, ty, depth - 1),
+                ty=ty,
             )
         if kind == "nondet":
             if roll < 0.90:
                 return Branch(
-                    self.comp(ctx, ty, depth - 1), self.comp(ctx, ty, depth - 1)
+                    self.comp(ctx, ty, depth - 1),
+                    self.comp(ctx, ty, depth - 1),
+                    ty=ty,
                 )
-            return Fail()
+            return Fail(ty=ty)
         if kind == "prob":
             return Flip(
                 self.rational(),
                 self.comp(ctx, ty, depth - 1),
                 self.comp(ctx, ty, depth - 1),
+                ty=ty,
             )
         if kind == "state":
             if roll < 0.83:
                 s = f"s{depth}_{rng.randrange(1000)}"
                 return Get(
-                    s, self.comp({**ctx, s: self.theory.state_ty}, ty, depth - 1)
+                    s,
+                    self.comp({**ctx, s: self.theory.state_ty}, ty, depth - 1),
+                    ty=ty,
                 )
             return Put(
                 self.value(ctx, self.theory.state_ty),
                 self.comp(ctx, ty, depth - 1),
+                ty=ty,
             )
-        return Step(CostLit(self.cost()), self.comp(ctx, ty, depth - 1))
+        return Step(CostLit(self.cost()), self.comp(ctx, ty, depth - 1), ty=ty)
 
     def _leaf(self, ctx: dict, ty: FTy):
-        return Ret(self.value(ctx, ty.value))
-
-    def _synthesizes(self, ctx: dict, comp) -> bool:
-        """Bind scrutinees must synthesize their type; e.g. a bare ``fail``
-        cannot, since the fragment has no inner type ascriptions."""
-        try:
-            Checker(self.theory, SEQ_NAT).infer_comp(tuple(ctx.items()), comp)
-            return True
-        except TypeCheckError:
-            return False
+        return Ret(self.value(ctx, ty.value), ty=ty)
 
     def closed_comp(self, ty: CompTy, depth: int):
         return self.comp({}, ty, depth)
@@ -153,9 +156,9 @@ class TermGen:
         ctx = ctx or {}
         for _ in range(8):
             t = self.comp(ctx, ty, depth)
-            if self._synthesizes(ctx, t):
+            if synthesizes(t):
                 return t
-        return Ret(self.value(ctx, ty.value))
+        return self._leaf(ctx, ty)
 
     def program(self, depth: int = 5, ty: CompTy = None) -> Program:
         ty = ty or self.result_ty()
@@ -163,6 +166,26 @@ class TermGen:
         return Program(
             f"gen-{self.rng.randrange(10 ** 9)}", self.theory, SEQ_NAT, body, ty
         )
+
+
+def synthesizes(t) -> bool:
+    """Whether a generated computation synthesizes its type, decided from
+    its shape.  Only the checker's inference rules that can fail on a
+    generated term matter: ``fail`` has no type to offer (the fragment has
+    no inner ascriptions), ``ret`` of a nat, bool or unit value always
+    synthesizes, and every other form synthesizes when the arm it infers
+    from does (a bind's scrutinee synthesizes by construction)."""
+    match t:
+        case Ret():
+            return True
+        case Fail():
+            return False
+        case (Step(_, body) | Bind(_, _, body) | Get(_, body) | Put(_, body)
+              | Lam(_, _, body) | If(_, body, _)):
+            return synthesizes(body)
+        case Branch(l, r) | Flip(_, l, r):
+            return synthesizes(l) or synthesizes(r)
+    raise ValueError(f"not a generated computation: {t!r}")
 
 
 def random_theory(rng: random.Random) -> EffectTheory:

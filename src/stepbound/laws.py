@@ -4,8 +4,11 @@ semantically on randomly instantiated closed programs.
 The catalog has 25 entries: the cost/step group (4), the monad group (2),
 nondeterministic branching (7), probabilistic choice (6) and global state
 (6).  Each law stores builder functions that, given a term generator,
-produce a concrete well-typed instance of its two sides; ``check_law``
-evaluates both sides and requires outcome equality.
+produce a concrete instance of its two sides, born elaborated: the
+generator types every node it draws and the builder types every node it
+composes, so ``check_law`` hands both sides straight to the evaluator
+and requires outcome equality.  A Tier-1 property re-elaborates the
+instances to hold the builders to that.
 
 Because the evaluator normalizes its representations (sets, merged
 distributions, threaded state), most laws hold there *by construction*;
@@ -22,6 +25,7 @@ unique way to satisfy the stated side condition.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 import zlib
@@ -34,10 +38,10 @@ from .gen import LAW_STATE_TY, TermGen, random_theory
 from .order import eq_outcome
 from .semantics import DomainConfig, EvalMode, Evaluator
 from .syntax import (
-    NAT, Ap, Bind, Branch, CostLit, FTy, Fail, Flip, Get, Lam, NONDET, PROB,
-    PURE, Program, Put, Ret, Step, Var, subst, term_str, state_theory,
+    NAT, Ap, ArrowTy, Bind, Branch, CostLit, FTy, Fail, Flip, Get, Lam,
+    NONDET, PROB, PURE, Program, Put, Ret, Step, Var, subst, term_str,
+    state_theory,
 )
-from .typecheck import TypeCheckError
 
 LAWS_CONFIG = DomainConfig(nat_max=4, list_len=2, elems=2, state_max=4)
 
@@ -79,7 +83,7 @@ class LawReport:
 
 
 def _step(c, e):
-    return Step(CostLit(c), e)
+    return Step(CostLit(c), e, ty=e.ty)
 
 
 def _open_comp(gen, ctx, ty, depth=3):
@@ -87,7 +91,7 @@ def _open_comp(gen, ctx, ty, depth=3):
 
 
 # -- builders -----------------------------------------------------------------
-# Each returns (lhs, rhs, comp_ty).
+# Each returns (lhs, rhs, comp_ty), with ``ty`` set on every node it builds.
 
 
 def _b_step_zero(gen):
@@ -108,8 +112,8 @@ def _b_bind_step(gen):
     e = gen.synth_comp(FTy(NAT), 3)
     f = _open_comp(gen, {"bx": NAT}, ty)
     c = gen.cost()
-    lhs = Bind(_step(c, e), "bx", f)
-    rhs = _step(c, Bind(e, "bx", f))
+    lhs = Bind(_step(c, e), "bx", f, ty=ty)
+    rhs = _step(c, Bind(e, "bx", f, ty=ty))
     return lhs, rhs, ty
 
 
@@ -119,8 +123,9 @@ def _b_lam_step(gen):
     body = _open_comp(gen, {"lx": NAT}, ty)
     c = gen.cost()
     arg = gen.value({}, NAT)
-    lhs = Ap(_step(c, Lam("lx", NAT, body)), arg)
-    rhs = Ap(Lam("lx", NAT, _step(c, body)), arg)
+    fn_ty = ArrowTy(NAT, ty)
+    lhs = Ap(_step(c, Lam("lx", NAT, body, ty=fn_ty)), arg, ty=ty)
+    rhs = Ap(Lam("lx", NAT, _step(c, body), ty=fn_ty), arg, ty=ty)
     return lhs, rhs, ty
 
 
@@ -128,7 +133,7 @@ def _b_bind_ret(gen):
     ty = gen.result_ty()
     a = gen.value({}, NAT)
     f = _open_comp(gen, {"bx": NAT}, ty)
-    lhs = Bind(Ret(a), "bx", f)
+    lhs = Bind(Ret(a, ty=FTy(NAT)), "bx", f, ty=ty)
     rhs = subst(f, {"bx": a})
     return lhs, rhs, ty
 
@@ -138,39 +143,41 @@ def _b_bind_assoc(gen):
     e = gen.synth_comp(FTy(NAT), 2)
     f = gen.synth_comp(FTy(NAT), 2, {"bx": NAT})
     g = _open_comp(gen, {"by": NAT}, ty, 2)
-    lhs = Bind(Bind(e, "bx", f), "by", g)
-    rhs = Bind(e, "bx", Bind(f, "by", g))
+    lhs = Bind(Bind(e, "bx", f, ty=f.ty), "by", g, ty=ty)
+    rhs = Bind(e, "bx", Bind(f, "by", g, ty=ty), ty=ty)
     return lhs, rhs, ty
 
 
 def _b_branch_idl(gen):
     ty = gen.result_ty()
     e = gen.closed_comp(ty, 3)
-    return Branch(Fail(), e), e, ty
+    return Branch(Fail(ty=ty), e, ty=ty), e, ty
 
 
 def _b_branch_idr(gen):
     ty = gen.result_ty()
     e = gen.closed_comp(ty, 3)
-    return Branch(e, Fail()), e, ty
+    return Branch(e, Fail(ty=ty), ty=ty), e, ty
 
 
 def _b_branch_assoc(gen):
     ty = gen.result_ty()
     e0, e1, e2 = (gen.closed_comp(ty, 2) for _ in range(3))
-    return Branch(Branch(e0, e1), e2), Branch(e0, Branch(e1, e2)), ty
+    lhs = Branch(Branch(e0, e1, ty=ty), e2, ty=ty)
+    rhs = Branch(e0, Branch(e1, e2, ty=ty), ty=ty)
+    return lhs, rhs, ty
 
 
 def _b_branch_comm(gen):
     ty = gen.result_ty()
     e0, e1 = gen.closed_comp(ty, 3), gen.closed_comp(ty, 3)
-    return Branch(e0, e1), Branch(e1, e0), ty
+    return Branch(e0, e1, ty=ty), Branch(e1, e0, ty=ty), ty
 
 
 def _b_branch_idem(gen):
     ty = gen.result_ty()
     e = gen.closed_comp(ty, 3)
-    return Branch(e, e), e, ty
+    return Branch(e, e, ty=ty), e, ty
 
 
 def _b_branch_step(gen):
@@ -178,27 +185,27 @@ def _b_branch_step(gen):
     e0, e1 = gen.closed_comp(ty, 2), gen.closed_comp(ty, 2)
     c = gen.cost()
     return (
-        _step(c, Branch(e0, e1)),
-        Branch(_step(c, e0), _step(c, e1)),
+        _step(c, Branch(e0, e1, ty=ty)),
+        Branch(_step(c, e0), _step(c, e1), ty=ty),
         ty,
     )
 
 
 def _b_fail_step(gen):
     ty = gen.result_ty()
-    return _step(gen.cost(), Fail()), Fail(), ty
+    return _step(gen.cost(), Fail(ty=ty)), Fail(ty=ty), ty
 
 
 def _b_flip_zero(gen):
     ty = gen.result_ty()
     e0, e1 = gen.closed_comp(ty, 3), gen.closed_comp(ty, 3)
-    return Flip(Fraction(0), e0, e1), e0, ty
+    return Flip(Fraction(0), e0, e1, ty=ty), e0, ty
 
 
 def _b_flip_one(gen):
     ty = gen.result_ty()
     e0, e1 = gen.closed_comp(ty, 3), gen.closed_comp(ty, 3)
-    return Flip(Fraction(1), e0, e1), e1, ty
+    return Flip(Fraction(1), e0, e1, ty=ty), e1, ty
 
 
 def _b_flip_assoc(gen):
@@ -208,8 +215,8 @@ def _b_flip_assoc(gen):
     r = gen.rational()
     p = 1 - (1 - v) * (1 - r)
     q = v / p if p != 0 else gen.rational()
-    lhs = Flip(v, Flip(r, e0, e1), e2)
-    rhs = Flip(p, e0, Flip(q, e1, e2))
+    lhs = Flip(v, Flip(r, e0, e1, ty=ty), e2, ty=ty)
+    rhs = Flip(p, e0, Flip(q, e1, e2, ty=ty), ty=ty)
     return lhs, rhs, ty
 
 
@@ -217,13 +224,13 @@ def _b_flip_comm(gen):
     ty = gen.result_ty()
     e0, e1 = gen.closed_comp(ty, 3), gen.closed_comp(ty, 3)
     p = gen.rational()
-    return Flip(p, e0, e1), Flip(1 - p, e1, e0), ty
+    return Flip(p, e0, e1, ty=ty), Flip(1 - p, e1, e0, ty=ty), ty
 
 
 def _b_flip_idem(gen):
     ty = gen.result_ty()
     e = gen.closed_comp(ty, 3)
-    return Flip(gen.rational(), e, e), e, ty
+    return Flip(gen.rational(), e, e, ty=ty), e, ty
 
 
 def _b_flip_step(gen):
@@ -231,8 +238,8 @@ def _b_flip_step(gen):
     e0, e1 = gen.closed_comp(ty, 2), gen.closed_comp(ty, 2)
     c, p = gen.cost(), gen.rational()
     return (
-        _step(c, Flip(p, e0, e1)),
-        Flip(p, _step(c, e0), _step(c, e1)),
+        _step(c, Flip(p, e0, e1, ty=ty)),
+        Flip(p, _step(c, e0), _step(c, e1), ty=ty),
         ty,
     )
 
@@ -240,23 +247,23 @@ def _b_flip_step(gen):
 def _b_get_get(gen):
     ty = gen.result_ty()
     e = _open_comp(gen, {"sv1": LAW_STATE_TY, "sv2": LAW_STATE_TY}, ty)
-    lhs = Get("sv1", Get("sv2", e))
-    rhs = Get("sv0", subst(e, {"sv1": Var("sv0"), "sv2": Var("sv0")}))
+    lhs = Get("sv1", Get("sv2", e, ty=ty), ty=ty)
+    rhs = Get("sv0", subst(e, {"sv1": Var("sv0"), "sv2": Var("sv0")}), ty=ty)
     return lhs, rhs, ty
 
 
 def _b_get_set(gen):
     ty = gen.result_ty()
     e = gen.closed_comp(ty, 3)
-    return Get("sv0", Put(Var("sv0"), e)), e, ty
+    return Get("sv0", Put(Var("sv0"), e, ty=ty), ty=ty), e, ty
 
 
 def _b_set_get(gen):
     ty = gen.result_ty()
     s = gen.value({}, LAW_STATE_TY)
     e = _open_comp(gen, {"sv1": LAW_STATE_TY}, ty)
-    lhs = Put(s, Get("sv1", e))
-    rhs = Put(s, subst(e, {"sv1": s}))
+    lhs = Put(s, Get("sv1", e, ty=ty), ty=ty)
+    rhs = Put(s, subst(e, {"sv1": s}), ty=ty)
     return lhs, rhs, ty
 
 
@@ -264,14 +271,14 @@ def _b_set_set(gen):
     ty = gen.result_ty()
     s1, s2 = gen.value({}, LAW_STATE_TY), gen.value({}, LAW_STATE_TY)
     e = gen.closed_comp(ty, 3)
-    return Put(s1, Put(s2, e)), Put(s2, e), ty
+    return Put(s1, Put(s2, e, ty=ty), ty=ty), Put(s2, e, ty=ty), ty
 
 
 def _b_get_step(gen):
     ty = gen.result_ty()
     e = _open_comp(gen, {"sv1": LAW_STATE_TY}, ty)
     c = gen.cost()
-    return _step(c, Get("sv1", e)), Get("sv1", _step(c, e)), ty
+    return _step(c, Get("sv1", e, ty=ty)), Get("sv1", _step(c, e), ty=ty), ty
 
 
 def _b_set_step(gen):
@@ -279,7 +286,7 @@ def _b_set_step(gen):
     s = gen.value({}, LAW_STATE_TY)
     e = gen.closed_comp(ty, 3)
     c = gen.cost()
-    return _step(c, Put(s, e)), Put(s, _step(c, e)), ty
+    return _step(c, Put(s, e, ty=ty)), Put(s, _step(c, e), ty=ty), ty
 
 
 # -- mutants (deliberately false; the checker must find counterexamples) -----
@@ -288,7 +295,7 @@ def _b_set_step(gen):
 def _m_flip_one_left(gen):
     ty = gen.result_ty()
     e0, e1 = gen.closed_comp(ty, 3), gen.closed_comp(ty, 3)
-    return Flip(Fraction(1), e0, e1), e0, ty
+    return Flip(Fraction(1), e0, e1, ty=ty), e0, ty
 
 
 def _m_step_one_free(gen):
@@ -300,7 +307,7 @@ def _m_step_one_free(gen):
 def _m_branch_left_bias(gen):
     ty = gen.result_ty()
     e0, e1 = gen.closed_comp(ty, 3), gen.closed_comp(ty, 3)
-    return Branch(e0, e1), e0, ty
+    return Branch(e0, e1, ty=ty), e0, ty
 
 
 def _m_set_set_first(gen):
@@ -310,7 +317,7 @@ def _m_set_set_first(gen):
     while s2 == s1:
         s2 = gen.value({}, LAW_STATE_TY)
     e = gen.closed_comp(ty, 3)
-    return Put(s1, Put(s2, e)), Put(s1, e), ty
+    return Put(s1, Put(s2, e, ty=ty), ty=ty), Put(s1, e, ty=ty), ty
 
 
 def _m_bind_step_drop(gen):
@@ -318,7 +325,9 @@ def _m_bind_step_drop(gen):
     e = gen.synth_comp(FTy(NAT), 3)
     f = _open_comp(gen, {"bx": NAT}, ty)
     c = gen.rng.choice((1, 2, 3))
-    return Bind(_step(c, e), "bx", f), Bind(e, "bx", f), ty
+    return (
+        Bind(_step(c, e), "bx", f, ty=ty), Bind(e, "bx", f, ty=ty), ty
+    )
 
 
 _CATALOG = (
@@ -403,6 +412,18 @@ def _law_rng(law: Law, seed: int) -> random.Random:
     return random.Random(seed ^ zlib.crc32(law.name.encode()))
 
 
+def instances(law: Law, seed: int = 0):
+    """The endless, seeded stream of ``law``'s instances, as
+    ``(theory, lhs, rhs, comp_ty)``; ``check_law`` takes its trials from
+    the front of it."""
+    rng = _law_rng(law, seed)
+    while True:
+        theory = (
+            _THEORIES[law.theory] if law.theory else random_theory(rng)
+        )
+        yield (theory, *law.build(TermGen(rng, theory)))
+
+
 def check_law(
     law: Law,
     trials: int = 500,
@@ -418,24 +439,13 @@ def check_law(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     start = time.perf_counter()
-    rng = _law_rng(law, seed)
     theory_name = law.theory or "any"
     report = LawReport(law.name, theory_name, trials, mode)
-    for _ in range(trials):
-        theory = (
-            _THEORIES[law.theory] if law.theory else random_theory(rng)
-        )
-        gen = TermGen(rng, theory)
-        lhs, rhs, ty = law.build(gen)
+    for theory, lhs, rhs, ty in itertools.islice(instances(law, seed), trials):
         lp = Program(f"{law.name}-lhs", theory, SEQ_NAT, lhs, ty)
         rp = Program(f"{law.name}-rhs", theory, SEQ_NAT, rhs, ty)
-        try:
-            out_l = Evaluator(lp, mode, LAWS_CONFIG).outcome(())
-            out_r = Evaluator(rp, mode, LAWS_CONFIG).outcome(())
-        except TypeCheckError as e:  # a builder bug, not a law failure
-            raise AssertionError(
-                f"law {law.name} produced an ill-typed instance: {e}"
-            )
+        out_l = Evaluator(lp, mode, LAWS_CONFIG).outcome(())
+        out_r = Evaluator(rp, mode, LAWS_CONFIG).outcome(())
         verdict = eq_outcome(out_l, out_r, LAWS_CONFIG, theory)
         if not verdict.holds:
             if len(report.failures) < max_recorded:

@@ -348,8 +348,8 @@ def _leq_prob(lhs, rhs) -> Verdict:
     gl = _group_by_value(lhs.dist)
     gr = _group_by_value(rhs.dist)
     if set(gl) != set(gr):
-        only = set(gl) ^ set(gr)
-        v = next(iter(only))
+        # the first such value in print order, not in set order
+        v = min(set(gl) ^ set(gr), key=val_sort_key)
         return _fail(
             f"value {val_str(v)} carries mass on one side only "
             "(a coupling must match values exactly)"

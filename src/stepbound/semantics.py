@@ -33,6 +33,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .syntax import (
@@ -244,6 +245,14 @@ class Dist:
 
     def total(self) -> Fraction:
         return sum(self._map.values(), Fraction(0))
+
+    def has_unit_mass(self) -> bool:
+        """``total() == 1``, decided in integers: with ``L`` the least
+        common denominator, the weights sum to 1 exactly when their
+        numerators scaled to ``L`` sum to ``L``."""
+        weights = self._map.values()
+        den = lcm(*(w.denominator for w in weights))
+        return sum(w.numerator * (den // w.denominator) for w in weights) == den
 
 
 @dataclass(frozen=True)
@@ -471,10 +480,13 @@ class Evaluator:
     variable names; an entry there holds its node, so no ``id`` in either
     table can be reused while the evaluator lives.  An evaluator serves
     one check (see ``get_evaluator``) and its tables go with it.
+
+    ``program`` must be elaborated: ``get_evaluator`` elaborates a source
+    program, and generated terms are born elaborated.
     """
 
     def __init__(self, program: Program, mode: EvalMode, cfg: DomainConfig):
-        self.program = elaborate(program) if program is not None else None
+        self.program = program
         self.mode = mode
         self.cfg = cfg
         if program is not None:
@@ -746,12 +758,9 @@ class Evaluator:
         if kind == "nondet":
             return NondetOutcome("nondet", monoid, self.mode, den)
         if kind == "prob":
-            out = ProbOutcome("prob", monoid, self.mode, den)
-            if out.dist.total() != 1:
-                raise EvalError(
-                    f"probability mass {out.dist.total()} is not 1"
-                )
-            return out
+            if not den.has_unit_mass():
+                raise EvalError(f"probability mass {den.total()} is not 1")
+            return ProbOutcome("prob", monoid, self.mode, den)
         table = []
         escaped = []
         domain = state_domain(self.theory.state_ty, self.cfg)
@@ -804,21 +813,22 @@ def get_evaluator(
     p: Program, mode: EvalMode, cfg: DomainConfig,
     scope: Optional[dict] = None,
 ) -> Evaluator:
-    """Evaluator for ``p`` under ``mode`` and ``cfg``.
+    """Evaluator for the source program ``p`` under ``mode`` and ``cfg``;
+    the one place a source program is elaborated.
 
     ``scope`` is the evaluator pool of one check: a dict the caller makes
     when the check starts and drops when it ends.  Within it there is one
-    evaluator, and so one table, per (program, mode, config), shared by
-    the decision and the cost statistics.  Without a scope each call
-    returns a fresh evaluator.
+    evaluator, and so one table and one elaboration, per (program, mode,
+    config), shared by the decision and the cost statistics.  Without a
+    scope each call returns a fresh evaluator.
     """
     if scope is None:
-        return Evaluator(p, mode, cfg)
+        return Evaluator(elaborate(p), mode, cfg)
     key = (id(p), mode, cfg)
     hit = scope.get(key)
     if hit is None:
         # holding ``p`` keeps its id from being reused within the scope
-        hit = scope[key] = (p, Evaluator(p, mode, cfg))
+        hit = scope[key] = (p, Evaluator(elaborate(p), mode, cfg))
     return hit[1]
 
 

@@ -216,6 +216,38 @@ def test_prob_witness_text_is_pinned(decide, explanation):
     )
 
 
+_ONE_SIDED = """
+from fractions import Fraction
+from stepbound.costs import SEQ_NAT
+from stepbound.order import leq_outcome
+from stepbound.semantics import Dist, EvalMode, ProbOutcome
+
+def prob(*values):
+    dist = Dist({(0, ("nat", v)): Fraction(1, 2) for v in values})
+    return ProbOutcome("prob", SEQ_NAT, EvalMode.COST_COUNTING, dist)
+
+print(leq_outcome(prob(0, 1), prob(2, 3)).witness.explanation)
+"""
+
+
+def test_one_sided_mass_witness_ignores_hash_seed():
+    # values 0 and 1 sit only on the left, 2 and 3 only on the right; the
+    # witness names 0, the first in print order, under any string hashing
+    import os
+    import subprocess
+    import sys
+
+    for hash_seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _ONE_SIDED], capture_output=True,
+            text=True, env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(
+            "value 0 carries mass on one side only"
+        ), (hash_seed, proc.stdout)
+
+
 def test_fast_and_flow_prob_deciders_agree():
     rng = random.Random(101)
     for _ in range(300):

@@ -13,15 +13,16 @@ from stepbound.corpus import (
     STATE_DOUBLE, _INSERT_DOMAIN,
 )
 from stepbound.costs import SEQ_NAT, WORK_SPAN
-from stepbound.gen import TermGen, random_theory
+from stepbound.gen import TermGen, gen_dist, random_theory
 from stepbound.order import eq_outcome
 from stepbound.harness import run_all
 from stepbound.semantics import (
-    DEFAULT_CONFIG, Dist, DomainConfig, EvalMode, EvalError, ProbOutcome,
-    _ProbOps, enumerate_inputs, eval_fn, evaluate, get_evaluator,
+    DEFAULT_CONFIG, Dist, DomainConfig, EvalMode, EvalError, Evaluator,
+    ProbOutcome, _ProbOps, enumerate_inputs, eval_fn, evaluate,
+    get_evaluator,
 )
 from stepbound.syntax import (
-    NAT, Bind, CostLit, FTy, Program, PURE, Ret, Step, parse,
+    NAT, PROB, Bind, CostLit, FTy, Program, PURE, Ret, Step, parse,
 )
 from stepbound.typecheck import check_program
 
@@ -316,6 +317,33 @@ def test_pure_corpus_value_independent_of_monoid():
         ev_par = get_evaluator(par_prog, EXT, DEFAULT_CONFIG)
         for args in inputs:
             assert ev_seq.outcome(args).value == ev_par.outcome(args).value
+
+
+def _prob_evaluator():
+    return Evaluator.raw(PROB, SEQ_NAT, COST, DEFAULT_CONFIG)
+
+
+def test_prob_outcome_rejects_mass_other_than_one():
+    half = Dist({(0, nat(0)): Fraction(1, 4), (1, nat(1)): Fraction(1, 4)})
+    with pytest.raises(EvalError, match=r"^probability mass 1/2 is not 1$"):
+        _prob_evaluator().outcome_of_den(half)
+
+
+def test_unit_mass_check_agrees_with_the_fraction_sum():
+    ev = _prob_evaluator()
+    rng = random.Random(41)
+    for _ in range(1500):
+        dist = gen_dist(rng, values=(("nat", 0), ("nat", 1), ("nat", 2)))
+        assert dist.has_unit_mass()
+        assert ev.outcome_of_den(dist).dist is dist
+        # taking half an item's weight off, or doubling it, moves the mass
+        # off 1
+        (k, w), *_ = dist.items
+        for bent_w in (w / 2, 2 * w):
+            bent = Dist({**dict(dist.items), k: bent_w})
+            assert not bent.has_unit_mass()
+            with pytest.raises(EvalError, match=str(bent.total())):
+                ev.outcome_of_den(bent)
 
 
 def test_evaluate_rejects_arrow_programs():
