@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .corpus import BoundSpec, Relation, SPEC_HELPERS, corpus
-from .costs import SEQ_NAT, cost_to_json
+from .costs import SEQ_NAT, CostMonoid, cost_to_json
 from .gen import TermGen
 from .laws import LawReport, catalog, check_law
 from .order import OrderError, Verdict, eq_outcome, leq_outcome, pointwise
@@ -58,6 +58,7 @@ class CheckReport:
     admitted: Optional[int] = None
     note: str = ""
     counters: dict = dataclasses.field(default_factory=dict)
+    monoid: CostMonoid = SEQ_NAT  # the spec's; prints the cost range
 
     @property
     def ok(self) -> bool:
@@ -183,6 +184,7 @@ def _report_from_verdict(spec, verdict, cfg, mode, scope) -> CheckReport:
         min_cost=lo,
         counterexample=verdict.witness.to_json() if verdict.witness else None,
         note=verdict.note or spec.note,
+        monoid=spec.program.monoid,
     )
 
 
@@ -350,8 +352,8 @@ def format_table(reports, law_reports) -> str:
     for r in reports:
         cost = ""
         if r.max_cost is not None:
-            cost = f"  cost[{SEQ_NAT.show(r.min_cost) if isinstance(r.min_cost, int) else r.min_cost}" \
-                   f"..{SEQ_NAT.show(r.max_cost) if isinstance(r.max_cost, int) else r.max_cost}]"
+            show = r.monoid.show
+            cost = f"  cost[{show(r.min_cost)}..{show(r.max_cost)}]"
         admitted = f"  admitted={r.admitted}" if r.admitted is not None else ""
         lines.append(
             f"{r.name:<{width}} {r.relation:<10} {r.verdict:<12}"

@@ -25,6 +25,10 @@ Runtime values are plain tagged tuples::
 The last two are suspensions: a source-level thunk with its captured
 environment, and an already-evaluated denotation (produced by the
 recursors for their induction hypotheses).
+
+An ``Evaluator`` does not walk the syntax as it runs: it compiles each
+elaborated term once into Python closures, one compile function per form,
+and runs those.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Optional
 
@@ -40,7 +45,7 @@ from .syntax import (
     Ap, ArrowTy, Bind, BoolLit, BoolTy, Branch, CompTerm, CompTy, Cons,
     CostLit, FTy, Fail, Flip, Fst, Get, If, Inl, Inr, Lam, ListRec, ListTy,
     NatCost, NatRec, NatTy, Nil, Pair, Par, ProdTy, Program, Put, Ret, Snd,
-    Step, Suc, SumCase, SumTy, Term, Triv, UnitTy, ValueTy, Var, Zero,
+    Step, Suc, SumCase, SumTy, Triv, UnitTy, ValueTy, Var, Zero,
     free_vars, scopes, term_str, unfold_arrows,
 )
 from .typecheck import elaborate
@@ -317,9 +322,10 @@ class _PureOps:
 
     def __init__(self, monoid):
         self.monoid = monoid
+        self.zero = monoid.zero  # a property of the monoid, read once
 
     def unit(self, v):
-        return (self.monoid.zero, v)
+        return (self.zero, v)
 
     def charge(self, c, m):
         return (self.monoid.add(c, m[0]), m[1])
@@ -355,7 +361,7 @@ class _NondetOps(_PureOps):
     kind = "nondet"
 
     def unit(self, v):
-        return frozenset(((self.monoid.zero, v),))
+        return frozenset(((self.zero, v),))
 
     def charge(self, c, m):
         add = self.monoid.add
@@ -378,7 +384,7 @@ class _ProbOps(_PureOps):
     kind = "prob"
 
     def unit(self, v):
-        return Dist({(self.monoid.zero, v): _ONE})
+        return Dist({(self.zero, v): _ONE})
 
     def charge(self, c, m):
         add = self.monoid.add
@@ -390,7 +396,7 @@ class _ProbOps(_PureOps):
             if w == 1:
                 # a point mass: the continuation's weights stand as they are
                 d = k(v)
-                return d if c0 == self.monoid.zero else self.charge(c0, d)
+                return d if c0 == self.zero else self.charge(c0, d)
         add = self.monoid.add
         acc: dict = {}
         for (c0, v), w in m._map.items():
@@ -419,7 +425,7 @@ class _StateOps(_PureOps):
     # denotations are s -> (cost, s', value)
 
     def unit(self, v):
-        zero = self.monoid.zero
+        zero = self.zero
         return lambda s: (zero, s, v)
 
     def charge(self, c, m):
@@ -461,12 +467,34 @@ _OPS = {
 # ---------------------------------------------------------------------------
 
 
+# How many compiled programs and thunk bodies an evaluator keeps at once.
+# A thunk is typically forced again and again over a stretch of the domain
+# (a hypothesis candidate over every input), then never again.  Past this
+# many, every kept closure is dropped, and a term forced again compiles
+# anew.  Keeping them all would hold the closures of every hypothesis
+# candidate until the check ends.
+_KEEP_COMPILED = 32
+
+
 class Evaluator:
     """Evaluates one elaborated program under a mode and domain config.
 
+    Terms are compiled once per evaluator into Python closures
+    ``run(env)`` (Feeley and Lapalme's closure generation).  A compile
+    function per form settles everything that depends only on the node:
+    the names of the variables it captures, whether its type is an
+    arrow, the theory operation it calls, and whether a charge is zero
+    or the mode extensional.  The closure does only the run-time work.
+    Sub-terms compile inline with their parent.  The program body and
+    each forced thunk body compile on first use and are kept, up to
+    ``_KEEP_COMPILED`` at a time, so a thunk forced again and again runs
+    the same closures.
+
     Evaluation is tabled (Michie's memo functions).  One table maps
-    ``(id(node), captured, argument)`` to a denotation, where ``captured``
-    holds the environment's values at the node's free variables:
+    ``(id(node), captured, argument)`` to a denotation.  ``node`` is a λ
+    or recursor node, and ``captured`` holds the environment's values at
+    the names of the variables it captures, which its compile function
+    computed once:
 
     * for a λ node, the argument is the value it is applied to;
     * for a recursor node, the argument is the scrutinee (a nat, or the
@@ -476,10 +504,11 @@ class Evaluator:
 
     Evaluation is pure, so a hit is the denotation a fresh evaluation
     would build, and inputs of a tabulated domain share their common
-    sub-calls.  The evaluator also owns the table of each node's captured
-    variable names; an entry there holds its node, so no ``id`` in either
+    sub-calls.  Every node in a table key lies in a term the evaluator
+    holds, compiled or with its closures dropped, so no ``id`` in the
     table can be reused while the evaluator lives.  An evaluator serves
-    one check (see ``get_evaluator``) and its tables go with it.
+    one check (see ``get_evaluator``) and its table and closures go with
+    it.
 
     ``program`` must be elaborated: ``get_evaluator`` elaborates a source
     program, and generated terms are born elaborated.
@@ -492,10 +521,13 @@ class Evaluator:
         if program is not None:
             self.theory = program.theory
             self.monoid = program.monoid
+            self._arity = len(unfold_arrows(program.declared_ty)[0])
         self.ops = None if program is None else _OPS[self.theory.kind](self.monoid)
         self.ext = mode is EvalMode.EXTENSIONAL
         self._table: dict = {}
-        self._names: dict = {}  # id(node) -> (node, captured variable names)
+        self._compiled: dict = {}  # id(term) -> (term, closure)
+        self._retired: dict = {}  # id(term) -> term, closure dropped
+        self._states = None  # (state domain, its set), on first use
         self.table_hits = 0
         self._den = None
 
@@ -512,33 +544,28 @@ class Evaluator:
     def table_entries(self) -> int:
         return len(self._table)
 
-    def _names_of(self, node) -> tuple:
-        hit = self._names.get(id(node))
-        if hit is None:
-            hit = self._names[id(node)] = (node, _capture_names(node))
-        return hit[1]
+    # -- compilation ------------------------------------------------------------
 
-    def _captured(self, node, env) -> tuple:
-        """The environment's values at the variables ``node`` captures."""
-        try:
-            return tuple([env[n] for n in self._names_of(node)])
-        except KeyError as e:
-            raise EvalError(f"unbound variable '{e.args[0]}' at run time")
+    def _comp(self, t):
+        """The closure evaluating computation ``t`` in an environment."""
+        compile_form = _COMP_FORMS.get(type(t))
+        if compile_form is None:
+            raise EvalError(f"cannot evaluate computation {t!r}")
+        return compile_form(self, t)
 
-    # -- cost helpers ---------------------------------------------------------
+    def _value(self, t):
+        """The closure evaluating value ``t`` in an environment."""
+        compile_form = _VALUE_FORMS.get(type(t))
+        if compile_form is None:
+            raise EvalError(f"cannot evaluate value {t!r}")
+        return compile_form(self, t)
 
-    def _cost_of(self, cexpr, env):
-        match cexpr:
-            case CostLit(v):
-                return v
-            case NatCost(term):
-                v = self.eval_value(term, env)
-                return self.monoid.scale(v[1])
-        raise EvalError(f"bad cost expression {cexpr!r}")
+    # -- denotations at arrow type ------------------------------------------------
+    #
+    # A computation of arrow type denotes a Python callable; these lift a
+    # theory operation pointwise through its arguments.
 
     def _charge(self, c, d, ty):
-        if self.ext or c == self.monoid.zero:
-            return d
         if isinstance(ty, ArrowTy):
             return lambda a: self._charge(c, d(a), ty.cod)
         return self.ops.charge(c, d)
@@ -568,43 +595,25 @@ class Evaluator:
             return lambda a: self._put_at(v, d(a), ty.cod)
         return self.ops.put(v, d)
 
-    # -- values ---------------------------------------------------------------
+    def _at(self, ty, op, lifted):
+        """The theory operation ``op`` for a denotation of type ``ty``: as
+        is at F type, else its pointwise lifting ``lifted``."""
+        return partial(lifted, ty=ty) if isinstance(ty, ArrowTy) else op
 
-    def eval_value(self, t: Term, env: dict):
-        match t:
-            case Var(name):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise EvalError(f"unbound variable '{name}' at run time")
-            case Triv():
-                return RUNIT
-            case BoolLit(b):
-                return RTRUE if b else RFALSE
-            case Zero():
-                return ("nat", 0)
-            case Suc(a):
-                return ("nat", self.eval_value(a, env)[1] + 1)
-            case Nil():
-                return ("list", ())
-            case Cons(h, tl):
-                hv = self.eval_value(h, env)
-                tv = self.eval_value(tl, env)
-                return ("list", (hv,) + tv[1])
-            case Pair(a, b):
-                return ("pair", self.eval_value(a, env), self.eval_value(b, env))
-            case Fst(p):
-                return self.eval_value(p, env)[1]
-            case Snd(p):
-                return self.eval_value(p, env)[2]
-            case Inl(a):
-                return ("inl", self.eval_value(a, env))
-            case Inr(a):
-                return ("inr", self.eval_value(a, env))
-            case CompTerm():
-                captured = self._captured(t, env)
-                return ("thunk", tuple(zip(self._names_of(t), captured)), t)
-        raise EvalError(f"cannot evaluate value {t!r}")
+    # -- entry points -----------------------------------------------------------
+
+    def eval_comp(self, t: CompTerm, env: dict):
+        hit = self._compiled.get(id(t))
+        if hit is None:
+            if len(self._compiled) == _KEEP_COMPILED:
+                # the closures go, their terms stay: the ids of the terms'
+                # nodes are in table keys and must not be reused
+                self._retired.update(
+                    (k, node) for k, (node, _) in self._compiled.items()
+                )
+                self._compiled.clear()
+            hit = self._compiled[id(t)] = (t, self._comp(t))
+        return hit[1](env)
 
     def force(self, v):
         match v[0]:
@@ -613,87 +622,6 @@ class Evaluator:
             case "den":
                 return v[2]
         raise EvalError(f"forcing a non-thunk value {val_str(v)}")
-
-    # -- computations -----------------------------------------------------------
-
-    def eval_comp(self, t: CompTerm, env: dict):
-        match t:
-            case Ret(v):
-                return self.ops.unit(self.eval_value(v, env))
-            case Bind(e, x, body):
-                m = self.eval_comp(e, env)
-                def k(v, _body=body, _env=env, _x=x):
-                    e2 = dict(_env)
-                    e2[_x] = v
-                    return self.eval_comp(_body, e2)
-                return self._bind_at(m, k, t.ty)
-            case Lam(x, _, body):
-                nid, captured = id(t), self._captured(t, env)
-                def fn(a, _body=body, _env=env, _x=x):
-                    key = (nid, captured, a)
-                    d = self._table.get(key)
-                    if d is not None:
-                        self.table_hits += 1
-                        return d
-                    e2 = dict(_env)
-                    e2[_x] = a
-                    d = self._table[key] = self.eval_comp(_body, e2)
-                    return d
-                return fn
-            case Ap(f, a):
-                return self.eval_comp(f, env)(self.eval_value(a, env))
-            case Var(_):
-                return self.force(self.eval_value(t, env))
-            case Step(c, body):
-                cost = self._cost_of(c, env)
-                return self._charge(cost, self.eval_comp(body, env), t.ty)
-            case If(b, th, el):
-                bv = self.eval_value(b, env)
-                return self.eval_comp(th if bv[1] else el, env)
-            case SumCase(sc, xl, lb, xr, rb):
-                sv = self.eval_value(sc, env)
-                e2 = dict(env)
-                if sv[0] == "inl":
-                    e2[xl] = sv[1]
-                    return self.eval_comp(lb, e2)
-                e2[xr] = sv[1]
-                return self.eval_comp(rb, e2)
-            case NatRec(n, z, kvar, ihvar, sb):
-                nv = self.eval_value(n, env)[1]
-                return self._natrec(t, nv, z, kvar, ihvar, sb, env)
-            case ListRec(l, z, xvar, xsvar, ihvar, cb):
-                lv = self.eval_value(l, env)
-                return self._listrec(t, lv, z, xvar, xsvar, ihvar, cb, env)
-            case Branch(l, r):
-                return self._combine2(
-                    self.ops.branch,
-                    self.eval_comp(l, env), self.eval_comp(r, env), t.ty,
-                )
-            case Fail():
-                return self._empty(t.ty)
-            case Flip(p, l, r):
-                if p == 0:
-                    return self.eval_comp(l, env)
-                if p == 1:
-                    return self.eval_comp(r, env)
-                return self._combine2(
-                    lambda a, b: self.ops.flip(p, a, b),
-                    self.eval_comp(l, env), self.eval_comp(r, env), t.ty,
-                )
-            case Get(x, body):
-                def k(s, _body=body, _env=env, _x=x):
-                    e2 = dict(_env)
-                    e2[_x] = s
-                    return self.eval_comp(_body, e2)
-                return self._get_at(k, t.ty)
-            case Put(v, body):
-                sv = self.eval_value(v, env)
-                return self._put_at(sv, self.eval_comp(body, env), t.ty)
-            case Par(l, r):
-                m0 = self.eval_comp(l, env)
-                m1 = self.eval_comp(r, env)
-                return self.ops.par(m0, m1)
-        raise EvalError(f"cannot evaluate computation {t!r}")
 
     def _resume(self, nid, captured, scrutinees):
         """The first of ``scrutinees`` (largest first) at which ``node`` is
@@ -705,41 +633,6 @@ class Evaluator:
                 self.table_hits += 1
                 return k, d
         return None, None
-
-    def _natrec(self, node, nv, z, kvar, ihvar, sb, env):
-        nid, captured = id(node), self._captured(node, env)
-        start, d = self._resume(nid, captured, range(nv, -1, -1))
-        if d is None:
-            start = 0
-            d = self._table[(nid, captured, 0)] = self.eval_comp(z, env)
-        for i in range(start, nv):
-            e2 = dict(env)
-            e2[kvar] = ("nat", i)
-            e2[ihvar] = ("den", node.ty, d)
-            d = self._table[(nid, captured, i + 1)] = self.eval_comp(sb, e2)
-        return d
-
-    def _listrec(self, node, lv, z, xvar, xsvar, ihvar, cb, env):
-        charge = node.list_charge
-        items = lv[1]
-        nid, captured = id(node), self._captured(node, env)
-        # fold from the tail, resuming from the longest tabled suffix
-        suffix, d = self._resume(
-            nid, captured, (items[i:] for i in range(len(items) + 1))
-        )
-        if d is None:
-            suffix = ()
-            d = self._table[(nid, captured, ())] = self.eval_comp(z, env)
-        for i in range(len(items) - len(suffix) - 1, -1, -1):
-            e2 = dict(env)
-            e2[xvar] = items[i]
-            e2[xsvar] = ("list", items[i + 1:])
-            e2[ihvar] = ("den", node.ty, d)
-            d = self.eval_comp(cb, e2)
-            if charge is not None:
-                d = self._charge(charge, d, node.ty)
-            self._table[(nid, captured, items[i:])] = d
-        return d
 
     # -- program-level entry points ----------------------------------------------
 
@@ -761,10 +654,12 @@ class Evaluator:
             if not den.has_unit_mass():
                 raise EvalError(f"probability mass {den.total()} is not 1")
             return ProbOutcome("prob", monoid, self.mode, den)
+        if self._states is None:
+            domain = state_domain(self.theory.state_ty, self.cfg)
+            self._states = (domain, set(domain))
+        domain, domain_set = self._states
         table = []
         escaped = []
-        domain = state_domain(self.theory.state_ty, self.cfg)
-        domain_set = set(domain)
         for s0 in domain:
             c, s1, v = den(s0)
             if s1 in domain_set:
@@ -785,15 +680,19 @@ class Evaluator:
 
     def outcome(self, args: tuple = ()) -> Outcome:
         """Outcome of the program applied to ``args`` (runtime values)."""
-        arg_tys, _ = unfold_arrows(self.program.declared_ty)
-        if len(args) != len(arg_tys):
-            raise EvalError(
-                f"program expects {len(arg_tys)} arguments, got {len(args)}"
-            )
         den = self.denotation()
+        if len(args) != self._arity:
+            raise EvalError(
+                f"program expects {self._arity} arguments, got {len(args)}"
+            )
         for a in args:
             den = den(a)
         return self.outcome_of_den(den)
+
+
+# ---------------------------------------------------------------------------
+# The compiler: one function per form, from (evaluator, node) to run(env)
+# ---------------------------------------------------------------------------
 
 
 def _capture_names(node) -> tuple:
@@ -807,6 +706,331 @@ def _capture_names(node) -> tuple:
     else:
         fv = free_vars(node)
     return tuple(sorted(fv))
+
+
+def _capture(names, env) -> tuple:
+    """The environment's values at ``names``."""
+    try:
+        return tuple([env[n] for n in names])
+    except KeyError as e:
+        raise EvalError(f"unbound variable '{e.args[0]}' at run time")
+
+
+def _extend(env, name, v) -> dict:
+    e2 = dict(env)
+    e2[name] = v
+    return e2
+
+
+# -- values -------------------------------------------------------------------
+
+
+def _constant(v):
+    return lambda env: v
+
+
+def _v_var(ev, t):
+    name = t.name
+
+    def run(env):
+        try:
+            return env[name]
+        except KeyError:
+            raise EvalError(f"unbound variable '{name}' at run time")
+
+    return run
+
+
+def _v_suc(ev, t):
+    # a chain of n sucs is one addition, or a constant over zero
+    n, base = 1, t.arg
+    while type(base) is Suc:
+        n, base = n + 1, base.arg
+    if type(base) is Zero:
+        return _constant(("nat", n))
+    arg = ev._value(base)
+    return lambda env: ("nat", arg(env)[1] + n)
+
+
+def _v_cons(ev, t):
+    head, tail = ev._value(t.head), ev._value(t.tail)
+    return lambda env: ("list", (head(env),) + tail(env)[1])
+
+
+def _v_pair(ev, t):
+    fst, snd = ev._value(t.fst), ev._value(t.snd)
+    return lambda env: ("pair", fst(env), snd(env))
+
+
+def _v_fst(ev, t):
+    pair = ev._value(t.pair)
+    return lambda env: pair(env)[1]
+
+
+def _v_snd(ev, t):
+    pair = ev._value(t.pair)
+    return lambda env: pair(env)[2]
+
+
+def _v_inl(ev, t):
+    arg = ev._value(t.arg)
+    return lambda env: ("inl", arg(env))
+
+
+def _v_inr(ev, t):
+    arg = ev._value(t.arg)
+    return lambda env: ("inr", arg(env))
+
+
+def _v_thunk(ev, t):
+    # a computation in value position is a suspension; its body compiles
+    # when it is forced
+    names = _capture_names(t)
+    return lambda env: ("thunk", tuple(zip(names, _capture(names, env))), t)
+
+
+# -- computations ---------------------------------------------------------------
+
+
+def _c_ret(ev, t):
+    value, unit = ev._value(t.value), ev.ops.unit
+    return lambda env: unit(value(env))
+
+
+def _c_bind(ev, t):
+    comp, body, x = ev._comp(t.comp), ev._comp(t.body), t.var
+    if ev.theory.kind == "pure" and not isinstance(t.ty, ArrowTy):
+        # _PureOps.bind with the continuation inlined
+        add = ev.monoid.add
+
+        def run(env):
+            c0, v = comp(env)
+            e2 = dict(env)
+            e2[x] = v
+            c1, v1 = body(e2)
+            return (add(c0, c1), v1)
+
+        return run
+    bind = ev._at(t.ty, ev.ops.bind, ev._bind_at)
+
+    def run(env):
+        return bind(comp(env), lambda v: body(_extend(env, x, v)))
+
+    return run
+
+
+def _lam_call(ev, t, names):
+    """``call(env, captured, a)``: the λ node ``t``, closed over
+    ``captured`` (its values at ``names`` in ``env``), applied to ``a``."""
+    body, x, nid, table = ev._comp(t.body), t.var, id(t), ev._table
+
+    def call(env, captured, a):
+        key = (nid, captured, a)
+        d = table.get(key)
+        if d is not None:
+            ev.table_hits += 1
+            return d
+        if names:
+            e2 = dict(env)
+            e2[x] = a
+        else:
+            e2 = {x: a}
+        d = table[key] = body(e2)
+        return d
+
+    return call
+
+
+def _c_lam(ev, t):
+    names = _capture_names(t)
+    call = _lam_call(ev, t, names)
+
+    def run(env):
+        captured = _capture(names, env)
+        return lambda a: call(env, captured, a)
+
+    return run
+
+
+def _c_ap(ev, t):
+    arg = ev._value(t.arg)
+    if type(t.fn) is Lam:
+        # a λ applied where it stands builds no function value
+        names = _capture_names(t.fn)
+        call = _lam_call(ev, t.fn, names)
+        if names:
+            return lambda env: call(env, _capture(names, env), arg(env))
+        return lambda env: call(env, (), arg(env))
+    fn = ev._comp(t.fn)
+    return lambda env: fn(env)(arg(env))
+
+
+def _c_force(ev, t):
+    var, force = _v_var(ev, t), ev.force
+    return lambda env: force(var(env))
+
+
+def _c_step(ev, t):
+    body = ev._comp(t.body)
+    if ev.ext:
+        return body
+    charge = ev._at(t.ty, ev.ops.charge, ev._charge)
+    match t.cost:
+        case CostLit(c):
+            if c == ev.ops.zero:
+                return body
+            return lambda env: charge(c, body(env))
+        case NatCost(term):
+            n, scale, zero = ev._value(term), ev.monoid.scale, ev.ops.zero
+
+            def run(env):
+                c = scale(n(env)[1])
+                d = body(env)
+                return d if c == zero else charge(c, d)
+
+            return run
+    raise EvalError(f"bad cost expression {t.cost!r}")
+
+
+def _c_if(ev, t):
+    cond = ev._value(t.cond)
+    then, else_ = ev._comp(t.then_branch), ev._comp(t.else_branch)
+    return lambda env: (then if cond(env)[1] else else_)(env)
+
+
+def _c_case(ev, t):
+    scrut = ev._value(t.scrut)
+    xl, left = t.var_left, ev._comp(t.left_branch)
+    xr, right = t.var_right, ev._comp(t.right_branch)
+
+    def run(env):
+        sv = scrut(env)
+        if sv[0] == "inl":
+            return left(_extend(env, xl, sv[1]))
+        return right(_extend(env, xr, sv[1]))
+
+    return run
+
+
+def _c_natrec(ev, t):
+    scrut, zero, succ = (
+        ev._value(t.scrut), ev._comp(t.zero_branch), ev._comp(t.suc_branch)
+    )
+    kvar, ihvar, ty = t.var_pred, t.var_ih, t.ty
+    names, nid, table = _capture_names(t), id(t), ev._table
+
+    def run(env):
+        nv = scrut(env)[1]
+        captured = _capture(names, env)
+        start, d = ev._resume(nid, captured, range(nv, -1, -1))
+        if d is None:
+            start = 0
+            d = table[(nid, captured, 0)] = zero(env)
+        for i in range(start, nv):
+            e2 = dict(env)
+            e2[kvar] = ("nat", i)
+            e2[ihvar] = ("den", ty, d)
+            d = table[(nid, captured, i + 1)] = succ(e2)
+        return d
+
+    return run
+
+
+def _c_listrec(ev, t):
+    scrut, nil, cons = (
+        ev._value(t.scrut), ev._comp(t.nil_branch), ev._comp(t.cons_branch)
+    )
+    xvar, xsvar, ihvar, ty = t.var_head, t.var_tail, t.var_ih, t.ty
+    names, nid, table = _capture_names(t), id(t), ev._table
+    c = t.list_charge
+    charge = None
+    if not (c is None or ev.ext or c == ev.ops.zero):
+        charge = ev._at(ty, ev.ops.charge, ev._charge)
+
+    def run(env):
+        items = scrut(env)[1]
+        captured = _capture(names, env)
+        # fold from the tail, resuming from the longest tabled suffix
+        suffix, d = ev._resume(
+            nid, captured, (items[i:] for i in range(len(items) + 1))
+        )
+        if d is None:
+            suffix = ()
+            d = table[(nid, captured, ())] = nil(env)
+        for i in range(len(items) - len(suffix) - 1, -1, -1):
+            e2 = dict(env)
+            e2[xvar] = items[i]
+            e2[xsvar] = ("list", items[i + 1:])
+            e2[ihvar] = ("den", ty, d)
+            d = cons(e2)
+            if charge is not None:
+                d = charge(c, d)
+            table[(nid, captured, items[i:])] = d
+        return d
+
+    return run
+
+
+def _c_branch(ev, t):
+    left, right = ev._comp(t.left), ev._comp(t.right)
+    branch = ev._at(t.ty, ev.ops.branch, partial(ev._combine2, ev.ops.branch))
+    return lambda env: branch(left(env), right(env))
+
+
+def _c_fail(ev, t):
+    if isinstance(t.ty, ArrowTy):
+        return lambda env: ev._empty(t.ty)
+    fail = ev.ops.fail
+    return lambda env: fail()
+
+
+def _c_flip(ev, t):
+    p = t.prob
+    if p == 0:
+        return ev._comp(t.left)
+    if p == 1:
+        return ev._comp(t.right)
+    left, right = ev._comp(t.left), ev._comp(t.right)
+    flip = partial(ev.ops.flip, p)
+    flip = ev._at(t.ty, flip, partial(ev._combine2, flip))
+    return lambda env: flip(left(env), right(env))
+
+
+def _c_get(ev, t):
+    body, x = ev._comp(t.body), t.var
+    get = ev._at(t.ty, ev.ops.get, ev._get_at)
+    return lambda env: get(lambda s: body(_extend(env, x, s)))
+
+
+def _c_put(ev, t):
+    value, body = ev._value(t.value), ev._comp(t.body)
+    put = ev._at(t.ty, ev.ops.put, ev._put_at)
+    return lambda env: put(value(env), body(env))
+
+
+def _c_par(ev, t):
+    left, right, par = ev._comp(t.left), ev._comp(t.right), ev.ops.par
+    return lambda env: par(left(env), right(env))
+
+
+_COMP_FORMS = {
+    Ret: _c_ret, Bind: _c_bind, Lam: _c_lam, Ap: _c_ap, Var: _c_force,
+    Step: _c_step, If: _c_if, SumCase: _c_case, NatRec: _c_natrec,
+    ListRec: _c_listrec, Branch: _c_branch, Fail: _c_fail, Flip: _c_flip,
+    Get: _c_get, Put: _c_put, Par: _c_par,
+}
+
+_VALUE_FORMS = {
+    Var: _v_var,
+    Triv: lambda ev, t: _constant(RUNIT),
+    BoolLit: lambda ev, t: _constant(RTRUE if t.value else RFALSE),
+    Zero: lambda ev, t: _constant(("nat", 0)),
+    Suc: _v_suc,
+    Nil: lambda ev, t: _constant(("list", ())),
+    Cons: _v_cons, Pair: _v_pair, Fst: _v_fst, Snd: _v_snd, Inl: _v_inl,
+    Inr: _v_inr,
+    **{form: _v_thunk for form in _COMP_FORMS if issubclass(form, CompTerm)},
+}
 
 
 def get_evaluator(

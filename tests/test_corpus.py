@@ -8,13 +8,15 @@ import pytest
 
 from conftest import nat, natlist
 
-from stepbound.corpus import Relation, corpus
+from stepbound.corpus import BoundSpec, Relation, corpus
+from stepbound.costs import WORK_SPAN
 from stepbound.harness import (
-    assert_helpers_cost_free, mutated_corpus, reports_to_json, run_all,
-    verify, zero_steps,
+    CheckReport, assert_helpers_cost_free, format_table, mutated_corpus,
+    reports_to_json, run_all, verify, zero_steps,
 )
 from stepbound.laws import catalog, check_law
 from stepbound.semantics import DomainConfig, EvalMode, get_evaluator
+from stepbound.syntax import parse
 from stepbound.typecheck import check_program
 
 COST = EvalMode.COST_COUNTING
@@ -203,6 +205,23 @@ def test_json_report_schema():
     assert set(entry["counters"]) == {"table_entries", "table_hits"}
     assert law_entry["name"] == f"law:{catalog()[0].name}"
     assert law_entry["millis"] > 0
+
+
+def test_table_prints_a_work_span_range_with_its_monoid():
+    rep = CheckReport(name="ws", relation="leq-upper", verdict="holds",
+                      domain={}, max_cost=(3, 2), min_cost=(1, 1),
+                      monoid=WORK_SPAN)
+    assert "cost[(1 1)..(3 2)]" in format_table([rep], []).splitlines()[0]
+
+
+def test_verify_reports_the_spec_monoid_for_its_cost_range():
+    prog = parse("#cost par\n(: (-> nat (F nat)) (lam (n : nat) "
+                 "(step n (ret n))))")
+    spec = BoundSpec("ws-double", prog, prog, Relation.EQUAL,
+                     DomainConfig(nat_max=3))
+    rep = verify(spec)
+    assert (rep.min_cost, rep.max_cost) == ((0, 0), (3, 3))
+    assert "cost[(0 0)..(3 3)]" in format_table([rep], [])
 
 
 def test_table_counters_are_deterministic():

@@ -1,0 +1,356 @@
+"""What the evaluator computes, pinned by digest.
+
+The digests were printed by the tree-walking interpreter that closure
+compilation replaced.  They cover outcomes as printed together with the
+evaluation table's entry and hit counts, so the compiled evaluator must
+compute, and table, exactly what the interpreter did.
+"""
+
+import hashlib
+import itertools
+import json
+import random
+
+import pytest
+
+from stepbound.cli import main
+from stepbound.corpus import ALL_PROGRAMS, corpus
+from stepbound.costs import SEQ_NAT
+from stepbound.gen import TermGen
+from stepbound.laws import LAWS_CONFIG, catalog, instances, mutant_catalog
+from stepbound.semantics import (
+    DomainConfig, EvalMode, Evaluator, enumerate_inputs, get_evaluator,
+)
+from stepbound.syntax import Program, UTy, unfold_arrows
+
+MODES = (EvalMode.COST_COUNTING, EvalMode.EXTENSIONAL)
+
+# candidates fixed as the leading argument of a program over a suspension
+_LEADS = 10
+# the domain of a corpus program that no spec checks
+_LOOSE_DOMAIN = DomainConfig(nat_max=4, list_len=4, elems=2)
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def report_digests(mode: str, tmp_path) -> dict:
+    """Digest of each entry of ``stepbound check --json`` at seed 0, with
+    its ``millis`` left out."""
+    path = tmp_path / f"report-{mode}.json"
+    assert main(["check", "--mode", mode, "--seed", "0",
+                 "--json", str(path)]) == 0
+    entries = json.loads(path.read_text())
+    return {
+        e["name"]: _digest([json.dumps(
+            {k: v for k, v in e.items() if k != "millis"}, sort_keys=True
+        )])
+        for e in entries
+    }
+
+
+def _domain_of(program):
+    """The domain config of the first spec that checks ``program``."""
+    for spec in corpus():
+        for s in (spec, spec.hypothesis):
+            if s is not None and program in (s.program, s.bound):
+                return s.domain
+    return _LOOSE_DOMAIN
+
+
+def _leads(program, cfg):
+    """Leading argument values: candidate suspensions when the program
+    takes one first, none otherwise."""
+    arg_tys, _ = unfold_arrows(program.declared_ty)
+    if not arg_tys or not isinstance(arg_tys[0], UTy):
+        return [()]
+    gen = TermGen(random.Random(0), program.theory)
+    return [(("thunk", (), gen.closed_comp(arg_tys[0].comp, cfg.hyp_depth)),)
+            for _ in range(_LEADS)]
+
+
+def program_digests(mode: EvalMode) -> dict:
+    """Per corpus program: every outcome over its domain, then the table
+    counters of the one evaluator that computed them."""
+    got = {}
+    for program in ALL_PROGRAMS:
+        cfg = _domain_of(program)
+        ev = get_evaluator(program, mode, cfg)
+        lines = []
+        for lead in _leads(program, cfg):
+            _, inputs = enumerate_inputs(program.declared_ty, cfg, lead)
+            lines += [str(ev.outcome(args)) for args in inputs]
+        lines.append(f"entries={ev.table_entries} hits={ev.table_hits}")
+        got[program.name] = _digest(lines)
+    return got
+
+
+def law_digests(mode: EvalMode) -> dict:
+    """Per law and mutant: both outcomes of its first 20 instances."""
+    got = {}
+    for law in catalog() + mutant_catalog():
+        lines = []
+        for theory, lhs, rhs, ty in itertools.islice(instances(law, 0), 20):
+            for body in (lhs, rhs):
+                ev = Evaluator(Program("pin", theory, SEQ_NAT, body, ty),
+                               mode, LAWS_CONFIG)
+                lines.append(str(ev.outcome(())))
+                lines.append(f"entries={ev.table_entries} "
+                             f"hits={ev.table_hits}")
+        got[law.name] = _digest(lines)
+    return got
+
+
+# sha256 prefixes printed by the interpreter
+_REPORTS = {
+    "cost": {
+        "double-closed-form": "09e4f246c992c9be",
+        "insert-upper": "3f80a7193f814a94",
+        "isort-lower": "8ddf20a41d643304",
+        "isort-msort-ext": "dded3ae535ac3e04",
+        "isort-upper": "c8a49758b0649e1c",
+        "law:bind/assoc": "9b89d7b6f500a24c",
+        "law:bind/ret": "b55851dc04d6fb13",
+        "law:bind/step": "2b75999e082bb4a2",
+        "law:branch/assoc": "8e937f2120bad22b",
+        "law:branch/comm": "d727a216eaa4afbb",
+        "law:branch/idem": "babe64ad416b9bf0",
+        "law:branch/idl": "0739f316c0dd8e5c",
+        "law:branch/idr": "92b29e9659875770",
+        "law:branch/step": "454f85367aa1ab8b",
+        "law:fail/step": "ea39cee98832195e",
+        "law:flip/assoc": "22aef5cdb900257e",
+        "law:flip/comm": "48130accb35011a5",
+        "law:flip/idem": "7e3b04a46f26e998",
+        "law:flip/one": "c28b250c58f5e9db",
+        "law:flip/step": "a817552e385b02d5",
+        "law:flip/zero": "e3c342b8ef4425fb",
+        "law:get/get": "2554c470a2109e0b",
+        "law:get/set": "197b4d04fa9a4e02",
+        "law:get/step": "22fa0cb5383a7988",
+        "law:lam/step": "50b505c907148656",
+        "law:set/get": "01086ed79694532f",
+        "law:set/set": "48a06e19c631934c",
+        "law:set/step": "9ff3063b9adab837",
+        "law:step/plus": "cfcb87d8f2929cae",
+        "law:step/zero": "e4f06743f8e6a62b",
+        "lookup-exact": "8ee67eccf67220d3",
+        "map-binomial-hypothesis": "a87d425321f8bc2e",
+        "map-const-hypothesis": "c0f90b2c80e3051f",
+        "msort-upper": "a7d31a6de65257a2",
+        "nondet-bool-upper": "794f3225d49bcef6",
+        "nondet-unit-upper": "6f3d595c39cadf53",
+        "qsort-upper": "eb25fcc642326d53",
+        "state-double-equal": "aac8bbe90b5a8b41",
+        "sublist-binomial": "eb5309ae066a8219",
+        "sublist-upper": "5badbc1da538dae2",
+        "twice-hypothesis": "1922180e59ee714b",
+    },
+    "ext": {
+        "double-closed-form": "b6b953d16f751517",
+        "insert-upper": "b16f84649b66e7ea",
+        "isort-lower": "aba08f3b8f7c5a99",
+        "isort-msort-ext": "dded3ae535ac3e04",
+        "isort-upper": "7f02b8c62a2990a7",
+        "law:bind/assoc": "9b89d7b6f500a24c",
+        "law:bind/ret": "b55851dc04d6fb13",
+        "law:bind/step": "2b75999e082bb4a2",
+        "law:branch/assoc": "8e937f2120bad22b",
+        "law:branch/comm": "d727a216eaa4afbb",
+        "law:branch/idem": "babe64ad416b9bf0",
+        "law:branch/idl": "0739f316c0dd8e5c",
+        "law:branch/idr": "92b29e9659875770",
+        "law:branch/step": "454f85367aa1ab8b",
+        "law:fail/step": "ea39cee98832195e",
+        "law:flip/assoc": "22aef5cdb900257e",
+        "law:flip/comm": "48130accb35011a5",
+        "law:flip/idem": "7e3b04a46f26e998",
+        "law:flip/one": "c28b250c58f5e9db",
+        "law:flip/step": "a817552e385b02d5",
+        "law:flip/zero": "e3c342b8ef4425fb",
+        "law:get/get": "2554c470a2109e0b",
+        "law:get/set": "197b4d04fa9a4e02",
+        "law:get/step": "22fa0cb5383a7988",
+        "law:lam/step": "50b505c907148656",
+        "law:set/get": "01086ed79694532f",
+        "law:set/set": "48a06e19c631934c",
+        "law:set/step": "9ff3063b9adab837",
+        "law:step/plus": "cfcb87d8f2929cae",
+        "law:step/zero": "e4f06743f8e6a62b",
+        "lookup-exact": "d53501c3957ef74a",
+        "map-binomial-hypothesis": "510d344aebccedf3",
+        "map-const-hypothesis": "96ab9c0539ac7c61",
+        "msort-upper": "2fe481da5f93c9f1",
+        "nondet-bool-upper": "22a862f2d188375c",
+        "nondet-unit-upper": "bb3b1b4ca2095329",
+        "qsort-upper": "39a56333b7d607ac",
+        "state-double-equal": "40c830acbc6f7dcf",
+        "sublist-binomial": "7aaea09398855736",
+        "sublist-upper": "b395a30b7b75e17a",
+        "twice-hypothesis": "248ec96e6abf4798",
+    },
+}
+
+_PROGRAMS = {
+    "cost": {
+        "bernoulli": "3e145ae6f02db708",
+        "binomial": "46a7ac8fdd9fdfc2",
+        "binomial-of-len": "ad1c8174bb79fe03",
+        "branch-example": "fc04156a4c8f221f",
+        "branch-example-bound": "08c8e9a6f7c00ac6",
+        "branch-example-unit": "e4ebed98e7fd2a0f",
+        "branch-example-unit-bound": "0b5018e886858c91",
+        "double": "f3f28287b2459c1d",
+        "double-bound": "14a0d230f5f98f09",
+        "insert": "7d0dff6fa509aa0e",
+        "insert-bound": "5565971377c847e3",
+        "isort": "4789851c3ca268eb",
+        "isort-bound": "0b4fcb9dffe5dcbc",
+        "isort-lower-bound": "db73c13c0c5c0c2c",
+        "lookup": "4b28f52d586d78f8",
+        "lookup-bound": "fdb3b95277397b4d",
+        "map-binomial": "830995f639bde990",
+        "map-binomial-bound": "4b419953e2f98c52",
+        "map-binomial-hyp": "bb479bb47bb69044",
+        "map-binomial-hyp-bound": "f698cf2913ac3345",
+        "map-const": "425963d4e347a0e4",
+        "map-const-bound": "d4011fa6b1dd6043",
+        "map-const-hyp": "bac6ff099dbfd013",
+        "map-const-hyp-bound": "e7302d4e62d62612",
+        "msort": "04b55280d39b2c22",
+        "msort-bound": "4e4abfc0bd50ac25",
+        "qsort": "43bfa0a1f9d20384",
+        "qsort-bound": "cf1afd31303baa46",
+        "state-double": "b0c73b1c27d92e22",
+        "state-double-bound": "b0c73b1c27d92e22",
+        "sublist": "9c9ace143915f336",
+        "sublist-unit": "15bb333e66d1af12",
+        "sublist-unit-bound": "4c4913b9f2679a3f",
+        "twice-hyp": "413bed3147b307c4",
+        "twice-hyp-bound": "9db93cae794beae2",
+        "twice-unit": "16dce798d8809feb",
+        "twice-unit-bound": "2a43ef8650738d23",
+    },
+    "ext": {
+        "bernoulli": "5f9feaf5758e2534",
+        "binomial": "d867017c4327fd37",
+        "binomial-of-len": "f0eb293b2c6da3a0",
+        "branch-example": "f4314eeb27f5875a",
+        "branch-example-bound": "f4314eeb27f5875a",
+        "branch-example-unit": "3babf4c108ed7cb1",
+        "branch-example-unit-bound": "3babf4c108ed7cb1",
+        "double": "5cd8eadde061bd82",
+        "double-bound": "3b0ef93717a11149",
+        "insert": "906af8291fe59904",
+        "insert-bound": "2661c97c8e56b5ea",
+        "isort": "ebf2a0f52bb8272c",
+        "isort-bound": "b9d54d2ffe8090d2",
+        "isort-lower-bound": "036f3de3e5610cf1",
+        "lookup": "e79c3d51537829da",
+        "lookup-bound": "5b30249ed422ca3e",
+        "map-binomial": "440bd15f24a02c2a",
+        "map-binomial-bound": "5cc0be1325ee9625",
+        "map-binomial-hyp": "7e450b5807a76700",
+        "map-binomial-hyp-bound": "049a333f8ef159c0",
+        "map-const": "2ca3cbc99a114b4a",
+        "map-const-bound": "4bb21e3c411befb9",
+        "map-const-hyp": "0cfb8c2e86a8c80f",
+        "map-const-hyp-bound": "060e9aee94b4fe0b",
+        "msort": "63d11edc06d20469",
+        "msort-bound": "802fa06f60bd53f0",
+        "qsort": "b6a6c286e6d0c651",
+        "qsort-bound": "6d64d03a15c5a00f",
+        "state-double": "ef8fd81559f1c3d1",
+        "state-double-bound": "ef8fd81559f1c3d1",
+        "sublist": "01cfd3e6dd2ae102",
+        "sublist-unit": "08728173a9339503",
+        "sublist-unit-bound": "08728173a9339503",
+        "twice-hyp": "6c541ffd8a7585cf",
+        "twice-hyp-bound": "fad8ba6a295d5487",
+        "twice-unit": "65dda801553b1f66",
+        "twice-unit-bound": "fad8ba6a295d5487",
+    },
+}
+
+_LAWS = {
+    "cost": {
+        "bind/assoc": "6baab8ecf989ee0a",
+        "bind/ret": "c334028058a3da92",
+        "bind/step": "572b292de76a4b24",
+        "branch/assoc": "a7e40e3893ae3df6",
+        "branch/comm": "f67369a8373c8408",
+        "branch/idem": "31f96d9218a4580f",
+        "branch/idl": "3d569ffd4dfaf511",
+        "branch/idr": "4b9b4fd9a5f68aa3",
+        "branch/step": "c766360e01cebdd6",
+        "fail/step": "9f3b5d61d8b55a9b",
+        "flip/assoc": "30733281aa5a7acc",
+        "flip/comm": "bd807784fdd38d6d",
+        "flip/idem": "8fbb74adb4acf749",
+        "flip/one": "93d2febc1c9418df",
+        "flip/step": "77caf1706e061203",
+        "flip/zero": "ff7995c192a2b98e",
+        "get/get": "3eba8eaa993d87e1",
+        "get/set": "0e60b503c3f9918a",
+        "get/step": "d5b8d888573e77b9",
+        "lam/step": "41883273ca3eae03",
+        "mutant:bind/step-drops-cost": "b123cd1c393c77c6",
+        "mutant:branch/left-bias": "03ff6480fce425d0",
+        "mutant:flip/one-returns-left": "2e7a0080c2d0b94d",
+        "mutant:set/set-keeps-first": "36506dabd7e9484f",
+        "mutant:step/one-free": "b3c389cf53df42da",
+        "set/get": "5203e2c102162a6e",
+        "set/set": "04f10e0936193bf1",
+        "set/step": "7512ec4aad98a9ac",
+        "step/plus": "21a077e810b5dfec",
+        "step/zero": "89f3ae5f33932fa0",
+    },
+    "ext": {
+        "bind/assoc": "39c5f50cfd7bdb1d",
+        "bind/ret": "b8f8289cd634c583",
+        "bind/step": "c447ec20bf4bdeca",
+        "branch/assoc": "e81e0b397a5efc88",
+        "branch/comm": "e70b845c808ee12b",
+        "branch/idem": "ec3eb65b82f3b1d6",
+        "branch/idl": "481626d1e036a68b",
+        "branch/idr": "5e14d12ed2af2767",
+        "branch/step": "b3e759135feee9c3",
+        "fail/step": "9f3b5d61d8b55a9b",
+        "flip/assoc": "76587bee83d6fcfc",
+        "flip/comm": "1c0cb8dd0bcade8e",
+        "flip/idem": "e43b9e74d5ef4b86",
+        "flip/one": "cec9184f076070e7",
+        "flip/step": "978fe900b64aef62",
+        "flip/zero": "39ebb48560c78d38",
+        "get/get": "90bfb7691d555d9f",
+        "get/set": "297180864cc3cf2c",
+        "get/step": "8b238f07ae8bb355",
+        "lam/step": "6ff8c1888dc226dc",
+        "mutant:bind/step-drops-cost": "a3b235066a46234c",
+        "mutant:branch/left-bias": "35da775a492871f3",
+        "mutant:flip/one-returns-left": "afaef3a29eb60531",
+        "mutant:set/set-keeps-first": "37f41dc66c16406a",
+        "mutant:step/one-free": "77376d60f73862d7",
+        "set/get": "1fd0c3ea58b676fe",
+        "set/set": "19c43a441c3d7048",
+        "set/step": "2dcebb2561b4c74d",
+        "step/plus": "0c9a9e36b283db71",
+        "step/zero": "e4f9aa57464693b0",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ("cost", "ext"))
+def test_check_report_is_pinned(mode, tmp_path):
+    assert report_digests(mode, tmp_path) == _REPORTS[mode]
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_program_outcomes_and_counters_are_pinned(mode):
+    assert program_digests(mode) == _PROGRAMS[mode.value]
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_law_instance_outcomes_are_pinned(mode):
+    assert law_digests(mode) == _LAWS[mode.value]

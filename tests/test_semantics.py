@@ -22,7 +22,8 @@ from stepbound.semantics import (
     get_evaluator,
 )
 from stepbound.syntax import (
-    NAT, PROB, Bind, CostLit, FTy, Program, PURE, Ret, Step, parse,
+    NAT, PROB, Ap, ArrowTy, Bind, Branch, CostLit, FTy, Lam, NatRec, Program,
+    PURE, Ret, Step, Var, Zero, parse, scopes,
 )
 from stepbound.typecheck import check_program
 
@@ -406,6 +407,29 @@ def test_table_key_includes_captured_values():
     assert ev.table_hits > 0
 
 
+def _nodes(t):
+    yield t
+    for _, sub, _ in scopes(t):
+        yield from _nodes(sub)
+
+
+def test_evaluator_holds_every_node_its_table_keys_name():
+    # more thunk bodies than the evaluator keeps compiled, each dropped by
+    # its caller once forced: a table key's node id must still belong to a
+    # live node the evaluator holds, or a new node could reuse it
+    ev = Evaluator.raw(PURE, SEQ_NAT, COST, DEFAULT_CONFIG)
+    for n in range(100):
+        body = Ap(Lam("y", NAT, Ret(Var("y")), ty=ArrowTy(NAT, FTy(NAT))),
+                  Zero(), ty=FTy(NAT))
+        assert ev.force(("thunk", (), body)) == (0, nat(0))
+    held = {id(node)
+            for term in [t for t, _ in ev._compiled.values()]
+            + list(ev._retired.values())
+            for node in _nodes(term)}
+    assert len(ev._table) == 100
+    assert {key[0] for key in ev._table} <= held
+
+
 def test_recursor_capturing_a_variable_matches_closed_form_insert():
     # insert's list recursor captures x, so its table entries are keyed
     # by x as well as by the suffix it folds
@@ -432,3 +456,64 @@ def test_mutated_isort_first_counterexample_is_unchanged():
         "rhs": "step^0 ret [0 0]",
         "explanation": "cost 1 does not relax to 0",
     }
+
+
+# -- error paths -----------------------------------------------------------------
+#
+# The checker rules these out, so they are reached through a raw evaluator
+# handed loose terms.  The messages are pinned byte for byte.
+
+
+def _raise_message(thunk) -> str:
+    with pytest.raises(EvalError) as err:
+        thunk()
+    return str(err.value)
+
+
+def _pure_evaluator():
+    return Evaluator.raw(PURE, SEQ_NAT, COST, DEFAULT_CONFIG)
+
+
+_OPEN_FN_TY = ArrowTy(NAT, FTy(NAT))
+
+
+@pytest.mark.parametrize("term", [
+    Ret(Var("x")),                                    # at a Var
+    Var("x"),                                         # forced at a Var
+    Lam("y", NAT, Ret(Var("x")), ty=_OPEN_FN_TY),     # captured by a λ
+    Ret(Ret(Var("x"))),                               # captured by a thunk
+    # x is free only in the successor branch, which a zero never runs
+    NatRec(Zero(), Ret(Zero()), "k", "ih", Ret(Var("x")), ty=FTy(NAT)),
+], ids=["var", "forced-var", "lam-capture", "thunk-capture",
+        "recursor-capture"])
+def test_unbound_variable_message(term):
+    assert _raise_message(
+        lambda: _pure_evaluator().eval_comp(term, {})
+    ) == "unbound variable 'x' at run time"
+
+
+def test_forcing_a_non_thunk_message():
+    ev = _pure_evaluator()
+    assert _raise_message(lambda: ev.force(nat(3))) == \
+        "forcing a non-thunk value 3"
+    assert _raise_message(
+        lambda: ev.eval_comp(Var("n"), {"n": natlist([1, 2])})
+    ) == "forcing a non-thunk value [1 2]"
+
+
+def test_effect_outside_its_theory_message():
+    term = Branch(Ret(Zero()), Ret(Zero()), ty=FTy(NAT))
+    assert _raise_message(
+        lambda: _pure_evaluator().eval_comp(term, {})
+    ) == "effect operation 'branch' outside the 'pure' theory"
+
+
+def test_outcome_without_a_program_message():
+    assert _raise_message(lambda: _pure_evaluator().outcome(())) == \
+        "raw evaluator has no program body"
+
+
+def test_unknown_computation_message():
+    assert _raise_message(
+        lambda: _pure_evaluator().eval_comp(Zero(), {})
+    ) == "cannot evaluate computation Zero()"
