@@ -39,8 +39,8 @@ from .costs import SEQ_NAT
 from .semantics import (
     DEFAULT_CONFIG, Dist, DomainConfig, EvalError, EvalMode, Evaluator,
     NondetOutcome, Outcome, ProbOutcome, PureOutcome, StateOutcome,
-    enumerate_inputs, enumerate_value_ty, get_evaluator, pair_sort_key,
-    val_sort_key, val_str,
+    cost_sort_key, enumerate_inputs, enumerate_value_ty, get_evaluator,
+    pair_sort_key, val_sort_key, val_str,
 )
 from .syntax import NONDET, PROB, PURE, ArrowTy, Program
 
@@ -133,7 +133,7 @@ class _Canon:
                 return replace(out, value=f(v))
             case NondetOutcome(branches=b) if any(_suspends(v) for _, v in b):
                 return replace(out, branches=frozenset((c, f(v)) for c, v in b))
-            case ProbOutcome(dist=d) if any(_suspends(v) for (_, v), _ in d):
+            case ProbOutcome(dist=d) if any(_suspends(v) for _, v in d.nums):
                 acc: dict = {}
                 for (c, v), w in d:
                     key = (c, f(v))
@@ -310,11 +310,21 @@ def _leq_nondet(lhs, rhs) -> Verdict:
     return Verdict(True)
 
 
-def _group_by_value(dist):
+def _group_by_value(dist, scale: int) -> dict:
+    """Each value's ``(cost, numerator)`` pairs, the numerators scaled by
+    ``scale`` to a denominator shared with another distribution."""
     groups: dict = {}
-    for (c, v), w in dist:
-        groups.setdefault(v, []).append((c, w))
+    for (c, v), n in dist.nums.items():
+        groups.setdefault(v, []).append((c, n * scale))
     return groups
+
+
+def _print_order(groups) -> list:
+    """The values of ``_group_by_value`` in the order their distribution
+    prints them first: by least cost, then by value."""
+    return sorted(groups, key=lambda v: (
+        min(cost_sort_key(c) for c, _ in groups[v]), val_sort_key(v)
+    ))
 
 
 def em_normal_form(branches, monoid) -> frozenset:
@@ -345,26 +355,32 @@ def em_normal_form(branches, monoid) -> frozenset:
 
 
 def _leq_prob(lhs, rhs) -> Verdict:
-    gl = _group_by_value(lhs.dist)
-    gr = _group_by_value(rhs.dist)
-    if set(gl) != set(gr):
+    """Decided in integers, both sides' weights over the lcm of their
+    denominators; a failing value is named in the left side's print
+    order."""
+    dl, dr = lhs.dist, rhs.dist
+    den = lcm(dl.den, dr.den)
+    gl = _group_by_value(dl, den // dl.den)
+    gr = _group_by_value(dr, den // dr.den)
+    if gl.keys() != gr.keys():
         # the first such value in print order, not in set order
-        v = min(set(gl) ^ set(gr), key=val_sort_key)
+        v = min(gl.keys() ^ gr.keys(), key=val_sort_key)
         return _fail(
             f"value {val_str(v)} carries mass on one side only "
             "(a coupling must match values exactly)"
         )
-    for v in gl:
-        ml = sum(w for _, w in gl[v])
-        mr = sum(w for _, w in gr[v])
-        if ml != mr:
-            return _fail(
-                f"total mass at value {val_str(v)} differs: {ml} vs {mr}"
-            )
+    mass = lambda groups, v: sum(n for _, n in groups[v])
+    unequal = {v for v in gl if mass(gl, v) != mass(gr, v)}
+    if unequal:
+        v = next(v for v in _print_order(gl) if v in unequal)
+        return _fail(
+            f"total mass at value {val_str(v)} differs: "
+            f"{Fraction(mass(gl, v), den)} vs {Fraction(mass(gr, v), den)}"
+        )
     if lhs.monoid is SEQ_NAT:
         # total cost order: the coupling problem splits per value into
         # first-order dominance of equal-mass cost distributions
-        for v in gl:
+        for v in _print_order(gl):
             if not cdf_dominates(gl[v], gr[v]):
                 return _fail(
                     f"cost distribution at value {val_str(v)} is not "
@@ -372,7 +388,7 @@ def _leq_prob(lhs, rhs) -> Verdict:
                 )
         return Verdict(True)
     rel = _base_relation(lhs.monoid)
-    if transportation_oracle(list(lhs.dist), list(rhs.dist), rel):
+    if transportation_oracle(list(dl), list(dr), rel):
         return Verdict(True)
     return _fail("no feasible coupling supported on the base order")
 

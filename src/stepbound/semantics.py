@@ -6,7 +6,8 @@ A closed computation of type ``F A`` denotes, per effect theory:
 * nondet    -- a finite *set* of ``(cost, value)`` pairs (duplicates
                collapse, so the semilattice equations hold on the nose),
 * prob      -- a finite map from ``(cost, value)`` to exact rational
-               weight, merged after every operation (convex-space
+               weight, held as int numerators over one reduced int
+               denominator and merged after every operation (convex-space
                equations hold by representation),
 * state     -- a function from initial state to ``(cost, state, value)``,
                tabulated over a configured finite state domain.
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .syntax import (
@@ -207,57 +208,81 @@ class NondetOutcome(Outcome):
         return _extreme_cost((c for c, _ in self.branches), min)
 
 
-_ONE = Fraction(1)
-
-
 class Dist:
-    """Immutable finite map from (cost, value) to positive Fraction.
+    """Immutable finite map from (cost, value) to positive rational weight.
 
-    The map is unordered: equality, hashing, size and mass read it
-    directly.  ``items`` and iteration list it sorted by ``pair_sort_key``;
-    that order is computed on first use and kept, since only printing,
-    witnesses and the deciders read it.
+    Weights are kept as positive int numerators ``nums`` over one int
+    denominator ``den``, in lowest terms: the numerators and ``den`` have
+    gcd 1, so equal distributions have equal representations, and
+    equality and hashing compare integers.  ``Dist(mapping)`` takes exact
+    weights (``Fraction`` or ``int``) and drops zero ones; ``items`` and
+    iteration list ``(key, Fraction)`` pairs sorted by ``pair_sort_key``,
+    an order computed on first use and kept, since only printing,
+    witnesses and reference code read it.  ``nums`` and ``den`` are
+    read-only.
     """
 
-    __slots__ = ("_map", "_items", "_hash")
+    __slots__ = ("nums", "den", "_items", "_hash")
 
     def __init__(self, mapping):
-        self._map = {k: w for k, w in mapping.items() if w}
-        self._items = None
-        self._hash = None
+        ratios = []
+        for k, w in mapping.items():
+            if not isinstance(w, (int, Fraction)):
+                raise TypeError(f"Dist weight {w!r} is not an int or Fraction")
+            n, d = w.as_integer_ratio()
+            if n < 0:
+                raise ValueError(f"Dist weight {w} is negative")
+            if n:
+                ratios.append((k, n, d))
+        # lowest terms already: each prime power of the lcm divides some
+        # weight's denominator, and that weight's scaled numerator is
+        # prime to it
+        den = lcm(*(d for _, _, d in ratios))
+        self.nums = {k: n * (den // d) for k, n, d in ratios}
+        self.den, self._items, self._hash = den, None, None
+
+    @classmethod
+    def _of(cls, nums: dict, den: int) -> "Dist":
+        """The distribution giving each ``key: n`` of ``nums`` (positive
+        ints) weight ``n / den``, brought to lowest terms."""
+        g = gcd(den, *nums.values())
+        if g > 1:
+            nums = {k: n // g for k, n in nums.items()}
+            den //= g
+        d = cls.__new__(cls)
+        d.nums, d.den, d._items, d._hash = nums, den, None, None
+        return d
 
     @property
     def items(self) -> tuple:
         if self._items is None:
+            den = self.den
             self._items = tuple(
-                sorted(self._map.items(), key=lambda kw: pair_sort_key(kw[0]))
+                (k, Fraction(n, den)) for k, n in
+                sorted(self.nums.items(), key=lambda kn: pair_sort_key(kn[0]))
             )
         return self._items
 
     def __eq__(self, other):
-        return isinstance(other, Dist) and self._map == other._map
+        return (isinstance(other, Dist) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._map.items()))
+            self._hash = hash((self.den, frozenset(self.nums.items())))
         return self._hash
 
     def __iter__(self):
         return iter(self.items)
 
     def __len__(self):
-        return len(self._map)
+        return len(self.nums)
 
     def total(self) -> Fraction:
-        return sum(self._map.values(), Fraction(0))
+        return Fraction(sum(self.nums.values()), self.den)
 
     def has_unit_mass(self) -> bool:
-        """``total() == 1``, decided in integers: with ``L`` the least
-        common denominator, the weights sum to 1 exactly when their
-        numerators scaled to ``L`` sum to ``L``."""
-        weights = self._map.values()
-        den = lcm(*(w.denominator for w in weights))
-        return sum(w.numerator * (den // w.denominator) for w in weights) == den
+        return sum(self.nums.values()) == self.den
 
 
 @dataclass(frozen=True)
@@ -272,10 +297,10 @@ class ProbOutcome(Outcome):
         return "{" + body + "}"
 
     def max_cost(self):
-        return _extreme_cost((c for (c, _), _ in self.dist), max)
+        return _extreme_cost((c for c, _ in self.dist.nums), max)
 
     def min_cost(self):
-        return _extreme_cost((c for (c, _), _ in self.dist), min)
+        return _extreme_cost((c for c, _ in self.dist.nums), min)
 
 
 @dataclass(frozen=True)
@@ -381,42 +406,53 @@ class _NondetOps(_PureOps):
 
 
 class _ProbOps(_PureOps):
+    """Distributions in integers: each operation scales numerators to a
+    common denominator and reduces once, at the end."""
+
     kind = "prob"
 
     def unit(self, v):
-        return Dist({(self.zero, v): _ONE})
+        return Dist._of({(self.zero, v): 1}, 1)
 
     def charge(self, c, m):
+        # adding a cost to every key moves the weights as they are
         add = self.monoid.add
-        return Dist({(add(c, c0), v): w for (c0, v), w in m._map.items()})
+        return Dist._of(
+            {(add(c, c0), v): n for (c0, v), n in m.nums.items()}, m.den
+        )
 
     def bind(self, m, k):
-        if len(m._map) == 1:
-            ((c0, v), w), = m._map.items()
-            if w == 1:
+        if len(m.nums) == 1:
+            ((c0, v), n), = m.nums.items()
+            if n == m.den:
                 # a point mass: the continuation's weights stand as they are
                 d = k(v)
                 return d if c0 == self.zero else self.charge(c0, d)
         add = self.monoid.add
+        conts = [(c0, n, k(v)) for (c0, v), n in m.nums.items()]
+        # weight n / m.den times n1 / d.den, over m.den * den
+        den = lcm(*(d.den for _, _, d in conts))
         acc: dict = {}
-        for (c0, v), w in m._map.items():
-            for (c1, v1), w1 in k(v)._map.items():
+        for c0, n, d in conts:
+            scale = n * (den // d.den)
+            for (c1, v1), n1 in d.nums.items():
                 key = (add(c0, c1), v1)
-                prior = acc.get(key)
-                acc[key] = w * w1 if prior is None else prior + w * w1
-        return Dist(acc)
+                acc[key] = acc.get(key, 0) + scale * n1
+        return Dist._of(acc, m.den * den)
 
     def flip(self, p: Fraction, m0, m1):
         if p == 0:
             return m0
         if p == 1:
             return m1
-        q = 1 - p
-        acc = {key: q * w for key, w in m0._map.items()}
-        for key, w in m1._map.items():
-            prior = acc.get(key)
-            acc[key] = p * w if prior is None else prior + p * w
-        return Dist(acc)
+        # weight (1 - p) * n0 / m0.den and p * n1 / m1.den, over b * den
+        a, b = p.numerator, p.denominator
+        den = lcm(m0.den, m1.den)
+        s0, s1 = (b - a) * (den // m0.den), a * (den // m1.den)
+        acc = {key: s0 * n for key, n in m0.nums.items()}
+        for key, n in m1.nums.items():
+            acc[key] = acc.get(key, 0) + s1 * n
+        return Dist._of(acc, b * den)
 
 
 class _StateOps(_PureOps):

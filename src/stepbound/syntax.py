@@ -60,6 +60,30 @@ class SyntaxError_(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _node(cls):
+    """A frozen dataclass whose hash is computed on first use and kept.
+
+    Types and terms compare by value, and the evaluator's table keys hold
+    them (inside thunk and ``den`` values), so without the cache every
+    lookup would rehash the whole tree.  Nodes are never mutated after
+    construction (``dataclasses.replace`` builds a new one), so a kept
+    hash cannot go stale.
+    """
+    cls = dataclass(frozen=True)(cls)
+    tree_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = tree_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
+
+
 class Ty:
     pass
 
@@ -72,50 +96,50 @@ class CompTy(Ty):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class UnitTy(ValueTy):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class BoolTy(ValueTy):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class NatTy(ValueTy):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class ProdTy(ValueTy):
     fst: ValueTy
     snd: ValueTy
 
 
-@dataclass(frozen=True)
+@_node
 class SumTy(ValueTy):
     left: ValueTy
     right: ValueTy
 
 
-@dataclass(frozen=True)
+@_node
 class ListTy(ValueTy):
     elem: ValueTy
     charge: object = None  # cost charged per cons by the recursor; None = zero
 
 
-@dataclass(frozen=True)
+@_node
 class UTy(ValueTy):
     comp: CompTy
 
 
-@dataclass(frozen=True)
+@_node
 class FTy(CompTy):
     value: ValueTy
 
 
-@dataclass(frozen=True)
+@_node
 class ArrowTy(CompTy):
     dom: ValueTy
     cod: CompTy
@@ -166,17 +190,17 @@ def state_theory(ty: ValueTy) -> EffectTheory:
 _meta = dict(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Term:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class ValueTerm(Term):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class CompTerm(Term):
     pass
 
@@ -184,72 +208,72 @@ class CompTerm(Term):
 # -- values ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Var(ValueTerm):
     name: str
     loc: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Triv(ValueTerm):
     loc: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class BoolLit(ValueTerm):
     value: bool
     loc: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Zero(ValueTerm):
     loc: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Suc(ValueTerm):
     arg: ValueTerm
     loc: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Nil(ValueTerm):
     loc: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Cons(ValueTerm):
     head: ValueTerm
     tail: ValueTerm
     loc: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Pair(ValueTerm):
     fst: ValueTerm
     snd: ValueTerm
     loc: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Fst(ValueTerm):
     pair: ValueTerm
     loc: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Snd(ValueTerm):
     pair: ValueTerm
     loc: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Inl(ValueTerm):
     arg: ValueTerm
     loc: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Inr(ValueTerm):
     arg: ValueTerm
     loc: object = field(**_meta)
@@ -258,12 +282,12 @@ class Inr(ValueTerm):
 # -- cost annotations ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class CostLit:
     value: object  # int (seq) or (work, span) tuple (par)
 
 
-@dataclass(frozen=True)
+@_node
 class NatCost:
     """A nat-valued value term used as a cost: n steps at the monoid unit."""
 
@@ -276,14 +300,14 @@ CostExpr = Union[CostLit, NatCost]
 # -- computations -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Ret(CompTerm):
     value: ValueTerm
     loc: object = field(**_meta)
     ty: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Bind(CompTerm):
     comp: CompTerm
     var: str
@@ -292,7 +316,7 @@ class Bind(CompTerm):
     ty: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Lam(CompTerm):
     var: str
     var_ty: ValueTy
@@ -301,7 +325,7 @@ class Lam(CompTerm):
     ty: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Ap(CompTerm):
     fn: CompTerm
     arg: ValueTerm
@@ -309,7 +333,7 @@ class Ap(CompTerm):
     ty: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Step(CompTerm):
     cost: CostExpr
     body: CompTerm
@@ -317,7 +341,7 @@ class Step(CompTerm):
     ty: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class NatRec(CompTerm):
     scrut: ValueTerm
     zero_branch: CompTerm
@@ -329,7 +353,7 @@ class NatRec(CompTerm):
     ty: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class ListRec(CompTerm):
     scrut: ValueTerm
     nil_branch: CompTerm
@@ -343,7 +367,7 @@ class ListRec(CompTerm):
     list_charge: object = field(**_meta)  # per-cons charge, filled by checking
 
 
-@dataclass(frozen=True)
+@_node
 class SumCase(CompTerm):
     scrut: ValueTerm
     var_left: str
@@ -354,7 +378,7 @@ class SumCase(CompTerm):
     ty: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class If(CompTerm):
     cond: ValueTerm
     then_branch: CompTerm
@@ -363,7 +387,7 @@ class If(CompTerm):
     ty: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Branch(CompTerm):
     left: CompTerm
     right: CompTerm
@@ -371,13 +395,13 @@ class Branch(CompTerm):
     ty: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Fail(CompTerm):
     loc: object = field(**_meta)
     ty: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Flip(CompTerm):
     prob: Fraction
     left: CompTerm
@@ -390,7 +414,7 @@ class Flip(CompTerm):
             raise ValueError(f"flip probability {self.prob} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@_node
 class Get(CompTerm):
     var: str
     body: CompTerm
@@ -398,7 +422,7 @@ class Get(CompTerm):
     ty: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Put(CompTerm):
     value: ValueTerm
     body: CompTerm
@@ -406,7 +430,7 @@ class Put(CompTerm):
     ty: object = field(**_meta)
 
 
-@dataclass(frozen=True)
+@_node
 class Par(CompTerm):
     left: CompTerm
     right: CompTerm

@@ -216,6 +216,15 @@ def test_prob_witness_text_is_pinned(decide, explanation):
     )
 
 
+def test_prob_mass_witness_names_the_first_value_in_print_order():
+    # both values carry different mass on each side; value 1 prints first
+    # on the left (at cost 0), though value 0 is inserted first
+    lhs = prob({(1, nat(0)): Fraction(1, 3), (0, nat(1)): Fraction(2, 3)})
+    rhs = prob({(0, nat(0)): Fraction(1, 2), (3, nat(1)): Fraction(1, 2)})
+    w = leq_outcome(lhs, rhs).witness
+    assert w.explanation == "total mass at value 1 differs: 2/3 vs 1/2"
+
+
 _ONE_SIDED = """
 from fractions import Fraction
 from stepbound.costs import SEQ_NAT

@@ -13,13 +13,13 @@ from stepbound.corpus import (
     STATE_DOUBLE, _INSERT_DOMAIN,
 )
 from stepbound.costs import SEQ_NAT, WORK_SPAN
-from stepbound.gen import TermGen, gen_dist, random_theory
+from stepbound.gen import RATIONAL_POOL, TermGen, gen_dist, random_theory
 from stepbound.order import eq_outcome
 from stepbound.harness import run_all
 from stepbound.semantics import (
     DEFAULT_CONFIG, Dist, DomainConfig, EvalMode, EvalError, Evaluator,
     ProbOutcome, _ProbOps, enumerate_inputs, eval_fn, evaluate,
-    get_evaluator,
+    get_evaluator, pair_sort_key,
 )
 from stepbound.syntax import (
     NAT, PROB, Ap, ArrowTy, Bind, Branch, CostLit, FTy, Lam, NatRec, Program,
@@ -186,6 +186,90 @@ def test_prob_bind_on_a_point_mass():
     assert ops.bind(Dist({(2, nat(0)): Fraction(1)}), _continuation) == Dist(
         {(3, nat(0)): Fraction(1, 2), (2, nat(2)): Fraction(1, 2)}
     )
+
+
+# A Fraction reference for `_ProbOps`: a distribution is a dict from
+# (cost, value) to positive Fraction weight, merged by addition.
+def _ref_merge(*weighted):
+    acc: dict = {}
+    for key, w in weighted:
+        acc[key] = acc.get(key, 0) + w
+    return {key: w for key, w in acc.items() if w}
+
+
+def _ref_charge(c, m):
+    return {(c + c0, v): w for (c0, v), w in m.items()}
+
+
+def _ref_bind(m, k):
+    return _ref_merge(*(
+        ((c0 + c1, v1), w * w1)
+        for (c0, v), w in m.items() for (c1, v1), w1 in k(v).items()
+    ))
+
+
+def _ref_flip(p, m0, m1):
+    return _ref_merge(*((key, (1 - p) * w) for key, w in m0.items()),
+                      *((key, p * w) for key, w in m1.items()))
+
+
+def test_integer_prob_ops_match_the_fraction_reference():
+    ops = _ProbOps(SEQ_NAT)
+    rng = random.Random(43)
+    values = (nat(0), nat(1), nat(2))
+
+    def same(got, ref):
+        # same weights, printed in the same order, in lowest terms
+        assert got.items == tuple(
+            sorted(ref.items(), key=lambda kw: pair_sort_key(kw[0]))
+        )
+        assert got == Dist(ref) and hash(got) == hash(Dist(ref))
+
+    for _ in range(1000):
+        m, m2 = gen_dist(rng, values), gen_dist(rng, values)
+        if rng.random() < 0.2:
+            # one item of weight below one: bind must still scale by it
+            m = Dist({m.items[0][0]: rng.choice(RATIONAL_POOL[2:])})
+        conts = {v: gen_dist(rng, values) for v in values}
+        k, k_ref = conts.__getitem__, lambda v: dict(conts[v].items)
+        p, c, v = rng.choice(RATIONAL_POOL), rng.randrange(4), rng.choice(values)
+        rm, rm2 = dict(m.items), dict(m2.items)
+        same(ops.unit(v), {(0, v): Fraction(1)})
+        same(ops.charge(c, m), _ref_charge(c, rm))
+        same(ops.bind(m, k), _ref_bind(rm, k_ref))
+        flipped = ops.flip(p, m, m2)
+        same(flipped, _ref_flip(p, rm, rm2))
+        same(ops.bind(flipped, k), _ref_bind(_ref_flip(p, rm, rm2), k_ref))
+
+
+def test_dist_is_kept_in_lowest_terms():
+    k = (0, nat(0))
+    half, halved = Dist({k: Fraction(1, 2)}), Dist({k: Fraction(2, 4)})
+    assert half == halved and hash(half) == hash(halved)
+    # a fair flip between two equal point masses merges 1/2 + 1/2 into 1
+    ops = _ProbOps(SEQ_NAT)
+    one = ops.unit(nat(0))
+    merged = ops.flip(Fraction(1, 2), one, one)
+    assert merged == one and hash(merged) == hash(one)
+    assert (merged.nums, merged.den) == ({k: 1}, 1)
+
+
+@pytest.mark.parametrize("weights, error", [
+    ((Fraction(-1, 2), Fraction(3, 2)), ValueError),
+    ((-1, 2), ValueError),
+    ((0.5, 0.5), TypeError),
+    ((Fraction(1, 2), 0.5), TypeError),
+])
+def test_dist_rejects_weights_that_are_not_probabilities(weights, error):
+    mapping = {(0, nat(i)): w for i, w in enumerate(weights)}
+    with pytest.raises(error, match=r"^Dist weight \S+ is"):
+        Dist(mapping)
+
+
+def test_dist_drops_zero_weights():
+    d = Dist({(0, nat(0)): Fraction(0), (0, nat(1)): 0, (1, nat(2)): 1})
+    assert len(d) == 1 and d == Dist({(1, nat(2)): Fraction(1)})
+    assert d.has_unit_mass()
 
 
 def test_step_laws_hold_semantically():

@@ -10,7 +10,7 @@ import pytest
 from stepbound.corpus import ALL_PROGRAMS
 from stepbound.gen import TermGen, random_theory
 from stepbound.syntax import (
-    BOOL, NAT, Bind, CostLit, FTy, Flip, Lam, NatCost, NatRec, Pair, Ret,
+    BOOL, NAT, Bind, CostLit, FTy, Flip, Lam, ListTy, NatCost, NatRec, Pair, Ret,
     Step, Suc, SumTy, SyntaxError_, Term, Triv, Var, Zero, alpha_eq,
     alpha_normalize, free_vars, nat_lit, parse, print_program, scopes, subst,
     term_str,
@@ -141,6 +141,26 @@ def test_generated_round_trip():
         back = parse(print_program(prog))
         assert alpha_eq(back.body, prog.body)
         assert back.declared_ty == prog.declared_ty
+
+
+def test_equal_terms_built_apart_hash_alike():
+    for seed in range(60):
+        theory = random_theory(random.Random(seed))
+        a, b = (TermGen(random.Random(seed), theory).program(depth=4)
+                for _ in range(2))
+        assert a.body is not b.body and a.body == b.body
+        assert hash(a.body) == hash(b.body)
+        assert hash(a.declared_ty) == hash(b.declared_ty)
+    # a node built by `replace` from one already hashed has its own hash
+    one = Suc(Zero())
+    hash(one)
+    two = dataclasses.replace(one, arg=Suc(Zero()))
+    assert two == Suc(Suc(Zero()))
+    assert hash(two) == hash(Suc(Suc(Zero()))) != hash(one)
+    ty = ListTy(NAT)
+    hash(ty)
+    charged = dataclasses.replace(ty, charge=2)
+    assert hash(charged) == hash(ListTy(NAT, 2)) != hash(ty)
 
 
 def test_printing_injective_on_alpha_classes():
