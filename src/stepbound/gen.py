@@ -12,6 +12,7 @@ compare structurally.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from .costs import SEQ_NAT
@@ -32,6 +33,11 @@ RATIONAL_POOL = [
 ]
 
 LAW_STATE_TY = NAT
+STATE_NAT = state_theory(LAW_STATE_TY)
+
+# the effect theories the generators draw from, by kind
+THEORY_OF_KIND = {"pure": PURE, "nondet": NONDET, "prob": PROB,
+                  "state": STATE_NAT}
 
 RESULT_TYPES = [FTy(NAT), FTy(BOOL), FTy(UNIT), FTy(ListTy(NAT))]
 
@@ -189,7 +195,7 @@ def synthesizes(t) -> bool:
 
 
 def random_theory(rng: random.Random) -> EffectTheory:
-    return rng.choice((PURE, NONDET, PROB, state_theory(LAW_STATE_TY)))
+    return rng.choice(tuple(THEORY_OF_KIND.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +212,16 @@ def _rand_cost(rng):
 
 
 def gen_outcome(rng: random.Random, kind: str):
-    mode = EvalMode.COST_COUNTING
+    """A random outcome of the theory ``kind`` over nat costs and values."""
+    head = (THEORY_OF_KIND[kind], SEQ_NAT, EvalMode.COST_COUNTING)
     if kind == "pure":
-        return PureOutcome("pure", SEQ_NAT, mode, _rand_cost(rng), _rand_val(rng))
+        return PureOutcome(*head, _rand_cost(rng), _rand_val(rng))
     if kind == "nondet":
         n = rng.randrange(5)  # possibly empty
         branches = frozenset(
             (_rand_cost(rng), _rand_val(rng)) for _ in range(n)
         )
-        return NondetOutcome("nondet", SEQ_NAT, mode, branches)
+        return NondetOutcome(*head, branches)
     if kind == "prob":
         n = rng.randrange(1, 5)
         raw = [
@@ -225,31 +232,30 @@ def gen_outcome(rng: random.Random, kind: str):
         acc: dict = {}
         for k, w in raw:
             acc[k] = acc.get(k, Fraction(0)) + Fraction(w, total)
-        return ProbOutcome("prob", SEQ_NAT, mode, Dist(acc))
+        return ProbOutcome(*head, Dist(acc))
     if kind == "state":
         states = [("nat", i) for i in range(3)]
         table = tuple(
             (s, (_rand_cost(rng), rng.choice(states), _rand_val(rng)))
             for s in states
         )
-        return StateOutcome("state", SEQ_NAT, mode, table, frozenset())
+        return StateOutcome(*head, table, frozenset())
     raise ValueError(kind)
 
 
 def raise_outcome(rng: random.Random, out):
-    """An outcome guaranteed to dominate ``out`` in the approximation order."""
+    """An outcome guaranteed to dominate ``out`` in the approximation
+    order, with its theory, monoid, mode and domain."""
     bump = lambda c: c + rng.randrange(3)
     if isinstance(out, PureOutcome):
-        return PureOutcome(out.theory, out.monoid, out.mode, bump(out.cost),
-                           out.value)
+        return replace(out, cost=bump(out.cost))
     if isinstance(out, NondetOutcome):
         raised = {(bump(c), v) for c, v in out.branches}
         # extra raised copies keep both directions of the lifting intact
         for c, v in out.branches:
             if rng.random() < 0.3:
                 raised.add((c + rng.randrange(1, 4), v))
-        return NondetOutcome(out.theory, out.monoid, out.mode,
-                             frozenset(raised))
+        return replace(out, branches=frozenset(raised))
     if isinstance(out, ProbOutcome):
         acc: dict = {}
         for (c, v), w in out.dist:
@@ -261,13 +267,12 @@ def raise_outcome(rng: random.Random, out):
                 acc[(c, v)] = acc.get((c, v), Fraction(0)) + half
                 key = (c + rng.randrange(1, 3), v)
                 acc[key] = acc.get(key, Fraction(0)) + half
-        return ProbOutcome(out.theory, out.monoid, out.mode, Dist(acc))
+        return replace(out, dist=Dist(acc))
     if isinstance(out, StateOutcome):
         table = tuple(
             (s0, (bump(c), s1, v)) for s0, (c, s1, v) in out.table
         )
-        return StateOutcome(out.theory, out.monoid, out.mode, table,
-                            out.escaped)
+        return replace(out, table=table)
     raise ValueError(type(out))
 
 

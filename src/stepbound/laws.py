@@ -34,20 +34,15 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .costs import SEQ_NAT
-from .gen import LAW_STATE_TY, TermGen, random_theory
+from .gen import LAW_STATE_TY, THEORY_OF_KIND, TermGen, random_theory
 from .order import eq_outcome
 from .semantics import DomainConfig, EvalMode, Evaluator
 from .syntax import (
     NAT, Ap, ArrowTy, Bind, Branch, CostLit, FTy, Fail, Flip, Get, Lam,
-    NONDET, PROB, PURE, Program, Put, Ret, Step, Var, subst, term_str,
-    state_theory,
+    Program, Put, Ret, Step, Var, subst, term_str,
 )
 
 LAWS_CONFIG = DomainConfig(nat_max=4, list_len=2, elems=2, state_max=4)
-
-STATE_NAT = state_theory(LAW_STATE_TY)
-
-_THEORIES = {"pure": PURE, "nondet": NONDET, "prob": PROB, "state": STATE_NAT}
 
 
 @dataclass(frozen=True)
@@ -404,10 +399,6 @@ def mutant_catalog() -> tuple:
     return _MUTANTS
 
 
-class GeneratorExhausted(Exception):
-    pass
-
-
 def _law_rng(law: Law, seed: int) -> random.Random:
     return random.Random(seed ^ zlib.crc32(law.name.encode()))
 
@@ -419,7 +410,7 @@ def instances(law: Law, seed: int = 0):
     rng = _law_rng(law, seed)
     while True:
         theory = (
-            _THEORIES[law.theory] if law.theory else random_theory(rng)
+            THEORY_OF_KIND[law.theory] if law.theory else random_theory(rng)
         )
         yield (theory, *law.build(TermGen(rng, theory)))
 
@@ -446,7 +437,7 @@ def check_law(
         rp = Program(f"{law.name}-rhs", theory, SEQ_NAT, rhs, ty)
         out_l = Evaluator(lp, mode, LAWS_CONFIG).outcome(())
         out_r = Evaluator(rp, mode, LAWS_CONFIG).outcome(())
-        verdict = eq_outcome(out_l, out_r, LAWS_CONFIG, theory)
+        verdict = eq_outcome(out_l, out_r)
         if not verdict.holds:
             if len(report.failures) < max_recorded:
                 report.failures.append(

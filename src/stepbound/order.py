@@ -22,12 +22,15 @@ exact costs, and equal normal forms for nondet and prob.  Values are
 compared with ``==`` on canonical keys (`_Canon`), made once per outcome:
 a first-order value is its own key, and a suspension (``thunk`` or
 ``den``) becomes ``('den', type, normal form)`` of its outcome, tabulated
-over the argument domain at arrow type.  Such a key is only as fine as
-the configured domain, so a holding verdict that met one carries a note.
+over the argument domain at arrow type.  Every outcome carries the effect
+theory, cost monoid, mode and domain it was evaluated under, so
+``leq_outcome`` and ``eq_outcome`` take two outcomes and nothing else:
+suspensions are forced under the outcomes' own theory, and outcomes whose
+theory, monoid or domain differ are refused.  A suspension's key is only
+as fine as that domain, so a holding verdict that met one carries a note.
 Programs of first-order function type are compared pointwise by
 enumerating their input domain.
 """
-
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
@@ -42,7 +45,7 @@ from .semantics import (
     cost_sort_key, enumerate_inputs, enumerate_value_ty, get_evaluator,
     pair_sort_key, val_sort_key, val_str,
 )
-from .syntax import NONDET, PROB, PURE, ArrowTy, Program
+from .syntax import ArrowTy, Program
 
 
 class OrderError(Exception):
@@ -79,8 +82,6 @@ _EXT_NOTE = (
     "the configured domain, so the verdict is domain-relative"
 )
 
-_THEORIES = {"pure": PURE, "nondet": NONDET, "prob": PROB}
-
 
 def _suspends(v) -> bool:
     """Whether value ``v`` holds a suspended computation."""
@@ -100,28 +101,20 @@ class _Canon:
     """Canonical keys of the values of one comparison.
 
     Two values are equal exactly when their keys are.  Suspensions are
-    forced by an evaluator made on first use, under the theory, monoid
-    and mode of the outcomes; ``suspended`` records that one was met.
+    forced by an evaluator made on first use, under the theory, monoid,
+    mode and domain of the outcome ``out``; ``suspended`` records that
+    one was met.
     """
 
-    def __init__(self, out: Outcome, cfg: DomainConfig, theory):
+    def __init__(self, out: Outcome):
         self.out = out
-        self.cfg = cfg
-        self.theory = theory
         self.suspended = False
         self._ev = None
 
     def _evaluator(self) -> Evaluator:
         if self._ev is None:
-            theory = self.theory or _THEORIES.get(self.out.theory)
-            if theory is None:
-                raise OrderError(
-                    f"{self.out.theory} outcomes hold suspended "
-                    "computations: pass the `theory` argument to compare them"
-                )
-            self._ev = Evaluator.raw(
-                theory, self.out.monoid, self.out.mode, self.cfg
-            )
+            out = self.out
+            self._ev = Evaluator.raw(out.theory, out.monoid, out.mode, out.cfg)
         return self._ev
 
     def outcome(self, out: Outcome) -> Outcome:
@@ -169,7 +162,7 @@ class _Canon:
         if isinstance(ty, ArrowTy):
             return tuple(
                 self._normal_form_at(den(x), ty.cod)
-                for x in enumerate_value_ty(ty.dom, self.cfg)
+                for x in enumerate_value_ty(ty.dom, self.out.cfg)
             )
         return _normal_form(self.outcome(self._evaluator().outcome_of_den(den)))
 
@@ -195,6 +188,10 @@ def _check_compatible(lhs: Outcome, rhs: Outcome):
         )
     if lhs.monoid is not rhs.monoid:
         raise OrderError("cost monoid mismatch")
+    if lhs.cfg is not rhs.cfg and lhs.cfg.to_json() != rhs.cfg.to_json():
+        raise OrderError(
+            f"domain mismatch: {lhs.cfg.to_json()} vs {rhs.cfg.to_json()}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -202,33 +199,20 @@ def _check_compatible(lhs: Outcome, rhs: Outcome):
 # ---------------------------------------------------------------------------
 
 
-def leq_outcome(
-    lhs: Outcome, rhs: Outcome,
-    cfg: DomainConfig = DEFAULT_CONFIG,
-    theory=None,
-) -> Verdict:
-    """Decide the approximation preorder between two outcomes.
-
-    ``theory`` is the effect theory under which suspended computations in
-    the values are forced; only state outcomes that hold some need it.
-    """
-    return _decide(_leq_outcome, lhs, rhs, cfg, theory)
+def leq_outcome(lhs: Outcome, rhs: Outcome) -> Verdict:
+    """Decide the approximation preorder between two outcomes."""
+    return _decide(_leq_outcome, lhs, rhs)
 
 
-def eq_outcome(
-    lhs: Outcome, rhs: Outcome,
-    cfg: DomainConfig = DEFAULT_CONFIG,
-    theory=None,
-) -> Verdict:
-    """Decide equality of outcomes (``<=`` both ways); ``theory`` as for
-    ``leq_outcome``."""
-    return _decide(_eq_outcome, lhs, rhs, cfg, theory)
+def eq_outcome(lhs: Outcome, rhs: Outcome) -> Verdict:
+    """Decide equality of outcomes (``<=`` both ways)."""
+    return _decide(_eq_outcome, lhs, rhs)
 
 
-def _decide(decider, lhs, rhs, cfg, theory) -> Verdict:
+def _decide(decider, lhs, rhs) -> Verdict:
     """``decider`` on canonical outcomes; a witness shows them as given."""
     _check_compatible(lhs, rhs)
-    canon = _Canon(lhs, cfg, theory)
+    canon = _Canon(lhs)
     v = decider(canon.outcome(lhs), canon.outcome(rhs))
     if not v.holds:
         v.witness.lhs, v.witness.rhs = str(lhs), str(rhs)
@@ -388,7 +372,8 @@ def _leq_prob(lhs, rhs) -> Verdict:
                 )
         return Verdict(True)
     rel = _base_relation(lhs.monoid)
-    if transportation_oracle(list(dl), list(dr), rel):
+    scaled = lambda d: [(k, n * (den // d.den)) for k, n in d.nums.items()]
+    if transportation_oracle(scaled(dl), scaled(dr), rel):
         return Verdict(True)
     return _fail("no feasible coupling supported on the base order")
 
@@ -451,13 +436,13 @@ def transportation_oracle(lhs, rhs, relation: Callable) -> bool:
     """Exact feasibility of a coupling between two rational distributions.
 
     ``lhs``/``rhs`` are sequences of ``(item, weight)`` with equal total
-    mass; ``relation(a, b)`` says mass may move from ``a`` to ``b``.
-    Weights are cleared to integers by their common denominator and the
-    question becomes an integral max-flow, which is exact by flow
-    integrality.
+    mass, the weights ``int`` or ``Fraction``; ``relation(a, b)`` says
+    mass may move from ``a`` to ``b``.  Weights are cleared to integers by
+    their common denominator and the question becomes an integral
+    max-flow, which is exact by flow integrality.
     """
-    total_l = sum((w for _, w in lhs), Fraction(0))
-    total_r = sum((w for _, w in rhs), Fraction(0))
+    total_l = sum(w for _, w in lhs)
+    total_r = sum(w for _, w in rhs)
     if total_l != total_r:
         return False
     if total_l == 0:
@@ -566,7 +551,7 @@ def pointwise(
     for args in inputs:
         out_l = ev_l.outcome(args)
         out_r = ev_r.outcome(args)
-        v = decide(out_l, out_r, cfg, lhs.theory)
+        v = decide(out_l, out_r)
         if not v.holds:
             v.witness.input = ", ".join(val_str(a) for a in args)
             return v

@@ -35,7 +35,7 @@ and runs those.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -44,10 +44,10 @@ from typing import Optional
 
 from .syntax import (
     Ap, ArrowTy, Bind, BoolLit, BoolTy, Branch, CompTerm, CompTy, Cons,
-    CostLit, FTy, Fail, Flip, Fst, Get, If, Inl, Inr, Lam, ListRec, ListTy,
-    NatCost, NatRec, NatTy, Nil, Pair, Par, ProdTy, Program, Put, Ret, Snd,
-    Step, Suc, SumCase, SumTy, Triv, UnitTy, ValueTy, Var, Zero,
-    free_vars, scopes, term_str, unfold_arrows,
+    CostLit, EffectTheory, FTy, Fail, Flip, Fst, Get, If, Inl, Inr, Lam,
+    ListRec, ListTy, NatCost, NatRec, NatTy, Nil, Pair, Par, ProdTy, Program,
+    Put, Ret, Snd, Step, Suc, SumCase, SumTy, Triv, UnitTy, ValueTy, Var,
+    Zero, free_vars, scopes, term_str, unfold_arrows,
 )
 from .typecheck import elaborate
 
@@ -100,14 +100,6 @@ DEFAULT_CONFIG = DomainConfig()
 RUNIT = ("unit",)
 RTRUE = ("bool", True)
 RFALSE = ("bool", False)
-
-
-def rnat(n: int):
-    return ("nat", n)
-
-
-def rlist(items):
-    return ("list", tuple(items))
 
 
 def val_sort_key(v):
@@ -170,9 +162,17 @@ def val_str(v) -> str:
 
 @dataclass(frozen=True)
 class Outcome:
-    theory: str
+    """What a closed computation returns, with what it was evaluated
+    under: the effect theory, cost monoid and mode, and the domain
+    ``cfg``.  Suspensions inside the values are forced under all four,
+    so an outcome can be compared on its own; ``cfg`` takes no part in
+    equality or hashing."""
+
+    theory: EffectTheory
     monoid: object
-    mode: object  # EvalMode; thunks inside values are forced under it
+    mode: object  # EvalMode
+    cfg: DomainConfig = field(default=DEFAULT_CONFIG, compare=False,
+                              repr=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -680,16 +680,16 @@ class Evaluator:
         return self._den
 
     def outcome_of_den(self, den) -> Outcome:
+        head, cfg = (self.theory, self.monoid, self.mode), self.cfg
         kind = self.theory.kind
-        monoid = self.monoid
         if kind == "pure":
-            return PureOutcome("pure", monoid, self.mode, den[0], den[1])
+            return PureOutcome(*head, den[0], den[1], cfg=cfg)
         if kind == "nondet":
-            return NondetOutcome("nondet", monoid, self.mode, den)
+            return NondetOutcome(*head, den, cfg=cfg)
         if kind == "prob":
             if not den.has_unit_mass():
                 raise EvalError(f"probability mass {den.total()} is not 1")
-            return ProbOutcome("prob", monoid, self.mode, den)
+            return ProbOutcome(*head, den, cfg=cfg)
         if self._states is None:
             domain = state_domain(self.theory.state_ty, self.cfg)
             self._states = (domain, set(domain))
@@ -709,9 +709,8 @@ class Evaluator:
                 "state escape: every run left the configured state domain"
             )
         return StateOutcome(
-            "state", monoid, self.mode,
-            tuple(sorted(table, key=lambda e: val_sort_key(e[0]))),
-            frozenset(escaped),
+            *head, tuple(sorted(table, key=lambda e: val_sort_key(e[0]))),
+            frozenset(escaped), cfg=cfg,
         )
 
     def outcome(self, args: tuple = ()) -> Outcome:

@@ -459,13 +459,6 @@ def nat_lit(n: int) -> ValueTerm:
     return t
 
 
-def list_lit(items) -> ValueTerm:
-    t: ValueTerm = Nil()
-    for x in reversed(list(items)):
-        t = Cons(x, t)
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Binding structure: one table, and the walks over it
 # ---------------------------------------------------------------------------
@@ -707,6 +700,15 @@ def _is_numeral(s: str) -> bool:
     return s.isdigit()
 
 
+def _is_cost_lit(sx) -> bool:
+    """A numeral, or a pair of numerals (a work/span cost)."""
+    if isinstance(sx, SAtom):
+        return _is_numeral(sx.text)
+    return isinstance(sx, SList) and len(sx.items) == 2 and all(
+        isinstance(i, SAtom) and _is_numeral(i.text) for i in sx.items
+    )
+
+
 def _err(sx, msg):
     raise SyntaxError_(msg, sx.line, sx.col)
 
@@ -773,26 +775,16 @@ class _Parser:
     # -- costs --
 
     def cost_lit(self, sx):
-        if isinstance(sx, SAtom) and _is_numeral(sx.text):
+        if not _is_cost_lit(sx):
+            _err(sx, "expected a cost literal")
+        if isinstance(sx, SAtom):
             return self.monoid.scale(int(sx.text))
-        if (
-            isinstance(sx, SList)
-            and len(sx.items) == 2
-            and all(isinstance(i, SAtom) and _is_numeral(i.text) for i in sx.items)
-        ):
-            if self.monoid is not WORK_SPAN:
-                _err(sx, "pair cost literal requires the parallel cost monoid")
-            return (int(sx.items[0].text), int(sx.items[1].text))
-        _err(sx, "expected a cost literal")
+        if self.monoid is not WORK_SPAN:
+            _err(sx, "pair cost literal requires the parallel cost monoid")
+        return (int(sx.items[0].text), int(sx.items[1].text))
 
     def cost_expr(self, sx) -> CostExpr:
-        if isinstance(sx, SAtom) and _is_numeral(sx.text):
-            return CostLit(self.monoid.scale(int(sx.text)))
-        if (
-            isinstance(sx, SList)
-            and len(sx.items) == 2
-            and all(isinstance(i, SAtom) and _is_numeral(i.text) for i in sx.items)
-        ):
+        if _is_cost_lit(sx):
             return CostLit(self.cost_lit(sx))
         return NatCost(self.value(sx))
 

@@ -28,7 +28,8 @@ from stepbound.semantics import (
     DomainConfig, EvalMode, ProbOutcome, evaluate, get_evaluator,
 )
 from stepbound.syntax import (
-    BoolLit, CostLit, FTy, Par, ProdTy, Program, PURE, Ret, Step, NAT, BOOL,
+    BoolLit, CostLit, FTy, Par, ProdTy, Program, PROB, PURE, Ret, Step, NAT,
+    BOOL,
 )
 
 COST = EvalMode.COST_COUNTING
@@ -160,11 +161,11 @@ def test_criterion_8_oracle_agreement():
     rng = random.Random(4096)
     disagreements = 0
     for i in range(1000):
-        a = ProbOutcome("prob", SEQ_NAT, COST, gen_dist(rng))
+        a = ProbOutcome(PROB, SEQ_NAT, COST, gen_dist(rng))
         if rng.random() < 0.5:
             b = raise_outcome(rng, a)
         else:
-            b = ProbOutcome("prob", SEQ_NAT, COST, gen_dist(rng))
+            b = ProbOutcome(PROB, SEQ_NAT, COST, gen_dist(rng))
         if leq_outcome(a, b).holds != dist_leq_flow(a.dist, b.dist):
             disagreements += 1
     assert disagreements == 0

@@ -36,11 +36,14 @@ def test_corpus_contents():
 
 
 def test_corpus_programs_typecheck_and_share_types():
-    for spec in corpus():
+    specs = corpus()
+    hypotheses = [s.hypothesis for s in specs if s.hypothesis is not None]
+    assert len(hypotheses) == 3
+    for spec in specs + tuple(hypotheses):
         check_program(spec.program)
         check_program(spec.bound)
-        assert spec.program.declared_ty == spec.bound.declared_ty
-        assert spec.program.theory == spec.bound.theory
+        assert spec.program.declared_ty == spec.bound.declared_ty, spec.name
+        assert spec.program.theory == spec.bound.theory, spec.name
 
 
 def test_spec_helpers_are_cost_free():

@@ -15,10 +15,8 @@ from test_typecheck import _annotations
 
 from stepbound.corpus import corpus
 from stepbound.costs import SEQ_NAT
-from stepbound.gen import TermGen, synthesizes
-from stepbound.laws import (
-    STATE_NAT, catalog, check_law, instances, mutant_catalog,
-)
+from stepbound.gen import STATE_NAT, TermGen, synthesizes
+from stepbound.laws import catalog, check_law, instances, mutant_catalog
 from stepbound.syntax import (
     BOOL, NAT, NONDET, PROB, PURE, UNIT, FTy, term_str, unfold_arrows,
 )

@@ -1,6 +1,7 @@
 """Approximation preorder and equality deciders."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,15 +33,15 @@ COST = EvalMode.COST_COUNTING
 
 
 def pure(cost, value):
-    return PureOutcome("pure", SEQ_NAT, COST, cost, value)
+    return PureOutcome(PURE, SEQ_NAT, COST, cost, value)
 
 
 def nd(*pairs):
-    return NondetOutcome("nondet", SEQ_NAT, COST, frozenset(pairs))
+    return NondetOutcome(NONDET, SEQ_NAT, COST, frozenset(pairs))
 
 
 def prob(d):
-    return ProbOutcome("prob", SEQ_NAT, COST, Dist(d))
+    return ProbOutcome(PROB, SEQ_NAT, COST, Dist(d))
 
 
 UNIT_VAL = ("unit",)
@@ -230,10 +231,11 @@ from fractions import Fraction
 from stepbound.costs import SEQ_NAT
 from stepbound.order import leq_outcome
 from stepbound.semantics import Dist, EvalMode, ProbOutcome
+from stepbound.syntax import PROB
 
 def prob(*values):
     dist = Dist({(0, ("nat", v)): Fraction(1, 2) for v in values})
-    return ProbOutcome("prob", SEQ_NAT, EvalMode.COST_COUNTING, dist)
+    return ProbOutcome(PROB, SEQ_NAT, EvalMode.COST_COUNTING, dist)
 
 print(leq_outcome(prob(0, 1), prob(2, 3)).witness.explanation)
 """
@@ -341,35 +343,37 @@ def _thunk_pool(monoid):
 
 
 def _remap(out, monoid, cost, value):
-    """``out`` over ``monoid``, with every cost and value mapped."""
-    head = (out.theory, monoid, out.mode)
+    """``out`` over ``monoid``, with every cost and value mapped; its
+    theory, mode and domain carried over."""
     match out:
         case PureOutcome():
-            return PureOutcome(*head, cost(out.cost), value(out.value))
+            return replace(out, monoid=monoid, cost=cost(out.cost),
+                           value=value(out.value))
         case NondetOutcome():
-            return NondetOutcome(*head, frozenset(
+            return replace(out, monoid=monoid, branches=frozenset(
                 (cost(c), value(v)) for c, v in out.branches))
         case ProbOutcome():
             acc: dict = {}
             for (c, v), w in out.dist:
                 key = (cost(c), value(v))
                 acc[key] = acc.get(key, 0) + w
-            return ProbOutcome(*head, Dist(acc))
+            return replace(out, monoid=monoid, dist=Dist(acc))
         case StateOutcome():
-            return StateOutcome(*head, tuple(
+            return replace(out, monoid=monoid, table=tuple(
                 (s0, (cost(c), s1, value(v))) for s0, (c, s1, v) in out.table
-            ), out.escaped)
+            ))
 
 
 def _varied_pair(rng, kind, pools):
     """Two generated outcomes of ``kind`` (the second often equal to or
     raised from the first), over nat costs or work/span costs, with nat
     values or suspensions drawn independently from the thunk pools; and
-    whether the two are equivalent by construction."""
-    a = gen_outcome(rng, kind)
+    whether the two are equivalent by construction.  Suspensions are
+    compared over ``SUSP_CFG``."""
+    fresh = lambda: replace(gen_outcome(rng, kind), cfg=SUSP_CFG)
+    a = fresh()
     r = rng.random()
-    b = a if r < 0.25 else raise_outcome(rng, a) if r < 0.6 else \
-        gen_outcome(rng, kind)
+    b = a if r < 0.25 else raise_outcome(rng, a) if r < 0.6 else fresh()
     monoid = rng.choice((SEQ_NAT, WORK_SPAN))
     if monoid is WORK_SPAN:
         span = [rng.randrange(3) for _ in range(16)]
@@ -393,9 +397,8 @@ def test_eq_iff_leq_both_ways():
     for _ in range(300):
         kind = rng.choice(("pure", "nondet", "prob", "state"))
         a, b, equivalent = _varied_pair(rng, kind, pools)
-        args = (SUSP_CFG, THEORIES[kind])
-        eq = eq_outcome(a, b, *args).holds
-        both = leq_outcome(a, b, *args).holds and leq_outcome(b, a, *args).holds
+        eq = eq_outcome(a, b).holds
+        both = leq_outcome(a, b).holds and leq_outcome(b, a).holds
         assert eq == both
         assert eq or not equivalent
 
@@ -452,13 +455,11 @@ def _returned_thunks(kind, at, comps):
 @pytest.mark.parametrize("kind", ["pure", "nondet", "prob", "state"])
 def test_equivalent_suspensions_relate_both_ways_and_are_equal(kind, at):
     a, b, c = _returned_thunks(kind, at, SUSPENSIONS[at])
-    args = (SUSP_CFG, THEORIES[kind])
-    verdicts = [leq_outcome(a, b, *args), leq_outcome(b, a, *args),
-                eq_outcome(a, b, *args)]
+    verdicts = [leq_outcome(a, b), leq_outcome(b, a), eq_outcome(a, b)]
     assert [v.holds for v in verdicts] == [True, True, True]
     assert all("domain-relative" in v.note for v in verdicts)
-    assert not leq_outcome(a, c, *args).holds
-    assert not eq_outcome(a, c, *args).holds
+    assert not leq_outcome(a, c).holds
+    assert not eq_outcome(a, c).holds
 
 
 def test_prob_merges_the_mass_of_equivalent_suspensions():
@@ -487,17 +488,62 @@ def test_thunk_capturing_a_recursor_hypothesis(kind):
                  SUSP_CFG)
         for body in (rec, Ret(Ret(nat_lit(0))), Ret(Ret(nat_lit(1))))
     )
-    args = (SUSP_CFG, THEORIES[kind])
-    assert leq_outcome(a, b, *args).holds and leq_outcome(b, a, *args).holds
-    assert eq_outcome(a, b, *args).holds
-    assert not eq_outcome(a, c, *args).holds
+    assert leq_outcome(a, b).holds and leq_outcome(b, a).holds
+    assert eq_outcome(a, b).holds
+    assert not eq_outcome(a, c).holds
 
 
-def test_state_suspensions_need_the_theory():
-    a, b, _ = _returned_thunks("state", "F", SUSPENSIONS["F"])
+def test_state_suspensions_decided_from_the_outcomes_alone():
+    # a state outcome carries its state theory and domain, so the thunks
+    # it returns are forced over that domain with no further argument
+    a, b, c = _returned_thunks("state", "F", SUSPENSIONS["F"])
+    assert a.theory == state_theory(NAT) and a.cfg is SUSP_CFG
     for decide in (leq_outcome, eq_outcome):
-        with pytest.raises(OrderError, match="theory"):
-            decide(a, b, SUSP_CFG)
+        v = decide(a, b)
+        assert v.holds and "domain-relative" in v.note
+        w = decide(a, c)
+        assert not w.holds
+        assert w.witness.explanation == "from state 0: return values differ"
+
+
+def _identity_and_clamp(cfg):
+    """``ret (thunk λx. ret x)`` and ``ret (thunk λx. ret (min x 1))``
+    evaluated over ``cfg``: the two suspensions agree at 0 and 1 and
+    first differ at 2."""
+    ty = FTy(UTy(ArrowTy(NAT, FTy(NAT))))
+    clamp = NatRec(Var("x"), Ret(nat_lit(0)), "k", "ih", Ret(nat_lit(1)))
+    return [
+        evaluate(Program("p", PURE, SEQ_NAT, Ret(Lam("x", NAT, body)), ty),
+                 COST, cfg)
+        for body in (Ret(Var("x")), clamp)
+    ]
+
+
+def test_suspensions_compared_over_the_outcomes_own_domain():
+    small = _identity_and_clamp(DomainConfig(nat_max=1))
+    v = eq_outcome(*small)
+    assert v.holds and "domain-relative" in v.note
+    assert leq_outcome(*small).holds
+    larger = _identity_and_clamp(DomainConfig(nat_max=2))
+    v = eq_outcome(*larger)
+    assert not v.holds
+    assert v.witness.explanation == "return values differ"
+
+
+def test_outcomes_over_different_domains_raise():
+    (a, _), (_, b) = (_identity_and_clamp(DomainConfig(nat_max=n))
+                      for n in (1, 2))
+    for decide in (leq_outcome, eq_outcome):
+        with pytest.raises(OrderError, match="domain"):
+            decide(a, b)
+    # first-order outcomes too: the domain is part of what an outcome is
+    c, d = (PureOutcome(PURE, SEQ_NAT, COST, 0, UNIT_VAL,
+                        cfg=DomainConfig(state_max=n)) for n in (1, 2))
+    with pytest.raises(OrderError, match="domain"):
+        eq_outcome(c, d)
+    # only the domain counts, not other settings
+    e = replace(c, cfg=DomainConfig(state_max=1, hyp_candidates=7))
+    assert eq_outcome(c, e).holds
 
 
 def test_step_monotonicity():
@@ -514,7 +560,7 @@ def test_step_monotonicity():
         hi = Program("hi", theory, SEQ_NAT, Step(CostLit(cc), e), ty)
         out_lo = evaluate(lo, COST, cfg)
         out_hi = evaluate(hi, COST, cfg)
-        assert leq_outcome(out_lo, out_hi, cfg, theory).holds
+        assert leq_outcome(out_lo, out_hi).holds
 
 
 def test_bind_monotonicity():
@@ -533,7 +579,7 @@ def test_bind_monotonicity():
         hi = Program("hi", theory, SEQ_NAT, Bind(e_hi, "bx", f), ty)
         out_lo = evaluate(lo, COST, cfg)
         out_hi = evaluate(hi, COST, cfg)
-        assert leq_outcome(out_lo, out_hi, cfg, theory).holds
+        assert leq_outcome(out_lo, out_hi).holds
 
 
 SORT_CFG = DomainConfig(list_len=4, elems=4)

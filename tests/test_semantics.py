@@ -146,7 +146,7 @@ def _eval_both(theory, body_a, body_b, ty, cfg):
     pb = Program("b", theory, SEQ_NAT, body_b, ty)
     oa = evaluate(pa, COST, cfg)
     ob = evaluate(pb, COST, cfg)
-    return oa, ob, eq_outcome(oa, ob, cfg, theory).holds
+    return oa, ob, eq_outcome(oa, ob).holds
 
 
 def test_dist_insertion_order_is_not_observable():
@@ -160,7 +160,7 @@ def test_dist_insertion_order_is_not_observable():
     assert [k for k, _ in a] == [
         (0, natlist([2])), (2, nat(0)), (2, nat(1)), (3, natlist([1, 0]))
     ]
-    show = lambda d: str(ProbOutcome("prob", SEQ_NAT, COST, d))
+    show = lambda d: str(ProbOutcome(PROB, SEQ_NAT, COST, d))
     assert show(a) == show(b) == (
         "{(0, [2]) -> 1/4, (2, 0) -> 1/4, (2, 1) -> 1/3, (3, [1 0]) -> 1/6}"
     )
