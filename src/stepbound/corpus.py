@@ -11,14 +11,17 @@ theory, related by one of:
 Bounds are ordinary programs: where a bound needs arithmetic on the input
 (lengths, squares, logs) it computes it with cost-free helper
 computations and feeds the result to ``step`` as a nat-valued
-annotation.  The harness separately asserts that all ``*_spec`` helpers
-really are cost-free on every input they see.
+annotation.  ``harness.assert_helpers_cost_free`` checks that every
+``SPEC_HELPERS`` entry really is cost-free on every input of a small
+domain; Tier-1 (``tests/test_corpus.py``) calls it, and ``verify`` does
+not.
 
 Higher-order entries (``twice``, ``map``) cannot be tabulated over their
 suspended argument, so they carry a *hypothesis* spec: the harness
 generates candidate arguments, keeps those satisfying the hypothesis and
 checks the conclusion for each.  That is evidence, not proof, and the
-reports say so.
+reports say so.  A hypothesis is decided over its spec's domain, so it
+repeats that domain; ``verify`` refuses one that differs.
 
 Recursion in the sources is structural only; quicksort and merge sort
 recurse on non-structural sublists, so they run inside a nat-recursor

@@ -194,6 +194,11 @@ def _report_from_verdict(spec, verdict, cfg, mode, scope) -> CheckReport:
 
 
 def _verify_hypothesis(spec, mode, cfg, seed, scope) -> CheckReport:
+    if spec.hypothesis.domain != spec.domain:
+        raise OrderError(
+            f"the hypothesis of spec '{spec.name}' states its own domain; "
+            "it is decided over the spec's, so the two must be equal"
+        )
     arg_tys, _ = unfold_arrows(spec.program.declared_ty)
     if not arg_tys or not isinstance(arg_tys[0], UTy):
         raise OrderError(

@@ -8,7 +8,10 @@ produce a concrete instance of its two sides, born elaborated: the
 generator types every node it draws and the builder types every node it
 composes, so ``check_law`` hands both sides straight to the evaluator
 and requires outcome equality.  A Tier-1 property re-elaborates the
-instances to hold the builders to that.
+instances to hold the builders to that.  Both sides of an instance are
+evaluated by one evaluator, which compiles each node once: the sides
+mostly share their sub-terms (``e`` in ``branch(e, e) = e``), and the
+right side runs the closures compiled for the left.
 
 Because the evaluator normalizes its representations (sets, merged
 distributions, threaded state), most laws hold there *by construction*;
@@ -415,6 +418,13 @@ def instances(law: Law, seed: int = 0):
         yield (theory, *law.build(TermGen(rng, theory)))
 
 
+def instance_outcomes(theory, lhs, rhs, ty, mode: EvalMode) -> tuple:
+    """The outcomes of a law instance's two sides, from one evaluator:
+    a node the sides share compiles once."""
+    ev = Evaluator(Program("law", theory, SEQ_NAT, lhs, ty), mode, LAWS_CONFIG)
+    return ev.outcome(()), ev.outcome((), rhs)
+
+
 def check_law(
     law: Law,
     trials: int = 500,
@@ -433,10 +443,7 @@ def check_law(
     theory_name = law.theory or "any"
     report = LawReport(law.name, theory_name, trials, mode)
     for theory, lhs, rhs, ty in itertools.islice(instances(law, seed), trials):
-        lp = Program(f"{law.name}-lhs", theory, SEQ_NAT, lhs, ty)
-        rp = Program(f"{law.name}-rhs", theory, SEQ_NAT, rhs, ty)
-        out_l = Evaluator(lp, mode, LAWS_CONFIG).outcome(())
-        out_r = Evaluator(rp, mode, LAWS_CONFIG).outcome(())
+        out_l, out_r = instance_outcomes(theory, lhs, rhs, ty, mode)
         verdict = eq_outcome(out_l, out_r)
         if not verdict.holds:
             if len(report.failures) < max_recorded:

@@ -47,7 +47,7 @@ from .syntax import (
     CostLit, EffectTheory, FTy, Fail, Flip, Fst, Get, If, Inl, Inr, Lam,
     ListRec, ListTy, NatCost, NatRec, NatTy, Nil, Pair, Par, ProdTy, Program,
     Put, Ret, Snd, Step, Suc, SumCase, SumTy, Triv, UnitTy, ValueTy, Var,
-    Zero, free_vars, scopes, term_str, unfold_arrows,
+    Zero, free_vars, frozen_record, scopes, term_str, unfold_arrows,
 )
 from .typecheck import elaborate
 
@@ -160,7 +160,7 @@ def val_str(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Outcome:
     """What a closed computation returns, with what it was evaluated
     under: the effect theory, cost monoid and mode, and the domain
@@ -175,7 +175,7 @@ class Outcome:
                               repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PureOutcome(Outcome):
     cost: object
     value: object
@@ -190,7 +190,7 @@ class PureOutcome(Outcome):
         return self.cost
 
 
-@dataclass(frozen=True)
+@frozen_record
 class NondetOutcome(Outcome):
     branches: frozenset  # of (cost, value)
 
@@ -285,7 +285,7 @@ class Dist:
         return sum(self.nums.values()) == self.den
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ProbOutcome(Outcome):
     dist: Dist
 
@@ -303,7 +303,7 @@ class ProbOutcome(Outcome):
         return _extreme_cost((c for c, _ in self.dist.nums), min)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class StateOutcome(Outcome):
     table: tuple       # sorted ((s0, (cost, s1, value)), ...)
     escaped: frozenset  # initial states whose run left the domain
@@ -503,12 +503,13 @@ _OPS = {
 # ---------------------------------------------------------------------------
 
 
-# How many compiled programs and thunk bodies an evaluator keeps at once.
-# A thunk is typically forced again and again over a stretch of the domain
-# (a hypothesis candidate over every input), then never again.  Past this
-# many, every kept closure is dropped, and a term forced again compiles
-# anew.  Keeping them all would hold the closures of every hypothesis
-# candidate until the check ends.
+# How many terms an evaluator compiles from (program bodies and forced
+# thunk bodies not already compiled as part of one) before it drops its
+# closures.  A thunk is typically forced again and again over a stretch of
+# the domain (a hypothesis candidate over every input), then never again.
+# Past this many, every kept closure is dropped, and a term forced again
+# compiles anew.  Keeping them all would hold the closures of every
+# hypothesis candidate until the check ends.
 _KEEP_COMPILED = 32
 
 
@@ -521,10 +522,13 @@ class Evaluator:
     the names of the variables it captures, whether its type is an
     arrow, the theory operation it calls, and whether a charge is zero
     or the mode extensional.  The closure does only the run-time work.
-    Sub-terms compile inline with their parent.  The program body and
-    each forced thunk body compile on first use and are kept, up to
-    ``_KEEP_COMPILED`` at a time, so a thunk forced again and again runs
-    the same closures.
+    Each computation node compiles once per evaluator, on first use, and
+    its closure is kept in ``_compiled`` by the node's identity: a node
+    reached again, as a forced thunk body or as part of another term
+    evaluated here, runs the closures compiled for it.  So the two sides
+    of a law instance, evaluated by one evaluator through ``outcome``'s
+    ``body``, compile the nodes they share once.  Closures are kept for
+    the terms of up to ``_KEEP_COMPILED`` compilations at a time.
 
     Evaluation is tabled (Michie's memo functions).  One table maps
     ``(id(node), captured, argument)`` to a denotation.  ``node`` is a λ
@@ -561,8 +565,9 @@ class Evaluator:
         self.ops = None if program is None else _OPS[self.theory.kind](self.monoid)
         self.ext = mode is EvalMode.EXTENSIONAL
         self._table: dict = {}
-        self._compiled: dict = {}  # id(term) -> (term, closure)
-        self._retired: dict = {}  # id(term) -> term, closure dropped
+        self._compiled: dict = {}  # id(node) -> (node, closure)
+        self._roots: list = []  # terms compiled from, since the last drop
+        self._retired: dict = {}  # id(term) -> term, closures dropped
         self._states = None  # (state domain, its set), on first use
         self.table_hits = 0
         self._den = None
@@ -583,11 +588,15 @@ class Evaluator:
     # -- compilation ------------------------------------------------------------
 
     def _comp(self, t):
-        """The closure evaluating computation ``t`` in an environment."""
-        compile_form = _COMP_FORMS.get(type(t))
-        if compile_form is None:
-            raise EvalError(f"cannot evaluate computation {t!r}")
-        return compile_form(self, t)
+        """The closure evaluating computation ``t`` in an environment,
+        compiled on the node's first visit and kept in ``_compiled``."""
+        hit = self._compiled.get(id(t))
+        if hit is None:
+            compile_form = _COMP_FORMS.get(type(t))
+            if compile_form is None:
+                raise EvalError(f"cannot evaluate computation {t!r}")
+            hit = self._compiled[id(t)] = (t, compile_form(self, t))
+        return hit[1]
 
     def _value(self, t):
         """The closure evaluating value ``t`` in an environment."""
@@ -640,16 +649,17 @@ class Evaluator:
 
     def eval_comp(self, t: CompTerm, env: dict):
         hit = self._compiled.get(id(t))
-        if hit is None:
-            if len(self._compiled) == _KEEP_COMPILED:
-                # the closures go, their terms stay: the ids of the terms'
-                # nodes are in table keys and must not be reused
-                self._retired.update(
-                    (k, node) for k, (node, _) in self._compiled.items()
-                )
-                self._compiled.clear()
-            hit = self._compiled[id(t)] = (t, self._comp(t))
-        return hit[1](env)
+        if hit is not None:
+            return hit[1](env)
+        if len(self._roots) == _KEEP_COMPILED:
+            # the closures go, their terms stay: the ids of the terms'
+            # nodes are in table keys and must not be reused
+            self._retired.update((id(r), r) for r in self._roots)
+            self._roots.clear()
+            self._compiled.clear()
+        run = self._comp(t)
+        self._roots.append(t)
+        return run(env)
 
     def force(self, v):
         match v[0]:
@@ -713,9 +723,13 @@ class Evaluator:
             frozenset(escaped), cfg=cfg,
         )
 
-    def outcome(self, args: tuple = ()) -> Outcome:
-        """Outcome of the program applied to ``args`` (runtime values)."""
-        den = self.denotation()
+    def outcome(self, args: tuple = (), body=None) -> Outcome:
+        """Outcome of the program applied to ``args`` (runtime values).
+
+        ``body``, when given, is evaluated in place of the program's body:
+        a closed, elaborated term of the program's type, which shares this
+        evaluator's closures and table."""
+        den = self.denotation() if body is None else self.eval_comp(body, {})
         if len(args) != self._arity:
             raise EvalError(
                 f"program expects {self._arity} arguments, got {len(args)}"

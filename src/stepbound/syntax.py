@@ -60,8 +60,46 @@ class SyntaxError_(Exception):
 # ---------------------------------------------------------------------------
 
 
+def frozen_record(cls):
+    """``cls`` as a frozen dataclass whose ``__init__`` stores the fields
+    straight into the instance ``__dict__``.
+
+    The ``__init__`` that ``dataclass(frozen=True)`` writes assigns each
+    field through ``object.__setattr__``, a call per field, and the law
+    suite and the generators build hundreds of thousands of nodes.  The
+    one written here has the same signature and defaults, and still calls
+    ``__post_init__``; assignment after construction still raises
+    ``FrozenInstanceError``.  Fields must be init fields without a
+    ``default_factory``.
+    """
+    cls = dataclass(frozen=True)(cls)
+    params, kw_params, lines = [], [], []
+    defaults = {}
+    for f in dataclasses.fields(cls):
+        if not f.init or f.default_factory is not dataclasses.MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: frozen_record takes "
+                            "init fields with plain defaults only")
+        param = f.name
+        if f.default is not dataclasses.MISSING:
+            defaults[f"_default_{f.name}"] = f.default
+            param += f"=_default_{f.name}"
+        (kw_params if f.kw_only else params).append(param)
+        lines.append(f"    __d[{f.name!r}] = {f.name}")
+    if kw_params:
+        params += ["*", *kw_params]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    source = (f"def __init__(self, {', '.join(params)}):\n"
+              "    __d = self.__dict__\n" + "\n".join(lines) + "\n")
+    exec(source, defaults)
+    init = defaults["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
 def _node(cls):
-    """A frozen dataclass whose hash is computed on first use and kept.
+    """A ``frozen_record`` whose hash is computed on first use and kept.
 
     Types and terms compare by value, and the evaluator's table keys hold
     them (inside thunk and ``den`` values), so without the cache every
@@ -69,14 +107,13 @@ def _node(cls):
     construction (``dataclasses.replace`` builds a new one), so a kept
     hash cannot go stale.
     """
-    cls = dataclass(frozen=True)(cls)
+    cls = frozen_record(cls)
     tree_hash = cls.__hash__
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = tree_hash(self)
-            object.__setattr__(self, "_hash", h)
+            h = self.__dict__["_hash"] = tree_hash(self)
         return h
 
     cls._hash = None
@@ -443,7 +480,7 @@ class Par(CompTerm):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Program:
     name: str
     theory: EffectTheory

@@ -144,6 +144,29 @@ def test_hypothesis_conclusion_decides_the_spec_relation(relation):
     assert rep.counterexample["input"].startswith("argument ")
 
 
+def test_hypothesis_with_a_domain_of_its_own_is_refused(monkeypatch, capsys):
+    # a hypothesis is decided over its spec's domain, so one stating a
+    # different domain would be silently ignored
+    import dataclasses
+
+    from stepbound import cli, harness
+    from stepbound.order import OrderError
+
+    spec = by_name("twice-hypothesis")
+    wider = dataclasses.replace(spec.domain, nat_max=spec.domain.nat_max + 1)
+    bad = dataclasses.replace(
+        spec, hypothesis=dataclasses.replace(spec.hypothesis, domain=wider)
+    )
+    with pytest.raises(OrderError, match="twice-hypothesis"):
+        verify(bad)
+    monkeypatch.setattr(harness, "corpus", lambda: (bad,))
+    assert cli.main(["check", "--spec", bad.name]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("stepbound: error: the hypothesis of spec ")
+    assert err.count("\n") == 1
+
+
 def test_hypothesis_inconclusive_when_too_few_admitted():
     spec = by_name("twice-hypothesis")
     rep = verify(spec, domain_override={"hyp_candidates": 30})

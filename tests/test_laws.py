@@ -1,13 +1,21 @@
 """Law catalog: names, determinism, mode stability, mutants."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
 
+from stepbound.costs import SEQ_NAT
 from stepbound.gen import TermGen
-from stepbound.laws import catalog, check_law, mutant_catalog
-from stepbound.semantics import EvalMode
-from stepbound.syntax import Branch, NONDET
+from stepbound.laws import (
+    LAWS_CONFIG, catalog, check_law, instance_outcomes, instances,
+    mutant_catalog,
+)
+from stepbound.semantics import EvalMode, Evaluator
+from stepbound.syntax import Branch, NONDET, Program
+
+MODES = (EvalMode.COST_COUNTING, EvalMode.EXTENSIONAL)
 
 EXPECTED_NAMES = {
     "step/zero", "step/plus", "bind/step", "lam/step", "bind/ret",
@@ -87,3 +95,54 @@ def test_corrupted_flip_one_reports_witness():
 def test_trials_must_be_positive():
     with pytest.raises(ValueError):
         check_law(catalog()[0], trials=0)
+
+
+# check_law(mutant, trials=200, seed=0, mode).failures per mutant: how many
+# there are, and the sha256 prefix of the texts joined by newlines.  Each
+# text prints the instance and both outcomes.  Recorded when each side of
+# an instance had an evaluator of its own.
+_MUTANT_FAILURES = {
+    "cost": {
+        "mutant:flip/one-returns-left": (6, "35ffc27b0ecb7f32"),
+        "mutant:step/one-free": (6, "25909c1c2162a5f7"),
+        "mutant:branch/left-bias": (6, "c937854031d9da30"),
+        "mutant:set/set-keeps-first": (6, "a488fd4ab3cb8728"),
+        "mutant:bind/step-drops-cost": (6, "35b575fe9da698a3"),
+    },
+    # the two cost-only mutants hold once cost is erased
+    "ext": {
+        "mutant:flip/one-returns-left": (6, "de2fd13dd7b2f537"),
+        "mutant:step/one-free": (0, "e3b0c44298fc1c14"),
+        "mutant:branch/left-bias": (6, "bc1d965cf3fa92eb"),
+        "mutant:set/set-keeps-first": (6, "0ab2915f7d877d13"),
+        "mutant:bind/step-drops-cost": (0, "e3b0c44298fc1c14"),
+    },
+}
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_mutant_failure_texts_are_pinned(mode):
+    got, texts = {}, []
+    for mutant in mutant_catalog():
+        failures = check_law(mutant, trials=200, seed=0, mode=mode).failures
+        digest = hashlib.sha256("\n".join(failures).encode()).hexdigest()
+        got[mutant.name] = (len(failures), digest[:16])
+        texts += failures
+    assert got == _MUTANT_FAILURES[mode.value], "\n".join(texts)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_evaluator_per_instance_matches_one_per_side(seed, mode):
+    # the sides share nodes, closures and table entries in check_law's
+    # evaluator; lam/step's λ nodes are tabled
+    for law in catalog() + mutant_catalog():
+        for theory, lhs, rhs, ty in itertools.islice(instances(law, seed), 50):
+            shared = instance_outcomes(theory, lhs, rhs, ty, mode)
+            apart = tuple(
+                Evaluator(Program("side", theory, SEQ_NAT, body, ty), mode,
+                          LAWS_CONFIG).outcome(())
+                for body in (lhs, rhs)
+            )
+            assert shared == apart, law.name
+            assert list(map(str, shared)) == list(map(str, apart)), law.name

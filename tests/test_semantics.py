@@ -22,8 +22,8 @@ from stepbound.semantics import (
     get_evaluator, pair_sort_key,
 )
 from stepbound.syntax import (
-    NAT, PROB, Ap, ArrowTy, Bind, Branch, CostLit, FTy, Lam, NatRec, Program,
-    PURE, Ret, Step, Var, Zero, parse, scopes,
+    NAT, NONDET, PROB, Ap, ArrowTy, Bind, Branch, CostLit, FTy, Lam, NatRec,
+    Program, PURE, Ret, Step, Var, Zero, parse, scopes,
 )
 from stepbound.typecheck import check_program
 
@@ -512,6 +512,22 @@ def test_evaluator_holds_every_node_its_table_keys_name():
             for node in _nodes(term)}
     assert len(ev._table) == 100
     assert {key[0] for key in ev._table} <= held
+
+
+def test_a_body_sharing_nodes_with_the_program_runs_their_closures():
+    # branch(e, e) then e, as the two sides of branch/idem: evaluating e
+    # in place of the program's body compiles nothing new
+    ident = Lam("y", NAT, Ret(Var("y")), ty=ArrowTy(NAT, FTy(NAT)))
+    e = Step(CostLit(1), Ap(ident, Zero(), ty=FTy(NAT)), ty=FTy(NAT))
+    body = Branch(e, e, ty=FTy(NAT))
+    ev = Evaluator(Program("idem", NONDET, SEQ_NAT, body, FTy(NAT)), COST,
+                   DEFAULT_CONFIG)
+    assert str(ev.outcome(())) == "{(1, 0)}"
+    compiled = dict(ev._compiled)
+    assert id(e) in compiled
+    assert str(ev.outcome((), e)) == "{(1, 0)}"
+    assert ev._compiled == compiled
+    assert ev._roots == [body]
 
 
 def test_recursor_capturing_a_variable_matches_closed_form_insert():

@@ -1,4 +1,5 @@
-"""Parser and printer: examples, round trips, canonical rendering."""
+"""Parser and printer: examples, round trips, canonical rendering; how
+nodes, outcomes and programs are built."""
 
 import dataclasses
 import math
@@ -8,12 +9,18 @@ from fractions import Fraction
 import pytest
 
 from stepbound.corpus import ALL_PROGRAMS
+from stepbound.costs import SEQ_NAT
+from stepbound import syntax
 from stepbound.gen import TermGen, random_theory
+from stepbound.semantics import (
+    DEFAULT_CONFIG, EvalMode, NondetOutcome, Outcome, ProbOutcome,
+    PureOutcome, StateOutcome,
+)
 from stepbound.syntax import (
-    BOOL, NAT, Bind, CostLit, FTy, Flip, Lam, ListTy, NatCost, NatRec, Pair, Ret,
-    Step, Suc, SumTy, SyntaxError_, Term, Triv, Var, Zero, alpha_eq,
-    alpha_normalize, free_vars, nat_lit, parse, print_program, scopes, subst,
-    term_str,
+    BOOL, NAT, PURE, Bind, CostLit, FTy, Flip, Lam, ListTy, NatCost, NatRec,
+    Pair, Program, Ret, Step, Suc, SumTy, SyntaxError_, Term, Triv, Var, Zero,
+    alpha_eq, alpha_normalize, free_vars, nat_lit, parse, print_program,
+    scopes, subst, term_str,
 )
 from stepbound.typecheck import check_program
 
@@ -363,3 +370,62 @@ def test_alpha_eq_survives_renaming_to_a_fresh_name_and_back():
             renamed = Lam(fresh, NAT, subst(body, {x: Var(fresh)}))
             assert alpha_eq(renamed, Lam(x, NAT, body))
     assert checked > 150
+
+
+# -- frozen records: how nodes, outcomes and programs are built --------------
+
+_NODES = [c for c in vars(syntax).values()
+          if isinstance(c, type) and "_hash" in vars(c)]
+_RECORDS = _NODES + [Program, Outcome, PureOutcome, NondetOutcome,
+                     ProbOutcome, StateOutcome]
+# fields that ``__post_init__`` checks, with two valid values each
+_CHECKED = {(Flip, "prob"): (Fraction(1, 2), Fraction(1, 3))}
+
+
+def test_every_node_class_is_a_record():
+    # 9 types, 3 term bases, 12 values, 2 cost forms, 15 computations
+    assert len(_NODES) == 41
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda c: c.__name__)
+def test_record_construction_contract(cls):
+    fields = dataclasses.fields(cls)
+    kw = {f.name: _CHECKED.get((cls, f.name), (object(),))[0]
+          for f in fields}
+    ids = lambda obj: [id(getattr(obj, f.name)) for f in fields]
+    want = [id(kw[f.name]) for f in fields]
+    positional = [kw[f.name] for f in fields if not f.kw_only]
+    assert cls.__match_args__ == tuple(f.name for f in fields
+                                       if not f.kw_only)
+    obj = cls(**kw)
+    assert ids(obj) == want
+    assert ids(cls(*positional, **{f.name: kw[f.name]
+                                   for f in fields if f.kw_only})) == want
+    if len(positional) < len(fields):
+        with pytest.raises(TypeError):
+            cls(*[kw[f.name] for f in fields])
+    required = {f.name: kw[f.name] for f in fields
+                if f.default is dataclasses.MISSING}
+    defaulted = cls(**required)
+    for f in fields:
+        assert getattr(defaulted, f.name) is required.get(f.name, f.default)
+    for name in [f.name for f in fields] + ["extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, object())
+    assert dataclasses.replace(obj) == obj
+    for f in fields:
+        new = _CHECKED.get((cls, f.name), (None, object()))[1]
+        changed = dataclasses.replace(obj, **{f.name: new})
+        fresh = cls(**{**kw, f.name: new})
+        assert changed == fresh and hash(changed) == hash(fresh)
+        assert (changed == obj) is not f.compare
+
+
+def test_record_post_init_still_checks():
+    with pytest.raises(ValueError, match="outside"):
+        Flip(Fraction(3, 2), Ret(Zero()), Ret(Zero()))
+
+
+def test_outcome_cfg_defaults_to_the_default_domain():
+    out = PureOutcome(PURE, SEQ_NAT, EvalMode.COST_COUNTING, 0, ("nat", 0))
+    assert out.cfg is DEFAULT_CONFIG
