@@ -17,9 +17,7 @@ from .order import (
     Verdict, eq_outcome, eq_program, ext_equal_program, leq_outcome,
     leq_program, transportation_oracle,
 )
-from .semantics import (
-    DomainConfig, EvalMode, eval_fn, evaluate, get_evaluator,
-)
+from .semantics import DomainConfig, EvalMode, eval_fn, evaluate
 from .syntax import Program, parse, print_program
 from .typecheck import Checker, TypeCheckError, check_program, elaborate
 
@@ -28,9 +26,8 @@ __all__ = [
     "MONOIDS", "Program", "Relation", "SEQ_NAT", "TypeCheckError",
     "Verdict", "WORK_SPAN", "catalog", "check_law", "check_program",
     "corpus", "elaborate", "eq_outcome", "eq_program", "ext_equal_program",
-    "eval_fn", "evaluate", "get_evaluator", "leq_outcome", "leq_program",
-    "mutant_catalog", "parse", "print_program", "run_all",
-    "transportation_oracle", "verify",
+    "eval_fn", "evaluate", "leq_outcome", "leq_program", "mutant_catalog",
+    "parse", "print_program", "run_all", "transportation_oracle", "verify",
 ]
 
 __version__ = "0.1.0"

@@ -223,16 +223,7 @@ def gen_outcome(rng: random.Random, kind: str):
         )
         return NondetOutcome(*head, branches)
     if kind == "prob":
-        n = rng.randrange(1, 5)
-        raw = [
-            ((_rand_cost(rng), _rand_val(rng)), rng.randrange(1, 6))
-            for _ in range(n)
-        ]
-        total = sum(w for _, w in raw)
-        acc: dict = {}
-        for k, w in raw:
-            acc[k] = acc.get(k, Fraction(0)) + Fraction(w, total)
-        return ProbOutcome(*head, Dist(acc))
+        return ProbOutcome(*head, _rand_dist(rng, lambda: _rand_val(rng)))
     if kind == "state":
         states = [("nat", i) for i in range(3)]
         table = tuple(
@@ -278,9 +269,15 @@ def raise_outcome(rng: random.Random, out):
 
 def gen_dist(rng: random.Random, values=(("nat", 0), ("nat", 1))):
     """A random exact-rational distribution over (cost, value) pairs."""
+    return _rand_dist(rng, lambda: rng.choice(values))
+
+
+def _rand_dist(rng: random.Random, draw_value) -> Dist:
+    """1 to 4 items, each a random cost, a value from ``draw_value()``
+    and an integer weight in 1..5, normalised to total mass 1."""
     n = rng.randrange(1, 5)
     raw = [
-        ((_rand_cost(rng), rng.choice(values)), rng.randrange(1, 6))
+        ((_rand_cost(rng), draw_value()), rng.randrange(1, 6))
         for _ in range(n)
     ]
     total = sum(w for _, w in raw)

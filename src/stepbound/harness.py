@@ -1,15 +1,19 @@
 """Verification harness: runs bound specs and the law suite, reports results.
 
-``verify`` dispatches on the spec's relation:
+``verify`` decides each relation of a spec with one evaluator, built
+from the spec's effect theory, cost monoid, evaluation mode and domain,
+which evaluates both the program and the bound:
 
-* first-order specs tabulate both programs over the enumerated input
-  domain and compare outcomes pointwise;
-* hypothesis specs generate candidate arguments for the leading suspended
-  parameter, keep those satisfying the hypothesis spec, and check the
-  conclusion for each admitted candidate; both are decided by their own
-  relation, pointwise with the candidate fixed.  Fewer than the configured
-  minimum of admitted candidates makes the run *inconclusive* rather than
-  passing vacuously.
+* a first-order spec is one relation: both programs are tabulated over
+  the enumerated input domain and compared pointwise, and the report's
+  cost range and table counters come from the same evaluator;
+* a hypothesis spec generates candidate arguments for the leading
+  suspended parameter, keeps those satisfying the hypothesis sub-spec,
+  and checks the conclusion for each admitted candidate.  The sub-spec
+  and the conclusion are two relations with an evaluator each, and each
+  is decided pointwise with the candidate fixed.  Fewer than the
+  configured minimum of admitted candidates makes the run *inconclusive*
+  rather than passing vacuously.
 
 In extensional mode every relation is checked as an equality; an
 approximation that holds with costs counted must collapse to an equality
@@ -34,10 +38,12 @@ from .corpus import BoundSpec, Relation, SPEC_HELPERS, corpus
 from .costs import SEQ_NAT, CostMonoid, cost_to_json
 from .gen import TermGen
 from .laws import LawReport, catalog, check_law
-from .order import OrderError, Verdict, eq_outcome, leq_outcome, pointwise
+from .order import (
+    OrderError, eq_outcome, leq_outcome, pair_evaluator, pointwise,
+)
 from .semantics import (
-    DomainConfig, EvalError, EvalMode, cost_sort_key, enumerate_inputs,
-    get_evaluator, val_str,
+    DomainConfig, EvalMode, Evaluator, cost_sort_key, enumerate_inputs,
+    eval_fn, val_str,
 )
 from .syntax import (
     CostLit, PURE, Program, Step, Term, UTy, map_scopes, term_str,
@@ -92,16 +98,13 @@ def _merge_domain(base: DomainConfig, override: Optional[dict]) -> DomainConfig:
     return dataclasses.replace(base, **override)
 
 
-def _cost_stats(program: Program, mode, cfg, scope):
-    """Exact max/min cost of the program side over the enumerated domain."""
-    ev = get_evaluator(program, mode, cfg, scope)
-    try:
-        _, inputs = enumerate_inputs(program.declared_ty, cfg)
-    except EvalError:
-        return None, None  # not enumerable (hypothesis specs)
+def _cost_stats(ev: Evaluator, program) -> tuple:
+    """Exact max/min cost of the elaborated ``program`` over ``ev``'s
+    enumerated domain."""
+    _, inputs = enumerate_inputs(program.ty, ev.cfg)
     lo = hi = None
     for args in inputs:
-        out = ev.outcome(args)
+        out = ev.outcome(program, args)
         mx, mn = out.max_cost(), out.min_cost()
         if mx is not None and (hi is None or cost_sort_key(mx) > cost_sort_key(hi)):
             hi = mx
@@ -110,13 +113,17 @@ def _cost_stats(program: Program, mode, cfg, scope):
     return hi, lo
 
 
-def _relation_check(
-    spec: BoundSpec, mode: EvalMode, cfg: DomainConfig, scope: dict,
-    lead: tuple = (),
-) -> Verdict:
-    """Decide ``spec``'s relation at every input; the inputs start with
-    the fixed values ``lead`` (a hypothesis spec's candidate argument)."""
-    lhs, rhs = spec.program, spec.bound
+def _relation(spec: BoundSpec, mode: EvalMode, cfg: DomainConfig) -> tuple:
+    """How ``spec``'s relation is decided in a run of ``mode``:
+    ``(evaluator, program, check)``, where ``check(lead=())`` decides the
+    relation at every input starting with the fixed values ``lead`` (a
+    hypothesis spec's candidate argument) and ``program`` is the spec's
+    elaborated program.
+
+    The one place that maps a relation and a mode to the decider, the
+    operand order and the evaluation mode.
+    """
+    swap = False
     if mode is EvalMode.EXTENSIONAL:
         # with cost collapsed, every stated approximation must be an equality
         decide = eq_outcome
@@ -125,19 +132,20 @@ def _relation_check(
             case Relation.LEQ_UPPER:
                 decide = leq_outcome
             case Relation.LEQ_LOWER:
-                decide, lhs, rhs = leq_outcome, rhs, lhs
+                decide, swap = leq_outcome, True
             case Relation.EQUAL:
                 decide = eq_outcome
             case Relation.EXT_EQUAL:
                 decide, mode = eq_outcome, EvalMode.EXTENSIONAL
             case _:
                 raise ValueError(spec.relation)
-    return pointwise(decide, lhs, rhs, mode, cfg, scope, lead)
+    ev, program, bound = pair_evaluator(spec.program, spec.bound, mode, cfg)
+    lhs, rhs = (bound, program) if swap else (program, bound)
+    return ev, program, lambda lead=(): pointwise(decide, ev, lhs, rhs, lead)
 
 
-def _table_counters(scope: dict) -> dict:
+def _table_counters(*evs: Evaluator) -> dict:
     """Table counters summed over the evaluators of one check."""
-    evs = [ev for _, ev in scope.values()]
     return {
         "table_entries": sum(ev.table_entries for ev in evs),
         "table_hits": sum(ev.table_hits for ev in evs),
@@ -152,29 +160,23 @@ def verify(
 ) -> CheckReport:
     """Check one bound spec and report verdict plus exact cost statistics.
 
-    The check's evaluators, and with them their tables, live in a scope
-    that ends when this call returns.
+    Each relation the check decides has its own evaluator, and with it
+    its own table; they end when this call returns.
     """
     cfg = _merge_domain(spec.domain, domain_override)
     start = time.perf_counter()
-    scope: dict = {}
     if spec.hypothesis is not None:
-        report = _verify_hypothesis(spec, mode, cfg, seed, scope)
+        report = _verify_hypothesis(spec, mode, cfg, seed)
     else:
-        verdict = _relation_check(spec, mode, cfg, scope)
-        report = _report_from_verdict(spec, verdict, cfg, mode, scope)
-    report.counters = _table_counters(scope)
+        report = _verify_first_order(spec, mode, cfg)
     report.millis = (time.perf_counter() - start) * 1000
     return report
 
 
-def _report_from_verdict(spec, verdict, cfg, mode, scope) -> CheckReport:
-    stats_mode = (
-        EvalMode.EXTENSIONAL
-        if spec.relation is Relation.EXT_EQUAL or mode is EvalMode.EXTENSIONAL
-        else EvalMode.COST_COUNTING
-    )
-    hi, lo = _cost_stats(spec.program, stats_mode, cfg, scope)
+def _verify_first_order(spec, mode, cfg) -> CheckReport:
+    ev, program, check = _relation(spec, mode, cfg)
+    verdict = check()
+    hi, lo = _cost_stats(ev, program)
     return CheckReport(
         name=spec.name,
         relation=spec.relation.value,
@@ -184,6 +186,7 @@ def _report_from_verdict(spec, verdict, cfg, mode, scope) -> CheckReport:
         min_cost=lo,
         counterexample=verdict.witness.to_json() if verdict.witness else None,
         note=verdict.note or spec.note,
+        counters=_table_counters(ev),
         monoid=spec.program.monoid,
     )
 
@@ -193,7 +196,7 @@ def _report_from_verdict(spec, verdict, cfg, mode, scope) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _verify_hypothesis(spec, mode, cfg, seed, scope) -> CheckReport:
+def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
     if spec.hypothesis.domain != spec.domain:
         raise OrderError(
             f"the hypothesis of spec '{spec.name}' states its own domain; "
@@ -205,6 +208,8 @@ def _verify_hypothesis(spec, mode, cfg, seed, scope) -> CheckReport:
             "hypothesis specs need a leading suspended argument"
         )
     inner_ty = arg_tys[0].comp
+    hyp_ev, _, hyp_check = _relation(spec.hypothesis, mode, cfg)
+    concl_ev, _, concl_check = _relation(spec, mode, cfg)
     rng = random.Random(seed)
     gen = TermGen(rng, spec.program.theory)
     admitted = 0
@@ -219,11 +224,10 @@ def _verify_hypothesis(spec, mode, cfg, seed, scope) -> CheckReport:
         tried += 1
         # candidates are born elaborated, so they go to the evaluator as is
         lead = (("thunk", (), cand),)
-        hyp_v = _relation_check(spec.hypothesis, mode, cfg, scope, lead)
-        if not hyp_v.holds:
+        if not hyp_check(lead).holds:
             continue
         admitted += 1
-        concl = _relation_check(spec, mode, cfg, scope, lead)
+        concl = concl_check(lead)
         if not concl.holds and failure is None:
             failure = concl
             failure.witness.input = (
@@ -251,6 +255,7 @@ def _verify_hypothesis(spec, mode, cfg, seed, scope) -> CheckReport:
         counterexample=counterexample,
         admitted=admitted,
         note=note,
+        counters=_table_counters(hyp_ev, concl_ev),
     )
 
 
@@ -264,10 +269,9 @@ def assert_helpers_cost_free(cfg: DomainConfig = None) -> None:
     cfg = cfg or DomainConfig(nat_max=6, list_len=3, elems=3)
     for name, (term, ty) in SPEC_HELPERS.items():
         prog = Program(f"helper-{name}", PURE, SEQ_NAT, term, ty)
-        ev = get_evaluator(prog, EvalMode.COST_COUNTING, cfg)
         _, inputs = enumerate_inputs(ty, cfg)
-        for args in inputs:
-            out = ev.outcome(args)
+        outs = eval_fn(prog, EvalMode.COST_COUNTING, cfg, inputs)
+        for args, out in outs.items():
             if out.cost != 0:
                 raise AssertionError(
                     f"helper {name} charged cost {out.cost} on "

@@ -8,10 +8,12 @@ produce a concrete instance of its two sides, born elaborated: the
 generator types every node it draws and the builder types every node it
 composes, so ``check_law`` hands both sides straight to the evaluator
 and requires outcome equality.  A Tier-1 property re-elaborates the
-instances to hold the builders to that.  Both sides of an instance are
-evaluated by one evaluator, which compiles each node once: the sides
-mostly share their sub-terms (``e`` in ``branch(e, e) = e``), and the
-right side runs the closures compiled for the left.
+instances to hold the builders to that.  An instance is one relation,
+so its two sides are two bodies of one evaluator, made from the
+instance's theory, the sequential cost monoid, the run's mode and
+``LAWS_CONFIG``.  It compiles each node once: the sides mostly share
+their sub-terms (``e`` in ``branch(e, e) = e``), and the right side runs
+the closures compiled for the left.
 
 Because the evaluator normalizes its representations (sets, merged
 distributions, threaded state), most laws hold there *by construction*;
@@ -41,8 +43,8 @@ from .gen import LAW_STATE_TY, THEORY_OF_KIND, TermGen, random_theory
 from .order import eq_outcome
 from .semantics import DomainConfig, EvalMode, Evaluator
 from .syntax import (
-    NAT, Ap, ArrowTy, Bind, Branch, CostLit, FTy, Fail, Flip, Get, Lam,
-    Program, Put, Ret, Step, Var, subst, term_str,
+    NAT, Ap, ArrowTy, Bind, Branch, CostLit, FTy, Fail, Flip, Get, Lam, Put,
+    Ret, Step, Var, subst, term_str,
 )
 
 LAWS_CONFIG = DomainConfig(nat_max=4, list_len=2, elems=2, state_max=4)
@@ -418,11 +420,11 @@ def instances(law: Law, seed: int = 0):
         yield (theory, *law.build(TermGen(rng, theory)))
 
 
-def instance_outcomes(theory, lhs, rhs, ty, mode: EvalMode) -> tuple:
+def instance_outcomes(theory, lhs, rhs, mode: EvalMode) -> tuple:
     """The outcomes of a law instance's two sides, from one evaluator:
     a node the sides share compiles once."""
-    ev = Evaluator(Program("law", theory, SEQ_NAT, lhs, ty), mode, LAWS_CONFIG)
-    return ev.outcome(()), ev.outcome((), rhs)
+    ev = Evaluator(theory, SEQ_NAT, mode, LAWS_CONFIG)
+    return ev.outcome(lhs), ev.outcome(rhs)
 
 
 def check_law(
@@ -442,8 +444,8 @@ def check_law(
     start = time.perf_counter()
     theory_name = law.theory or "any"
     report = LawReport(law.name, theory_name, trials, mode)
-    for theory, lhs, rhs, ty in itertools.islice(instances(law, seed), trials):
-        out_l, out_r = instance_outcomes(theory, lhs, rhs, ty, mode)
+    for theory, lhs, rhs, _ in itertools.islice(instances(law, seed), trials):
+        out_l, out_r = instance_outcomes(theory, lhs, rhs, mode)
         verdict = eq_outcome(out_l, out_r)
         if not verdict.holds:
             if len(report.failures) < max_recorded:

@@ -42,10 +42,11 @@ from .costs import SEQ_NAT
 from .semantics import (
     DEFAULT_CONFIG, Dist, DomainConfig, EvalError, EvalMode, Evaluator,
     NondetOutcome, Outcome, ProbOutcome, PureOutcome, StateOutcome,
-    cost_sort_key, enumerate_inputs, enumerate_value_ty, get_evaluator,
-    pair_sort_key, val_sort_key, val_str,
+    cost_sort_key, enumerate_inputs, enumerate_value_ty, pair_sort_key,
+    val_sort_key, val_str,
 )
-from .syntax import ArrowTy, Program
+from .syntax import ArrowTy, CompTerm, Program
+from .typecheck import elaborate
 
 
 class OrderError(Exception):
@@ -114,7 +115,7 @@ class _Canon:
     def _evaluator(self) -> Evaluator:
         if self._ev is None:
             out = self.out
-            self._ev = Evaluator.raw(out.theory, out.monoid, out.mode, out.cfg)
+            self._ev = Evaluator(out.theory, out.monoid, out.mode, out.cfg)
         return self._ev
 
     def outcome(self, out: Outcome) -> Outcome:
@@ -520,7 +521,14 @@ class _Dinic:
 # ---------------------------------------------------------------------------
 
 
-def _check_programs(lhs: Program, rhs: Program):
+def pair_evaluator(
+    lhs: Program, rhs: Program, mode: EvalMode, cfg: DomainConfig
+) -> tuple:
+    """``(evaluator, lhs body, rhs body)``: the one evaluator that decides
+    a relation between two source programs, and their elaborated bodies.
+
+    The programs must share a type, an effect theory and a cost monoid.
+    """
     if lhs.declared_ty != rhs.declared_ty:
         raise OrderError(
             "programs have different types and cannot be compared"
@@ -529,29 +537,26 @@ def _check_programs(lhs: Program, rhs: Program):
         raise OrderError("programs declare different effect theories")
     if lhs.monoid is not rhs.monoid:
         raise OrderError("programs declare different cost monoids")
+    ev = Evaluator(lhs.theory, lhs.monoid, mode, cfg)
+    return ev, elaborate(lhs).body, elaborate(rhs).body
 
 
 def pointwise(
-    decide, lhs: Program, rhs: Program, mode: EvalMode, cfg: DomainConfig,
-    scope: Optional[dict] = None, lead: tuple = (),
+    decide, ev: Evaluator, lhs: CompTerm, rhs: CompTerm, lead: tuple = (),
 ) -> Verdict:
-    """``decide`` on the two programs' outcomes at every input, in order.
+    """``decide`` on the outcomes of the elaborated bodies ``lhs`` and
+    ``rhs``, both evaluated by ``ev``, at every input, in order.
 
     Inputs start with the fixed values ``lead`` and enumerate the rest
-    of the domain.  The first failing input becomes the witness.
+    of ``ev``'s domain.  The first failing input becomes the witness.
     """
-    _check_programs(lhs, rhs)
     try:
-        _, inputs = enumerate_inputs(lhs.declared_ty, cfg, lead)
+        _, inputs = enumerate_inputs(lhs.ty, ev.cfg, lead)
     except EvalError as e:
         raise OrderError(str(e))
-    ev_l = get_evaluator(lhs, mode, cfg, scope)
-    ev_r = get_evaluator(rhs, mode, cfg, scope)
     note = ""
     for args in inputs:
-        out_l = ev_l.outcome(args)
-        out_r = ev_r.outcome(args)
-        v = decide(out_l, out_r)
+        v = decide(ev.outcome(lhs, args), ev.outcome(rhs, args))
         if not v.holds:
             v.witness.input = ", ".join(val_str(a) for a in args)
             return v
@@ -565,15 +570,13 @@ def leq_program(
     rhs: Program,
     mode: EvalMode = EvalMode.COST_COUNTING,
     cfg: DomainConfig = DEFAULT_CONFIG,
-    scope: Optional[dict] = None,
 ) -> Verdict:
     """Pointwise ``<=`` of two programs over their enumerated input domain.
 
     Inputs are visited in canonical enumeration order and the first
     failing one becomes the witness, so verdicts are deterministic.
-    ``scope`` is the check's evaluator pool (see ``get_evaluator``).
     """
-    return pointwise(leq_outcome, lhs, rhs, mode, cfg, scope)
+    return pointwise(leq_outcome, *pair_evaluator(lhs, rhs, mode, cfg))
 
 
 def eq_program(
@@ -581,14 +584,13 @@ def eq_program(
     rhs: Program,
     mode: EvalMode = EvalMode.COST_COUNTING,
     cfg: DomainConfig = DEFAULT_CONFIG,
-    scope: Optional[dict] = None,
 ) -> Verdict:
     """Pointwise outcome equality over the enumerated input domain."""
-    return pointwise(eq_outcome, lhs, rhs, mode, cfg, scope)
+    return pointwise(eq_outcome, *pair_evaluator(lhs, rhs, mode, cfg))
 
 
 def ext_equal_program(
     lhs: Program, rhs: Program, cfg: DomainConfig = DEFAULT_CONFIG
 ) -> Verdict:
     """Behavioral equality: outcome equality with all costs collapsed."""
-    return pointwise(eq_outcome, lhs, rhs, EvalMode.EXTENSIONAL, cfg)
+    return eq_program(lhs, rhs, EvalMode.EXTENSIONAL, cfg)

@@ -40,7 +40,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from typing import Optional
 
 from .syntax import (
     Ap, ArrowTy, Bind, BoolLit, BoolTy, Branch, CompTerm, CompTy, Cons,
@@ -514,7 +513,14 @@ _KEEP_COMPILED = 32
 
 
 class Evaluator:
-    """Evaluates one elaborated program under a mode and domain config.
+    """Evaluates closed, elaborated computations of one effect theory and
+    cost monoid, under a mode and a domain config.
+
+    Those four are all evaluation depends on, so one evaluator serves a
+    whole relation check: a program and its bound, which share a type,
+    theory and monoid, are two bodies passed to ``outcome``.  Source
+    programs are elaborated by the caller; generated terms are born
+    elaborated.
 
     Terms are compiled once per evaluator into Python closures
     ``run(env)`` (Feeley and Lapalme's closure generation).  A compile
@@ -524,11 +530,11 @@ class Evaluator:
     or the mode extensional.  The closure does only the run-time work.
     Each computation node compiles once per evaluator, on first use, and
     its closure is kept in ``_compiled`` by the node's identity: a node
-    reached again, as a forced thunk body or as part of another term
+    reached again, as a forced thunk body or as part of another body
     evaluated here, runs the closures compiled for it.  So the two sides
-    of a law instance, evaluated by one evaluator through ``outcome``'s
-    ``body``, compile the nodes they share once.  Closures are kept for
-    the terms of up to ``_KEEP_COMPILED`` compilations at a time.
+    of a law instance, evaluated by one evaluator, compile the nodes they
+    share once.  Closures are kept for the terms of up to
+    ``_KEEP_COMPILED`` compilations at a time.
 
     Evaluation is tabled (Michie's memo functions).  One table maps
     ``(id(node), captured, argument)`` to a denotation.  ``node`` is a λ
@@ -546,40 +552,25 @@ class Evaluator:
     would build, and inputs of a tabulated domain share their common
     sub-calls.  Every node in a table key lies in a term the evaluator
     holds, compiled or with its closures dropped, so no ``id`` in the
-    table can be reused while the evaluator lives.  An evaluator serves
-    one check (see ``get_evaluator``) and its table and closures go with
-    it.
-
-    ``program`` must be elaborated: ``get_evaluator`` elaborates a source
-    program, and generated terms are born elaborated.
+    table can be reused while the evaluator lives.  Its table and
+    closures go with it when its check ends.
     """
 
-    def __init__(self, program: Program, mode: EvalMode, cfg: DomainConfig):
-        self.program = program
+    def __init__(self, theory: EffectTheory, monoid, mode: EvalMode,
+                 cfg: DomainConfig):
+        self.theory = theory
+        self.monoid = monoid
         self.mode = mode
         self.cfg = cfg
-        if program is not None:
-            self.theory = program.theory
-            self.monoid = program.monoid
-            self._arity = len(unfold_arrows(program.declared_ty)[0])
-        self.ops = None if program is None else _OPS[self.theory.kind](self.monoid)
+        self.ops = _OPS[theory.kind](monoid)
         self.ext = mode is EvalMode.EXTENSIONAL
         self._table: dict = {}
         self._compiled: dict = {}  # id(node) -> (node, closure)
         self._roots: list = []  # terms compiled from, since the last drop
         self._retired: dict = {}  # id(term) -> term, closures dropped
+        self._bodies: dict = {}  # id(body) -> (body, denotation, arity)
         self._states = None  # (state domain, its set), on first use
         self.table_hits = 0
-        self._den = None
-
-    @classmethod
-    def raw(cls, theory, monoid, mode: EvalMode, cfg: DomainConfig):
-        """Evaluator for already-elaborated loose terms (no program)."""
-        ev = cls(None, mode, cfg)
-        ev.theory = theory
-        ev.monoid = monoid
-        ev.ops = _OPS[theory.kind](monoid)
-        return ev
 
     @property
     def table_entries(self) -> int:
@@ -680,14 +671,7 @@ class Evaluator:
                 return k, d
         return None, None
 
-    # -- program-level entry points ----------------------------------------------
-
-    def denotation(self):
-        if self._den is None:
-            if self.program is None:
-                raise EvalError("raw evaluator has no program body")
-            self._den = self.eval_comp(self.program.body, {})
-        return self._den
+    # -- outcomes ---------------------------------------------------------------
 
     def outcome_of_den(self, den) -> Outcome:
         head, cfg = (self.theory, self.monoid, self.mode), self.cfg
@@ -723,16 +707,20 @@ class Evaluator:
             frozenset(escaped), cfg=cfg,
         )
 
-    def outcome(self, args: tuple = (), body=None) -> Outcome:
-        """Outcome of the program applied to ``args`` (runtime values).
-
-        ``body``, when given, is evaluated in place of the program's body:
-        a closed, elaborated term of the program's type, which shares this
-        evaluator's closures and table."""
-        den = self.denotation() if body is None else self.eval_comp(body, {})
-        if len(args) != self._arity:
+    def outcome(self, body: CompTerm, args: tuple = ()) -> Outcome:
+        """Outcome of the closed, elaborated computation ``body`` applied
+        to ``args`` (runtime values).  The body's denotation and arity
+        are computed on its first call and kept."""
+        hit = self._bodies.get(id(body))
+        if hit is None:
+            arity = len(unfold_arrows(body.ty)[0])
+            hit = self._bodies[id(body)] = (
+                body, self.eval_comp(body, {}), arity
+            )
+        _, den, arity = hit
+        if len(args) != arity:
             raise EvalError(
-                f"program expects {self._arity} arguments, got {len(args)}"
+                f"program expects {arity} arguments, got {len(args)}"
             )
         for a in args:
             den = den(a)
@@ -1082,29 +1070,6 @@ _VALUE_FORMS = {
 }
 
 
-def get_evaluator(
-    p: Program, mode: EvalMode, cfg: DomainConfig,
-    scope: Optional[dict] = None,
-) -> Evaluator:
-    """Evaluator for the source program ``p`` under ``mode`` and ``cfg``;
-    the one place a source program is elaborated.
-
-    ``scope`` is the evaluator pool of one check: a dict the caller makes
-    when the check starts and drops when it ends.  Within it there is one
-    evaluator, and so one table and one elaboration, per (program, mode,
-    config), shared by the decision and the cost statistics.  Without a
-    scope each call returns a fresh evaluator.
-    """
-    if scope is None:
-        return Evaluator(elaborate(p), mode, cfg)
-    key = (id(p), mode, cfg)
-    hit = scope.get(key)
-    if hit is None:
-        # holding ``p`` keeps its id from being reused within the scope
-        hit = scope[key] = (p, Evaluator(elaborate(p), mode, cfg))
-    return hit[1]
-
-
 def evaluate(
     p: Program,
     mode: EvalMode = EvalMode.COST_COUNTING,
@@ -1113,7 +1078,7 @@ def evaluate(
     """Evaluate a closed program of F type to its outcome."""
     if not isinstance(p.declared_ty, FTy):
         raise EvalError("evaluate expects a program of F type; use eval_fn")
-    return get_evaluator(p, mode, cfg).outcome(())
+    return Evaluator(p.theory, p.monoid, mode, cfg).outcome(elaborate(p).body)
 
 
 def as_args(x) -> tuple:
@@ -1134,8 +1099,8 @@ def eval_fn(p: Program, mode: EvalMode, cfg: DomainConfig, domain) -> dict:
     of runtime values (curried arguments).  Returns an ordered dict from
     input to Outcome.
     """
-    ev = get_evaluator(p, mode, cfg)
-    return {x: ev.outcome(as_args(x)) for x in domain}
+    ev, body = Evaluator(p.theory, p.monoid, mode, cfg), elaborate(p).body
+    return {x: ev.outcome(body, as_args(x)) for x in domain}
 
 
 # ---------------------------------------------------------------------------

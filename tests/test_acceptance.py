@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import nat, natlist
+from conftest import nat, natlist, program_evaluator
 
 from stepbound.corpus import (
     BINOMIAL, BRANCH_EXAMPLE, BRANCH_EXAMPLE_BOUND, BRANCH_EXAMPLE_UNIT,
@@ -25,7 +25,7 @@ from stepbound.order import (
     leq_outcome, transportation_oracle,
 )
 from stepbound.semantics import (
-    DomainConfig, EvalMode, ProbOutcome, evaluate, get_evaluator,
+    DomainConfig, EvalMode, ProbOutcome, evaluate,
 )
 from stepbound.syntax import (
     BoolLit, CostLit, FTy, Par, ProdTy, Program, PROB, PURE, Ret, Step, NAT,
@@ -40,14 +40,15 @@ def report(criterion, text):
     print(f"ACCEPTANCE {criterion}: PASS - {text}")
 
 
-def test_criterion_1_corpus_conformance():
-    start = time.monotonic()
-    failures = []
-    for spec in corpus():
-        rep = verify(spec)
-        if rep.verdict != "holds":
-            failures.append((spec.name, rep.verdict, rep.counterexample))
-    elapsed = time.monotonic() - start
+def test_criterion_1_corpus_conformance(check_json):
+    # the spec entries of `stepbound check --seed 0` in cost mode, a run
+    # shared with the pinned cost report
+    _, entries = check_json("cost")
+    specs = [e for e in entries if e["relation"] != "law"]
+    assert [e["name"] for e in specs] == [s.name for s in corpus()]
+    failures = [(e["name"], e["verdict"], e.get("counterexample"))
+                for e in specs if e["verdict"] != "holds"]
+    elapsed = sum(e["millis"] for e in specs) / 1000
     assert not failures, failures
     assert elapsed <= 300, f"corpus run took {elapsed:.0f}s (limit 300s)"
     report(1, f"all {len(corpus())} bound specs hold on their default "
@@ -55,18 +56,18 @@ def test_criterion_1_corpus_conformance():
 
 
 def test_criterion_2_double_closed_form():
-    ev = get_evaluator(DOUBLE, COST, DomainConfig(nat_max=16))
+    ev, body = program_evaluator(DOUBLE, COST, DomainConfig(nat_max=16))
     for n in range(17):
-        out = ev.outcome((nat(n),))
+        out = ev.outcome(body, (nat(n),))
         assert (out.cost, out.value) == (n, nat(2 * n)), n
     report(2, "doubling costs exactly n and returns 2n for all n <= 16")
 
 
 def test_criterion_3_isort_exact_worst_case():
-    ev = get_evaluator(ISORT, COST, DomainConfig())
+    ev, body = program_evaluator(ISORT, COST, DomainConfig())
     for k in range(7):
         reverse_sorted = natlist(list(range(k))[::-1])
-        out = ev.outcome((reverse_sorted,))
+        out = ev.outcome(body, (reverse_sorted,))
         expected = k * (k - 1) // 2
         assert out.cost == expected, (k, out.cost)
         assert out.cost <= k * k
@@ -82,10 +83,10 @@ def test_criterion_4_sublist_binomial_and_coupling():
     # binomial n is bounded by a point mass at n, decided by the
     # transportation oracle itself
     cfg = DomainConfig()
-    ev = get_evaluator(BINOMIAL, COST, cfg)
+    ev, body = program_evaluator(BINOMIAL, COST, cfg)
     rel = lambda a, b: a[1] == b[1] and a[0] <= b[0]
     for n in range(9):
-        binom = ev.outcome((nat(n),))
+        binom = ev.outcome(body, (nat(n),))
         point = [((n, ("unit",)), Fraction(1))]
         assert transportation_oracle(list(binom.dist), point, rel), n
         if n > 0:  # the reversed direction must be infeasible

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import nat, natlist
+from conftest import nat, natlist, program_evaluator
 
 from stepbound.corpus import BoundSpec, Relation, corpus
 from stepbound.costs import WORK_SPAN
@@ -15,7 +15,7 @@ from stepbound.harness import (
     reports_to_json, run_all, verify, zero_steps,
 )
 from stepbound.laws import catalog, check_law
-from stepbound.semantics import DomainConfig, EvalMode, get_evaluator
+from stepbound.semantics import DomainConfig, EvalMode, Evaluator
 from stepbound.syntax import parse
 from stepbound.typecheck import check_program
 
@@ -67,8 +67,8 @@ def test_verify_isort_upper_worst_case_cost():
 def test_empty_list_instances_cost_zero():
     for name in ("isort-upper", "msort-upper", "qsort-upper"):
         spec = by_name(name)
-        ev = get_evaluator(spec.program, COST, spec.domain)
-        out = ev.outcome((natlist([]),))
+        ev, body = program_evaluator(spec.program, COST, spec.domain)
+        out = ev.outcome(body, (natlist([]),))
         assert out.min_cost() == 0 and out.max_cost() == 0
 
 
@@ -77,10 +77,10 @@ def test_qsort_nondeterminism_is_benign():
     spec = by_name("qsort-upper")
     from stepbound.semantics import enumerate_inputs
 
-    ev = get_evaluator(spec.program, COST, spec.domain)
+    ev, body = program_evaluator(spec.program, COST, spec.domain)
     _, inputs = enumerate_inputs(spec.program.declared_ty, spec.domain)
     for (inp,) in inputs:
-        out = ev.outcome((inp,))
+        out = ev.outcome(body, (inp,))
         xs = sorted(x[1] for x in inp[1])
         expected = natlist(xs)
         assert out.branches, "qsort must not fail"
@@ -95,10 +95,10 @@ def test_msort_comparisons_within_nlogn():
     spec = by_name("msort-upper")
     from stepbound.semantics import enumerate_inputs
 
-    ev = get_evaluator(spec.program, COST, spec.domain)
+    ev, body = program_evaluator(spec.program, COST, spec.domain)
     _, inputs = enumerate_inputs(spec.program.declared_ty, spec.domain)
     for (inp,) in inputs:
-        out = ev.outcome((inp,))
+        out = ev.outcome(body, (inp,))
         n = len(inp[1])
         lg = math.ceil(math.log2(n)) if n > 1 else 0
         assert out.cost <= n * lg
@@ -198,8 +198,8 @@ def test_zero_steps_strips_charges():
     import dataclasses
 
     prog = dataclasses.replace(spec.program, body=mutated)
-    ev = get_evaluator(prog, COST, spec.domain)
-    out = ev.outcome((nat(5),))
+    ev, body = program_evaluator(prog, COST, spec.domain)
+    out = ev.outcome(body, (nat(5),))
     assert out.cost == 0 and out.value == nat(10)
 
 
@@ -248,6 +248,29 @@ def test_verify_reports_the_spec_monoid_for_its_cost_range():
     rep = verify(spec)
     assert (rep.min_cost, rep.max_cost) == ((0, 0), (3, 3))
     assert "cost[(0 0)..(3 3)]" in format_table([rep], [])
+
+
+@pytest.mark.parametrize("name, relations", [
+    ("isort-upper", 1),
+    # the hypothesis sub-spec and the conclusion
+    ("twice-hypothesis", 2),
+])
+def test_one_evaluator_per_relation(name, relations, monkeypatch):
+    made = []
+    init = Evaluator.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(Evaluator, "__init__", recording_init)
+    rep = verify(by_name(name))
+    assert len(made) == relations
+    assert rep.counters == {
+        "table_entries": sum(ev.table_entries for ev in made),
+        "table_hits": sum(ev.table_hits for ev in made),
+    }
+    assert rep.counters["table_entries"] > 0
 
 
 def test_table_counters_are_deterministic():

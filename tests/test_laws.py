@@ -13,7 +13,7 @@ from stepbound.laws import (
     mutant_catalog,
 )
 from stepbound.semantics import EvalMode, Evaluator
-from stepbound.syntax import Branch, NONDET, Program
+from stepbound.syntax import Branch, NONDET
 
 MODES = (EvalMode.COST_COUNTING, EvalMode.EXTENSIONAL)
 
@@ -137,11 +137,10 @@ def test_one_evaluator_per_instance_matches_one_per_side(seed, mode):
     # the sides share nodes, closures and table entries in check_law's
     # evaluator; lam/step's λ nodes are tabled
     for law in catalog() + mutant_catalog():
-        for theory, lhs, rhs, ty in itertools.islice(instances(law, seed), 50):
-            shared = instance_outcomes(theory, lhs, rhs, ty, mode)
+        for theory, lhs, rhs, _ in itertools.islice(instances(law, seed), 50):
+            shared = instance_outcomes(theory, lhs, rhs, mode)
             apart = tuple(
-                Evaluator(Program("side", theory, SEQ_NAT, body, ty), mode,
-                          LAWS_CONFIG).outcome(())
+                Evaluator(theory, SEQ_NAT, mode, LAWS_CONFIG).outcome(body)
                 for body in (lhs, rhs)
             )
             assert shared == apart, law.name

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import nat, natlist
+from conftest import nat, natlist, program_evaluator
 
 from stepbound.corpus import (
     BERNOULLI, BINOMIAL, BRANCH_EXAMPLE, DOUBLE, INSERT, ISORT,
@@ -19,7 +19,7 @@ from stepbound.harness import run_all
 from stepbound.semantics import (
     DEFAULT_CONFIG, Dist, DomainConfig, EvalMode, EvalError, Evaluator,
     ProbOutcome, _ProbOps, enumerate_inputs, eval_fn, evaluate,
-    get_evaluator, pair_sort_key,
+    pair_sort_key,
 )
 from stepbound.syntax import (
     NAT, NONDET, PROB, Ap, ArrowTy, Bind, Branch, CostLit, FTy, Lam, NatRec,
@@ -32,7 +32,8 @@ EXT = EvalMode.EXTENSIONAL
 
 
 def outcome(prog, args=(), mode=COST, cfg=DEFAULT_CONFIG):
-    return get_evaluator(prog, mode, cfg).outcome(args)
+    ev, body = program_evaluator(prog, mode, cfg)
+    return ev.outcome(body, args)
 
 
 def test_double_closed_form_instance():
@@ -398,14 +399,15 @@ def test_pure_corpus_value_independent_of_monoid():
         _, inputs = enumerate_inputs(
             prog.declared_ty, DomainConfig(nat_max=4, list_len=3, elems=3)
         )
-        ev_seq = get_evaluator(prog, EXT, DEFAULT_CONFIG)
-        ev_par = get_evaluator(par_prog, EXT, DEFAULT_CONFIG)
+        ev_seq, seq = program_evaluator(prog, EXT, DEFAULT_CONFIG)
+        ev_par, par = program_evaluator(par_prog, EXT, DEFAULT_CONFIG)
         for args in inputs:
-            assert ev_seq.outcome(args).value == ev_par.outcome(args).value
+            assert ev_seq.outcome(seq, args).value == \
+                ev_par.outcome(par, args).value
 
 
 def _prob_evaluator():
-    return Evaluator.raw(PROB, SEQ_NAT, COST, DEFAULT_CONFIG)
+    return Evaluator(PROB, SEQ_NAT, COST, DEFAULT_CONFIG)
 
 
 def test_prob_outcome_rejects_mass_other_than_one():
@@ -445,13 +447,12 @@ def test_annotated_list_type_charges_per_cons():
      (listrec l (ret zero) (x xs r (bind r (n (ret (suc n))))))))
 """
     p = parse(src)
-    ev = get_evaluator(p, COST, DEFAULT_CONFIG)
+    ev, body = program_evaluator(p, COST, DEFAULT_CONFIG)
     for xs in ([], [1], [3, 1], [0, 0, 0]):
-        out = ev.outcome((natlist(xs),))
+        out = ev.outcome(body, (natlist(xs),))
         assert out.cost == 2 * len(xs)
         assert out.value == nat(len(xs))
-    ev_ext = get_evaluator(p, EXT, DEFAULT_CONFIG)
-    assert ev_ext.outcome((natlist([5, 5]),)).cost == 0
+    assert outcome(p, (natlist([5, 5]),), EXT).cost == 0
 
 
 def test_variable_cost_scales_by_unit_under_par_monoid():
@@ -459,9 +460,7 @@ def test_variable_cost_scales_by_unit_under_par_monoid():
 (: (-> nat (F nat)) (lam (n : nat) (step n (ret n))))
 """
     p = parse(src)
-    ev = get_evaluator(p, COST, DEFAULT_CONFIG)
-    out = ev.outcome((nat(4),))
-    assert out.cost == (4, 4)
+    assert outcome(p, (nat(4),)).cost == (4, 4)
 
 
 def test_total_state_escape_raises():
@@ -482,12 +481,12 @@ def test_table_key_includes_captured_values():
 (: (-> nat (-> nat (F nat)))
    (lam (n : nat) (bind (ret n) (x (lam (y : nat) (step x (ret y)))))))
 """)
-    ev = get_evaluator(p, COST, DEFAULT_CONFIG)
-    first = ev.outcome((nat(1), nat(0)))
-    second = ev.outcome((nat(2), nat(0)))
+    ev, body = program_evaluator(p, COST, DEFAULT_CONFIG)
+    first = ev.outcome(body, (nat(1), nat(0)))
+    second = ev.outcome(body, (nat(2), nat(0)))
     assert (first.cost, first.value) == (1, nat(0))
     assert (second.cost, second.value) == (2, nat(0))
-    assert ev.outcome((nat(1), nat(0))) == first
+    assert ev.outcome(body, (nat(1), nat(0))) == first
     assert ev.table_hits > 0
 
 
@@ -501,7 +500,7 @@ def test_evaluator_holds_every_node_its_table_keys_name():
     # more thunk bodies than the evaluator keeps compiled, each dropped by
     # its caller once forced: a table key's node id must still belong to a
     # live node the evaluator holds, or a new node could reuse it
-    ev = Evaluator.raw(PURE, SEQ_NAT, COST, DEFAULT_CONFIG)
+    ev = Evaluator(PURE, SEQ_NAT, COST, DEFAULT_CONFIG)
     for n in range(100):
         body = Ap(Lam("y", NAT, Ret(Var("y")), ty=ArrowTy(NAT, FTy(NAT))),
                   Zero(), ty=FTy(NAT))
@@ -516,16 +515,15 @@ def test_evaluator_holds_every_node_its_table_keys_name():
 
 def test_a_body_sharing_nodes_with_the_program_runs_their_closures():
     # branch(e, e) then e, as the two sides of branch/idem: evaluating e
-    # in place of the program's body compiles nothing new
+    # after branch(e, e) compiles nothing new
     ident = Lam("y", NAT, Ret(Var("y")), ty=ArrowTy(NAT, FTy(NAT)))
     e = Step(CostLit(1), Ap(ident, Zero(), ty=FTy(NAT)), ty=FTy(NAT))
     body = Branch(e, e, ty=FTy(NAT))
-    ev = Evaluator(Program("idem", NONDET, SEQ_NAT, body, FTy(NAT)), COST,
-                   DEFAULT_CONFIG)
-    assert str(ev.outcome(())) == "{(1, 0)}"
+    ev = Evaluator(NONDET, SEQ_NAT, COST, DEFAULT_CONFIG)
+    assert str(ev.outcome(body)) == "{(1, 0)}"
     compiled = dict(ev._compiled)
     assert id(e) in compiled
-    assert str(ev.outcome((), e)) == "{(1, 0)}"
+    assert str(ev.outcome(e)) == "{(1, 0)}"
     assert ev._compiled == compiled
     assert ev._roots == [body]
 
@@ -533,7 +531,7 @@ def test_a_body_sharing_nodes_with_the_program_runs_their_closures():
 def test_recursor_capturing_a_variable_matches_closed_form_insert():
     # insert's list recursor captures x, so its table entries are keyed
     # by x as well as by the suffix it folds
-    ev = get_evaluator(INSERT, COST, _INSERT_DOMAIN)
+    ev, body = program_evaluator(INSERT, COST, _INSERT_DOMAIN)
     _, inputs = enumerate_inputs(INSERT.declared_ty, _INSERT_DOMAIN)
     assert inputs
     for x, l in inputs:
@@ -541,7 +539,7 @@ def test_recursor_capturing_a_variable_matches_closed_form_insert():
         # x goes before the first y with x <= y, after one comparison per
         # element up to and including that y
         at = next((i for i, y in enumerate(ys) if x[1] <= y), len(ys))
-        out = ev.outcome((x, l))
+        out = ev.outcome(body, (x, l))
         assert out.cost == min(at + 1, len(ys))
         assert out.value == natlist(ys[:at] + [x[1]] + ys[at:])
     assert ev.table_hits > 0
@@ -560,8 +558,8 @@ def test_mutated_isort_first_counterexample_is_unchanged():
 
 # -- error paths -----------------------------------------------------------------
 #
-# The checker rules these out, so they are reached through a raw evaluator
-# handed loose terms.  The messages are pinned byte for byte.
+# The checker rules these out, so they are reached by handing an evaluator
+# loose terms.  The messages are pinned byte for byte.
 
 
 def _raise_message(thunk) -> str:
@@ -571,7 +569,7 @@ def _raise_message(thunk) -> str:
 
 
 def _pure_evaluator():
-    return Evaluator.raw(PURE, SEQ_NAT, COST, DEFAULT_CONFIG)
+    return Evaluator(PURE, SEQ_NAT, COST, DEFAULT_CONFIG)
 
 
 _OPEN_FN_TY = ArrowTy(NAT, FTy(NAT))
@@ -608,9 +606,10 @@ def test_effect_outside_its_theory_message():
     ) == "effect operation 'branch' outside the 'pure' theory"
 
 
-def test_outcome_without_a_program_message():
-    assert _raise_message(lambda: _pure_evaluator().outcome(())) == \
-        "raw evaluator has no program body"
+def test_outcome_arity_message():
+    ident = Lam("y", NAT, Ret(Var("y")), ty=_OPEN_FN_TY)
+    assert _raise_message(lambda: _pure_evaluator().outcome(ident)) == \
+        "program expects 1 arguments, got 0"
 
 
 def test_unknown_computation_message():

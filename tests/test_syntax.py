@@ -217,7 +217,7 @@ def test_work_span_cost_literal_round_trip():
 def test_program_files_parse_check_and_run():
     from pathlib import Path
 
-    from stepbound.semantics import DEFAULT_CONFIG, EvalMode, get_evaluator
+    from stepbound.semantics import DEFAULT_CONFIG, EvalMode, eval_fn
     from stepbound.typecheck import check_program
 
     progdir = Path(__file__).resolve().parent.parent / "programs"
@@ -228,8 +228,8 @@ def test_program_files_parse_check_and_run():
         check_program(prog)
         assert alpha_eq(parse(print_program(prog)).body, prog.body)
     double = parse((progdir / "double.sb").read_text())
-    ev = get_evaluator(double, EvalMode.COST_COUNTING, DEFAULT_CONFIG)
-    out = ev.outcome((("nat", 6),))
+    out, = eval_fn(double, EvalMode.COST_COUNTING, DEFAULT_CONFIG,
+                   [("nat", 6)]).values()
     assert (out.cost, out.value) == (6, ("nat", 12))
     par = parse((progdir / "par-pair.sb").read_text())
     from stepbound.semantics import evaluate
