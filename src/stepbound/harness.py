@@ -15,6 +15,14 @@ which evaluates both the program and the bound:
   configured minimum of admitted candidates makes the run *inconclusive*
   rather than passing vacuously.
 
+  Each candidate behaviour is decided once.  A candidate's key is its raw
+  denotation in the hypothesis evaluator, for a λ its denotations at
+  every point of its argument type's domain; a later candidate with the
+  same key takes the earlier decision.  This is exact, because an
+  evaluator sees a closed candidate only through its results at the
+  points it applies it, so a decision is kept only if neither relation
+  applied its candidate outside the key's points (``_applied_outside``).
+
 In extensional mode every relation is checked as an equality; an
 approximation that holds with costs counted must collapse to an equality
 once cost is erased, and running the suite that way exercises exactly
@@ -43,11 +51,11 @@ from .order import (
 )
 from .semantics import (
     DomainConfig, EvalMode, Evaluator, cost_sort_key, enumerate_inputs,
-    eval_fn, val_str,
+    enumerate_value_ty, eval_fn, val_str,
 )
 from .syntax import (
-    CostLit, PURE, Program, Step, Term, UTy, map_scopes, term_str,
-    unfold_arrows,
+    ArrowTy, CostLit, FTy, Lam, ListTy, PURE, ProdTy, Program, Step, SumTy,
+    Term, UTy, map_scopes, term_str, unfold_arrows,
 )
 
 
@@ -62,6 +70,8 @@ class CheckReport:
     counterexample: Optional[dict] = None
     millis: float = 0.0
     admitted: Optional[int] = None
+    # hypothesis candidates decided afresh, not from a decided behaviour
+    distinct: Optional[int] = None
     note: str = ""
     counters: dict = dataclasses.field(default_factory=dict)
     monoid: CostMonoid = SEQ_NAT  # the spec's; prints the cost range
@@ -87,6 +97,8 @@ class CheckReport:
             out["counterexample"] = self.counterexample
         if self.admitted is not None:
             out["admitted"] = self.admitted
+        if self.distinct is not None:
+            out["distinct"] = self.distinct
         if self.note:
             out["note"] = self.note
         return out
@@ -196,6 +208,59 @@ def _verify_first_order(spec, mode, cfg) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
+def _first_order(ty) -> bool:
+    """Whether values of ``ty`` hold no suspension."""
+    match ty:
+        case UTy():
+            return False
+        case ProdTy(a, b) | SumTy(a, b):
+            return _first_order(a) and _first_order(b)
+        case ListTy(elem, _):
+            return _first_order(elem)
+    return True
+
+
+def _key_points(inner_ty, theory, hyp_ev, concl_ev) -> Optional[tuple]:
+    """The points at which a candidate of type ``inner_ty`` is keyed by
+    its behaviour: ``()`` for a computation of type ``F τ``, every value
+    of ``A`` for a function of type ``A → F τ``; None where candidates
+    get no key.
+
+    A state denotation is a Python function, and a result holding a
+    suspension is compared by identity, so neither makes a key.  An
+    extensional key is too coarse for a cost-counting relation, so both
+    relations must run in the mode the key is computed in.
+    """
+    if theory.kind == "state" or hyp_ev.mode is not concl_ev.mode:
+        return None
+    match inner_ty:
+        case FTy(res) if _first_order(res):
+            return ()
+        case ArrowTy(dom, FTy(res)) if _first_order(dom) and _first_order(res):
+            return tuple(enumerate_value_ty(dom, hyp_ev.cfg))
+    return None
+
+
+def _behaviour_key(ev: Evaluator, cand, points):
+    """``cand``'s behaviour: its raw denotation, or for a λ its raw
+    denotations at ``points``; None if it gets no key.  Computed in the
+    hypothesis evaluator, whose check then hits the table entries the
+    λ's applications made."""
+    if points is None or (points and type(cand) is not Lam):
+        return None
+    den = ev.force(("thunk", (), cand))
+    return tuple([den(a) for a in points]) if points else den
+
+
+def _applied_outside(ev: Evaluator, mark: int, cand, inside) -> bool:
+    """Whether ``ev`` applied the closed λ ``cand`` at a point outside
+    ``inside`` since its table held ``mark`` entries.  Every application
+    of a λ is tabled under ``(id(λ), captured, argument)``."""
+    nid = id(cand)
+    return any(k[0] == nid and k[2] not in inside
+               for k in ev.entries_since(mark))
+
+
 def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
     if spec.hypothesis.domain != spec.domain:
         raise OrderError(
@@ -210,10 +275,15 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
     inner_ty = arg_tys[0].comp
     hyp_ev, _, hyp_check = _relation(spec.hypothesis, mode, cfg)
     concl_ev, _, concl_check = _relation(spec, mode, cfg)
+    points = _key_points(inner_ty, spec.program.theory, hyp_ev, concl_ev)
+    inside = frozenset(points or ())
+    # behaviour key -> (hypothesis holds, conclusion verdict)
+    decided = {}
     rng = random.Random(seed)
     gen = TermGen(rng, spec.program.theory)
     admitted = 0
     tried = 0
+    distinct = 0
     failure = None
     seen = set()
     for _ in range(cfg.hyp_candidates):
@@ -224,11 +294,28 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
         tried += 1
         # candidates are born elaborated, so they go to the evaluator as is
         lead = (("thunk", (), cand),)
-        if not hyp_check(lead).holds:
+        key = _behaviour_key(hyp_ev, cand, points)
+        if key in decided:
+            holds, concl = decided[key]
+        else:
+            distinct += 1
+            marks = hyp_ev.table_entries, concl_ev.table_entries
+            holds = hyp_check(lead).holds
+            concl = concl_check(lead) if holds else None
+            # the evaluators observe a closed candidate only through its
+            # results at the points they apply it, so one applied inside
+            # the key's points decides every candidate with its key
+            if key is not None and not any(
+                _applied_outside(ev, mark, cand, inside)
+                for ev, mark in zip((hyp_ev, concl_ev), marks)
+            ):
+                decided[key] = holds, concl
+        if not holds:
             continue
         admitted += 1
-        concl = concl_check(lead)
-        if not concl.holds and failure is None:
+        # a failing conclusion ends the loop, so a decided one holds and
+        # a witness names the fresh candidate
+        if not concl.holds:
             failure = concl
             failure.witness.input = (
                 f"argument {term_str(cand)}; inputs {concl.witness.input}"
@@ -254,6 +341,7 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
         domain=cfg.to_json(),
         counterexample=counterexample,
         admitted=admitted,
+        distinct=distinct,
         note=note,
         counters=_table_counters(hyp_ev, concl_ev),
     )

@@ -576,6 +576,11 @@ class Evaluator:
     def table_entries(self) -> int:
         return len(self._table)
 
+    def entries_since(self, mark: int):
+        """The table's keys added since it held ``mark`` entries, newest
+        first.  The table only grows, so this walks just those keys."""
+        return itertools.islice(reversed(self._table), len(self._table) - mark)
+
     # -- compilation ------------------------------------------------------------
 
     def _comp(self, t):

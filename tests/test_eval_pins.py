@@ -109,7 +109,9 @@ def law_digests(mode: EvalMode) -> dict:
     return got
 
 
-# sha256 prefixes printed by the interpreter
+# sha256 prefixes printed by the interpreter, except the three hypothesis
+# specs' in each mode: their table counters fell when each candidate
+# behaviour came to be decided once, and were recorded then
 _REPORTS = {
     "cost": {
         "double-closed-form": "09e4f246c992c9be",
@@ -143,8 +145,8 @@ _REPORTS = {
         "law:step/plus": "cfcb87d8f2929cae",
         "law:step/zero": "e4f06743f8e6a62b",
         "lookup-exact": "8ee67eccf67220d3",
-        "map-binomial-hypothesis": "a87d425321f8bc2e",
-        "map-const-hypothesis": "c0f90b2c80e3051f",
+        "map-binomial-hypothesis": "59130e815c625194",
+        "map-const-hypothesis": "41118a20b8d5629d",
         "msort-upper": "a7d31a6de65257a2",
         "nondet-bool-upper": "794f3225d49bcef6",
         "nondet-unit-upper": "6f3d595c39cadf53",
@@ -152,7 +154,7 @@ _REPORTS = {
         "state-double-equal": "aac8bbe90b5a8b41",
         "sublist-binomial": "eb5309ae066a8219",
         "sublist-upper": "5badbc1da538dae2",
-        "twice-hypothesis": "1922180e59ee714b",
+        "twice-hypothesis": "5b92abc17a676081",
     },
     "ext": {
         "double-closed-form": "b6b953d16f751517",
@@ -186,8 +188,8 @@ _REPORTS = {
         "law:step/plus": "cfcb87d8f2929cae",
         "law:step/zero": "e4f06743f8e6a62b",
         "lookup-exact": "d53501c3957ef74a",
-        "map-binomial-hypothesis": "510d344aebccedf3",
-        "map-const-hypothesis": "96ab9c0539ac7c61",
+        "map-binomial-hypothesis": "1666ac3778468038",
+        "map-const-hypothesis": "5cad1767e2d87a87",
         "msort-upper": "2fe481da5f93c9f1",
         "nondet-bool-upper": "22a862f2d188375c",
         "nondet-unit-upper": "bb3b1b4ca2095329",
@@ -195,7 +197,7 @@ _REPORTS = {
         "state-double-equal": "40c830acbc6f7dcf",
         "sublist-binomial": "7aaea09398855736",
         "sublist-upper": "b395a30b7b75e17a",
-        "twice-hypothesis": "248ec96e6abf4798",
+        "twice-hypothesis": "52a8393098bd4cae",
     },
 }
 
