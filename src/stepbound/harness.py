@@ -22,6 +22,8 @@ which evaluates both the program and the bound:
   evaluator sees a closed candidate only through its results at the
   points it applies it, so a decision is kept only if neither relation
   applied its candidate outside the key's points (``_applied_outside``).
+  A spec or hypothesis whose result may hold a suspension keys nothing,
+  since the decider forces that suspension out of the guard's sight.
 
 In extensional mode every relation is checked as an equality; an
 approximation that holds with costs counted must collapse to an equality
@@ -220,18 +222,24 @@ def _first_order(ty) -> bool:
     return True
 
 
-def _key_points(inner_ty, theory, hyp_ev, concl_ev) -> Optional[tuple]:
-    """The points at which a candidate of type ``inner_ty`` is keyed by
-    its behaviour: ``()`` for a computation of type ``F τ``, every value
-    of ``A`` for a function of type ``A → F τ``; None where candidates
-    get no key.
+def _key_points(spec, inner_ty, hyp_ev, concl_ev) -> Optional[tuple]:
+    """The points at which a candidate of type ``inner_ty`` for ``spec``
+    is keyed by its behaviour: ``()`` for a computation of type ``F τ``,
+    every value of ``A`` for a function of type ``A → F τ``; None where
+    candidates get no key.
 
     A state denotation is a Python function, and a result holding a
-    suspension is compared by identity, so neither makes a key.  An
-    extensional key is too coarse for a cost-counting relation, so both
-    relations must run in the mode the key is computed in.
+    suspension is compared by identity, so neither makes a key.  Nor
+    does a spec or hypothesis whose result may hold a suspension: the
+    decider forces it in an evaluator of its own, whose applications of
+    the candidate the guard never reads.  An extensional key is too
+    coarse for a cost-counting relation, so both relations must run in
+    the mode the key is computed in.
     """
-    if theory.kind == "state" or hyp_ev.mode is not concl_ev.mode:
+    if spec.program.theory.kind == "state" or hyp_ev.mode is not concl_ev.mode:
+        return None
+    if not all(_first_order(unfold_arrows(p.declared_ty)[1].value)
+               for p in (spec.program, spec.hypothesis.program)):
         return None
     match inner_ty:
         case FTy(res) if _first_order(res):
@@ -275,7 +283,7 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
     inner_ty = arg_tys[0].comp
     hyp_ev, _, hyp_check = _relation(spec.hypothesis, mode, cfg)
     concl_ev, _, concl_check = _relation(spec, mode, cfg)
-    points = _key_points(inner_ty, spec.program.theory, hyp_ev, concl_ev)
+    points = _key_points(spec, inner_ty, hyp_ev, concl_ev)
     inside = frozenset(points or ())
     # behaviour key -> (hypothesis holds, conclusion verdict)
     decided = {}

@@ -138,6 +138,12 @@ def _f_then_unit(arg: str) -> Program:
                  f"(lam (x : nat) (bind (ap f {arg}) (_y (ret tt))))))")
 
 
+def _f_suspended(body: str) -> Program:
+    """``λf.λx. ret (thunk body)``: the result holds a suspension."""
+    return parse(f"(: (-> {_F_TY} (-> nat (F (U (F nat))))) "
+                 f"(lam (f : {_F_TY}) (lam (x : nat) (ret {body}))))")
+
+
 def _candidate(body: str):
     return elaborate(parse(f"(: (-> nat (F nat)) (lam (a : nat) {body}))")
                      ).body
@@ -152,21 +158,32 @@ def _monus_five_steps():
     return _candidate(body)
 
 
-def _beyond_the_domain_spec() -> BoundSpec:
+def _beyond_the_domain_spec(suspended: bool) -> BoundSpec:
     """Hypothesis: ``f x`` costs nothing at every ``x`` of the domain.
-    Conclusion: ``f (x+6)`` costs nothing, at points the key never saw."""
+    Conclusion: ``f (x+6)`` costs nothing, at points the key never saw;
+    if ``suspended``, ``f (x+6)`` is returned as a thunk, which only the
+    decider forces."""
     cfg = DomainConfig(nat_max=4, hyp_candidates=2, hyp_min_admitted=2,
                        hyp_depth=1)
     free = parse(f"(: (-> {_F_TY} (-> nat (F unit))) "
                  f"(lam (f : {_F_TY}) (lam (x : nat) (ret tt))))")
     hyp = BoundSpec("f-free", _f_then_unit("x"), free, Relation.LEQ_UPPER,
                     cfg)
-    return BoundSpec("f-free-beyond", _f_then_unit("(suc " * 6 + "x" + ")" * 6),
-                     free, Relation.LEQ_UPPER, cfg, hypothesis=hyp)
+    beyond = "(suc " * 6 + "x" + ")" * 6
+    if suspended:
+        program = _f_suspended(f"(ap f {beyond})")
+        bound = _f_suspended("(ret zero)")
+    else:
+        program, bound = _f_then_unit(beyond), free
+    return BoundSpec("f-free-beyond", program, bound, Relation.LEQ_UPPER,
+                     cfg, hypothesis=hyp)
 
 
+@pytest.mark.parametrize("suspended", [False, True],
+                         ids=["first-order", "suspended"])
 @pytest.mark.parametrize("guarded", [True, False])
 def test_a_candidate_applied_outside_its_key_decides_nothing(guarded,
+                                                             suspended,
                                                              monkeypatch):
     # B = λa. ret 0 and A = λa. step^(a∸5) (ret 0) agree on 0..4, the
     # key's points, and both cost nothing there; at x+6 A costs x+1
@@ -177,9 +194,11 @@ def test_a_candidate_applied_outside_its_key_decides_nothing(guarded,
     if not guarded:
         # B's decision reused for A: the check reads holds
         monkeypatch.setattr(harness, "_applied_outside", lambda *a: False)
-    report = verify(_beyond_the_domain_spec())
+    report = verify(_beyond_the_domain_spec(suspended))
     assert report.admitted == 2
-    if guarded:
+    # a suspended result is forced in the decider's own evaluator, out of
+    # the guard's sight, so such a conclusion keys no candidate at all
+    if guarded or suspended:
         assert report.verdict == "fails"
         assert report.counterexample["input"].startswith(
             f"argument {term_str(a)}; ")
