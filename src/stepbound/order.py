@@ -129,10 +129,10 @@ class _Canon:
                 return replace(out, branches=frozenset((c, f(v)) for c, v in b))
             case ProbOutcome(dist=d) if any(_suspends(v) for _, v in d.nums):
                 acc: dict = {}
-                for (c, v), w in d:
+                for (c, v), n in d.nums.items():
                     key = (c, f(v))
-                    acc[key] = acc.get(key, 0) + w
-                return replace(out, dist=Dist(acc))
+                    acc[key] = acc.get(key, 0) + n
+                return replace(out, dist=Dist._of(acc, d.den))
             case StateOutcome(table=t) if any(
                 _suspends(v) for _, (_, _, v) in t
             ):

@@ -248,6 +248,11 @@ class Dist:
         if g > 1:
             nums = {k: n // g for k, n in nums.items()}
             den //= g
+        return cls._reduced(nums, den)
+
+    @classmethod
+    def _reduced(cls, nums: dict, den: int) -> "Dist":
+        """``_of(nums, den)`` for numerators already in lowest terms."""
         d = cls.__new__(cls)
         d.nums, d.den, d._items, d._hash = nums, den, None, None
         return d
@@ -340,7 +345,13 @@ def _extreme_cost(costs, pick):
 
 class _PureOps:
     """F-level monadic operations; arrow lifting is the evaluator's job,
-    so ``bind`` continuations here always return F-level denotations."""
+    so ``bind`` continuations here always return F-level denotations.
+
+    The ``*_pure`` operations take effect-free computations (see
+    ``_effect_free``) as ``(cost, value)`` pairs, never wrapped in the
+    theory's denotation: ``bind_pure``'s continuation returns a pair, and
+    ``flip_pure`` and ``branch_pure`` take two.  The pure theory needs
+    none of them: its denotations are the pairs."""
 
     kind = "pure"
 
@@ -368,11 +379,15 @@ class _PureOps:
     def branch(self, m0, m1):
         self._outside("branch")
 
+    branch_pure = branch
+
     def fail(self):
         self._outside("fail")
 
     def flip(self, p, m0, m1):
         self._outside("flip")
+
+    flip_pure = flip
 
     def get(self, k):
         self._outside("get")
@@ -397,8 +412,19 @@ class _NondetOps(_PureOps):
             acc.update(self.charge(c0, k(v)))
         return frozenset(acc)
 
+    def bind_pure(self, m, k):
+        add = self.monoid.add
+        out = []
+        for c0, v in m:
+            c1, v1 = k(v)
+            out.append((add(c0, c1), v1))
+        return frozenset(out)
+
     def branch(self, m0, m1):
         return m0 | m1
+
+    def branch_pure(self, a, b):
+        return frozenset((a, b))
 
     def fail(self):
         return frozenset()
@@ -406,12 +432,18 @@ class _NondetOps(_PureOps):
 
 class _ProbOps(_PureOps):
     """Distributions in integers: each operation scales numerators to a
-    common denominator and reduces once, at the end."""
+    common denominator and reduces once, at the end.
+
+    An effect-free operand is a point mass, so the ``*_pure`` operations
+    build no ``Dist`` for it: ``bind_pure`` moves each numerator of ``m``
+    to its continuation's pair and reduces only if two keys merged, and
+    ``flip_pure`` builds its two keys' weights directly, in lowest terms
+    because ``p`` is."""
 
     kind = "prob"
 
     def unit(self, v):
-        return Dist._of({(self.zero, v): 1}, 1)
+        return Dist._reduced({(self.zero, v): 1}, 1)
 
     def charge(self, c, m):
         # adding a cost to every key moves the weights as they are
@@ -439,6 +471,18 @@ class _ProbOps(_PureOps):
                 acc[key] = acc.get(key, 0) + scale * n1
         return Dist._of(acc, m.den * den)
 
+    def bind_pure(self, m, k):
+        add = self.monoid.add
+        acc: dict = {}
+        for (c0, v), n in m.nums.items():
+            c1, v1 = k(v)
+            key = (add(c0, c1), v1)
+            acc[key] = acc.get(key, 0) + n
+        if len(acc) < len(m.nums):
+            return Dist._of(acc, m.den)
+        # no two keys merged: m's numerators, in lowest terms, on new keys
+        return Dist._reduced(acc, m.den)
+
     def flip(self, p: Fraction, m0, m1):
         if p == 0:
             return m0
@@ -452,6 +496,13 @@ class _ProbOps(_PureOps):
         for key, n in m1.nums.items():
             acc[key] = acc.get(key, 0) + s1 * n
         return Dist._of(acc, b * den)
+
+    def flip_pure(self, p: Fraction, a, b):
+        if a == b:
+            return Dist._reduced({a: 1}, 1)
+        # gcd(den - n, n, den) = gcd(n, den) = 1
+        n, den = p.numerator, p.denominator
+        return Dist._reduced({a: den - n, b: n}, den)
 
 
 class _StateOps(_PureOps):
@@ -479,6 +530,16 @@ class _StateOps(_PureOps):
             c0, s1, v1 = m(s)
             c2, s2, v2 = k(v1)(s1)
             return (add(c0, c2), s2, v2)
+
+        return run
+
+    def bind_pure(self, m, k):
+        add = self.monoid.add
+
+        def run(s):
+            c0, s1, v = m(s)
+            c1, v1 = k(v)
+            return (add(c0, c1), s1, v1)
 
         return run
 
@@ -528,7 +589,15 @@ class Evaluator:
     the names of the variables it captures, whether its type is an
     arrow, the theory operation it calls, and whether a charge is zero
     or the mode extensional.  The closure does only the run-time work.
-    Each computation node compiles once per evaluator, on first use, and
+    It also settles whether a sub-term is an effect-free computation, a
+    ``ret v`` under steps (in the pure theory, any computation at F
+    type), which then compiles to a ``(cost, value)`` pair never wrapped
+    in the theory's denotation.  Four places take the pair as it is: a
+    ``bind`` with an effect-free continuation (``ops.bind_pure``), a
+    ``bind`` with an effect-free scrutinee (its cost charged to the
+    continuation's denotation), and a ``flip`` or ``branch`` with two
+    effect-free arms (``ops.flip_pure``, ``ops.branch_pure``).  Every
+    other node runs its own closure.  Each computation node compiles once per evaluator, on first use, and
     its closure is kept in ``_compiled`` by the node's identity: a node
     reached again, as a forced thunk body or as part of another body
     evaluated here, runs the closures compiled for it.  So the two sides
@@ -834,25 +903,87 @@ def _v_thunk(ev, t):
 # -- computations ---------------------------------------------------------------
 
 
+def _effect_free(ev, t):
+    """The pair form of computation ``t``, which is at F type, if ``t`` is
+    effect-free; else None.
+
+    An effect-free computation is a ``ret v`` under zero or more
+    ``step``s; in the pure theory every computation at F type is one, its
+    denotation being the pair.  The pair form is a closure ``env ->
+    (cost, value)`` that builds no denotation of the theory: ``_c_bind``,
+    ``_c_flip`` and ``_c_branch`` fuse it into their own result instead.
+    In extensional mode the steps vanish."""
+    if ev.theory.kind == "pure":
+        return ev._comp(t)
+    costs = []
+    while type(t) is Step:
+        costs.append(t.cost)
+        t = t.body
+    if type(t) is not Ret:
+        return None
+    value, add = ev._value(t.value), ev.monoid.add
+    lit, terms = ev.ops.zero, []  # literal costs summed here, nat costs later
+    for c in () if ev.ext else costs:
+        match c:
+            case CostLit(c):
+                lit = add(lit, c)
+            case NatCost(term):
+                terms.append(ev._value(term))
+            case _:
+                raise EvalError(f"bad cost expression {c!r}")
+    if not terms:
+        return lambda env: (lit, value(env))
+    scale = ev.monoid.scale
+
+    def run(env):
+        c = lit
+        for n in terms:
+            c = add(c, scale(n(env)[1]))
+        return (c, value(env))
+
+    return run
+
+
 def _c_ret(ev, t):
     value, unit = ev._value(t.value), ev.ops.unit
     return lambda env: unit(value(env))
 
 
 def _c_bind(ev, t):
-    comp, body, x = ev._comp(t.comp), ev._comp(t.body), t.var
-    if ev.theory.kind == "pure" and not isinstance(t.ty, ArrowTy):
-        # _PureOps.bind with the continuation inlined
-        add = ev.monoid.add
+    x = t.var
+    pair = _effect_free(ev, t.comp)
+    if pair is not None:
+        # an effect-free scrutinee charges its cost to the continuation's
+        # denotation
+        body, zero = ev._comp(t.body), ev.ops.zero
+        charge = ev._at(t.ty, ev.ops.charge, ev._charge)
 
         def run(env):
-            c0, v = comp(env)
+            c0, v = pair(env)
             e2 = dict(env)
             e2[x] = v
-            c1, v1 = body(e2)
-            return (add(c0, c1), v1)
+            d = body(e2)
+            return d if c0 == zero else charge(c0, d)
 
         return run
+    comp = ev._comp(t.comp)
+    pair = None if isinstance(t.ty, ArrowTy) else _effect_free(ev, t.body)
+    if pair is not None:
+        bind_pure = ev.ops.bind_pure
+
+        def run(env):
+            # a pair holds no reference to the environment it was
+            # computed in, so one copy serves every value of ``comp``
+            e2 = dict(env)
+
+            def k(v):
+                e2[x] = v
+                return pair(e2)
+
+            return bind_pure(comp(env), k)
+
+        return run
+    body = ev._comp(t.body)
     bind = ev._at(t.ty, ev.ops.bind, ev._bind_at)
 
     def run(env):
@@ -1013,7 +1144,21 @@ def _c_listrec(ev, t):
     return run
 
 
+def _effect_free_arms(ev, t):
+    """The pair forms of ``t``'s two arms if both are effect-free, else
+    None."""
+    if isinstance(t.ty, ArrowTy):
+        return None
+    left = _effect_free(ev, t.left)
+    right = None if left is None else _effect_free(ev, t.right)
+    return None if right is None else (left, right)
+
+
 def _c_branch(ev, t):
+    arms = _effect_free_arms(ev, t)
+    if arms is not None:
+        (left, right), branch = arms, ev.ops.branch_pure
+        return lambda env: branch(left(env), right(env))
     left, right = ev._comp(t.left), ev._comp(t.right)
     branch = ev._at(t.ty, ev.ops.branch, partial(ev._combine2, ev.ops.branch))
     return lambda env: branch(left(env), right(env))
@@ -1032,6 +1177,10 @@ def _c_flip(ev, t):
         return ev._comp(t.left)
     if p == 1:
         return ev._comp(t.right)
+    arms = _effect_free_arms(ev, t)
+    if arms is not None:
+        (left, right), flip = arms, partial(ev.ops.flip_pure, p)
+        return lambda env: flip(left(env), right(env))
     left, right = ev._comp(t.left), ev._comp(t.right)
     flip = partial(ev.ops.flip, p)
     flip = ev._at(t.ty, flip, partial(ev._combine2, flip))

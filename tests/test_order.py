@@ -15,7 +15,7 @@ from stepbound.corpus import (
 from stepbound.costs import SEQ_NAT
 from stepbound.gen import TermGen, gen_dist, gen_outcome, raise_outcome, random_theory
 from stepbound.order import (
-    OrderError, cdf_dominates, dist_leq_flow, eq_outcome,
+    OrderError, _Canon, cdf_dominates, dist_leq_flow, eq_outcome,
     eq_program, ext_equal_program, leq_outcome, leq_program,
     transportation_oracle,
 )
@@ -474,6 +474,20 @@ def test_prob_merges_the_mass_of_equivalent_suspensions():
     assert len(split.dist) == 2
     assert leq_outcome(split, point).holds and leq_outcome(point, split).holds
     assert eq_outcome(split, point).holds
+
+
+def test_canonical_prob_outcome_merges_the_weights_of_one_key():
+    # a and b are equivalent suspensions, so they have one canonical key
+    a, b, c = (out.dist.items[0][0][1]
+               for out in _returned_thunks("prob", "F", SUSPENSIONS["F"]))
+    out = ProbOutcome(PROB, SEQ_NAT, COST, Dist({
+        (1, a): Fraction(1, 6), (1, b): Fraction(1, 2), (0, c): Fraction(1, 3),
+    }), cfg=SUSP_CFG)
+    canon = _Canon(out)
+    got = canon.outcome(out).dist
+    assert got == Dist({(1, canon.value(a)): Fraction(2, 3),
+                        (0, canon.value(c)): Fraction(1, 3)})
+    assert canon.value(a) == canon.value(b) and got.den == 3
 
 
 @pytest.mark.parametrize("kind", ["pure", "nondet", "prob", "state"])

@@ -13,7 +13,9 @@ from stepbound.corpus import (
     STATE_DOUBLE, _INSERT_DOMAIN,
 )
 from stepbound.costs import SEQ_NAT, WORK_SPAN
-from stepbound.gen import RATIONAL_POOL, TermGen, gen_dist, random_theory
+from stepbound.gen import (
+    RATIONAL_POOL, STATE_NAT, TermGen, gen_dist, random_theory,
+)
 from stepbound.order import eq_outcome
 from stepbound.harness import run_all
 from stepbound.semantics import (
@@ -22,8 +24,9 @@ from stepbound.semantics import (
     pair_sort_key,
 )
 from stepbound.syntax import (
-    NAT, NONDET, PROB, Ap, ArrowTy, Bind, Branch, CostLit, FTy, Lam, NatRec,
-    Program, PURE, Ret, Step, Var, Zero, parse, scopes,
+    NAT, NONDET, PROB, UNIT, Ap, ArrowTy, Bind, Branch, CostLit, Flip, FTy,
+    Lam, NatRec, Program, PURE, Ret, Step, Triv, Var, Zero, map_scopes,
+    nat_lit, parse, scopes,
 )
 from stepbound.typecheck import check_program
 
@@ -554,6 +557,71 @@ def test_mutated_isort_first_counterexample_is_unchanged():
         "rhs": "step^0 ret [0 0]",
         "explanation": "cost 1 does not relax to 0",
     }
+
+
+# -- effect-free computations ------------------------------------------------------
+#
+# A `ret v` under steps compiles to a (cost, value) pair that `bind`, `flip`
+# and `branch` fuse into their own results.  `ap(λu:unit. ret v, tt)` is not
+# effect-free, so rewriting every `ret` that way runs the general closures.
+
+
+def _general(t):
+    """``t`` with every ``ret v`` rewritten to ``ap(λu:unit. ret v, tt)``."""
+    t = map_scopes(t, lambda sub, names: (names, _general(sub)))
+    if type(t) is not Ret:
+        return t
+    return Ap(Lam("u", UNIT, t, ty=ArrowTy(UNIT, t.ty)), Triv(), ty=t.ty)
+
+
+@pytest.mark.parametrize("mode", [COST, EXT], ids=["cost", "ext"])
+@pytest.mark.parametrize("theory", [NONDET, PROB, STATE_NAT],
+                         ids=["nondet", "prob", "state"])
+def test_fused_effect_free_paths_match_the_general_closures(theory, mode):
+    cfg = DomainConfig(nat_max=3, list_len=2, elems=2, state_max=4)
+    for seed in range(4):
+        rng = random.Random(seed)
+        gen = TermGen(rng, theory)
+        for _ in range(150):
+            body = gen.closed_comp(gen.result_ty(), rng.randint(1, 4))
+            fused, general = (
+                Evaluator(theory, SEQ_NAT, mode, cfg).outcome(b)
+                for b in (body, _general(body))
+            )
+            # equal outcomes have equal representations: a Dist in lowest
+            # terms, not only equal printed weights
+            assert str(fused) == str(general)
+            assert fused == general
+
+
+def _prob_outcome(body, mode=COST):
+    return Evaluator(PROB, SEQ_NAT, mode, DEFAULT_CONFIG).outcome(body)
+
+
+def test_fused_flip_of_arms_equal_once_steps_vanish_is_a_point_mass():
+    ty = FTy(NAT)
+    body = Flip(Fraction(1, 3), Step(CostLit(1), Ret(Zero(), ty=ty), ty=ty),
+                Ret(Zero(), ty=ty), ty=ty)
+    assert str(_prob_outcome(body)) == "{(0, 0) -> 1/3, (1, 0) -> 2/3}"
+    out = _prob_outcome(body, EXT)
+    assert out == _prob_outcome(Ret(Zero(), ty=ty), EXT)
+    assert (out.dist.nums, out.dist.den) == ({(0, nat(0)): 1}, 1)
+
+
+def test_fused_bind_reduces_merged_keys_to_a_point_mass():
+    coin = Flip(Fraction(1, 2), Ret(Zero(), ty=FTy(NAT)),
+                Ret(nat_lit(1), ty=FTy(NAT)), ty=FTy(NAT))
+    body = Bind(coin, "x", Ret(Triv(), ty=FTy(UNIT)), ty=FTy(UNIT))
+    out = _prob_outcome(body)
+    assert (out.dist.nums, out.dist.den) == ({(0, ("unit",)): 1}, 1)
+
+
+def test_fused_branch_of_equal_arms_is_one_branch():
+    ty = FTy(NAT)
+    out = Evaluator(NONDET, SEQ_NAT, COST, DEFAULT_CONFIG).outcome(
+        Branch(Ret(Zero(), ty=ty), Ret(Zero(), ty=ty), ty=ty)
+    )
+    assert out.branches == frozenset({(0, nat(0))})
 
 
 # -- error paths -----------------------------------------------------------------
