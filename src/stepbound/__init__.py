@@ -10,12 +10,12 @@ domains.
 """
 
 from .costs import MONOIDS, SEQ_NAT, WORK_SPAN
-from .corpus import BoundSpec, Relation, corpus
+from .corpus import BoundSpec, corpus
 from .harness import CheckReport, run_all, verify
 from .laws import catalog, check_law, mutant_catalog
 from .order import (
-    Verdict, eq_outcome, eq_program, ext_equal_program, leq_outcome,
-    leq_program, transportation_oracle,
+    Relation, Verdict, eq_outcome, leq_outcome, relation_check,
+    transportation_oracle,
 )
 from .semantics import DomainConfig, EvalMode, eval_fn, evaluate
 from .syntax import Program, parse, print_program
@@ -25,9 +25,9 @@ __all__ = [
     "BoundSpec", "CheckReport", "Checker", "DomainConfig", "EvalMode",
     "MONOIDS", "Program", "Relation", "SEQ_NAT", "TypeCheckError",
     "Verdict", "WORK_SPAN", "catalog", "check_law", "check_program",
-    "corpus", "elaborate", "eq_outcome", "eq_program", "ext_equal_program",
-    "eval_fn", "evaluate", "leq_outcome", "leq_program", "mutant_catalog",
-    "parse", "print_program", "run_all", "transportation_oracle", "verify",
+    "corpus", "elaborate", "eq_outcome", "eval_fn", "evaluate",
+    "leq_outcome", "mutant_catalog", "parse", "print_program",
+    "relation_check", "run_all", "transportation_oracle", "verify",
 ]
 
 __version__ = "0.1.0"

@@ -1,12 +1,8 @@
 """The example corpus: cost-instrumented programs and their bounds.
 
 Every entry pairs a program with a bounding program of the same type and
-theory, related by one of:
-
-* ``LEQ_UPPER``  -- program <= bound over the whole input domain,
-* ``LEQ_LOWER``  -- bound <= program (a cost lower bound),
-* ``EQUAL``      -- outcomes coincide exactly,
-* ``EXT_EQUAL``  -- outcomes coincide with cost collapsed.
+theory, related by one of the four ``order.Relation``s over the whole
+input domain.
 
 Bounds are ordinary programs: where a bound needs arithmetic on the input
 (lengths, squares, logs) it computes it with cost-free helper
@@ -20,8 +16,9 @@ Higher-order entries (``twice``, ``map``) cannot be tabulated over their
 suspended argument, so they carry a *hypothesis* spec: the harness
 generates candidate arguments, keeps those satisfying the hypothesis and
 checks the conclusion for each.  That is evidence, not proof, and the
-reports say so.  A hypothesis is decided over its spec's domain, so it
-repeats that domain; ``verify`` refuses one that differs.
+reports say so.  A hypothesis is decided over its spec's domain, on
+candidates of its spec's theory and cost monoid, so it repeats all
+three; ``verify`` refuses one that differs.
 
 Recursion in the sources is structural only; quicksort and merge sort
 recurse on non-structural sublists, so they run inside a nat-recursor
@@ -32,11 +29,11 @@ merge), which the structure of the algorithms keeps sufficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 from .costs import SEQ_NAT
+from .order import Relation
 from .semantics import DomainConfig
 from .syntax import (
     BOOL, NAT, UNIT, Ap, ArrowTy, Bind, BoolLit, Branch, Cons, CostLit, FTy,
@@ -44,13 +41,6 @@ from .syntax import (
     Nil, PROB, PURE, Pair, ProdTy, Program, Put, Ret, Snd, Step, Suc, Triv,
     UTy, Var, Zero, nat_lit, state_theory,
 )
-
-
-class Relation(Enum):
-    LEQ_UPPER = "leq-upper"
-    LEQ_LOWER = "leq-lower"
-    EQUAL = "equal"
-    EXT_EQUAL = "ext-equal"
 
 
 @dataclass(frozen=True)

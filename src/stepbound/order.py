@@ -28,12 +28,14 @@ theory, cost monoid, mode and domain it was evaluated under, so
 suspensions are forced under the outcomes' own theory, and outcomes whose
 theory, monoid or domain differ are refused.  A suspension's key is only
 as fine as that domain, so a holding verdict that met one carries a note.
-Programs of first-order function type are compared pointwise by
-enumerating their input domain.
+``relation_check`` relates two programs of first-order function type
+pointwise over their enumerated input domain, with the decider that a
+spec's ``Relation`` and the run's mode call for.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from enum import Enum
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional
@@ -521,24 +523,63 @@ class _Dinic:
 # ---------------------------------------------------------------------------
 
 
-def pair_evaluator(
-    lhs: Program, rhs: Program, mode: EvalMode, cfg: DomainConfig
-) -> tuple:
-    """``(evaluator, lhs body, rhs body)``: the one evaluator that decides
-    a relation between two source programs, and their elaborated bodies.
+class Relation(Enum):
+    """How a program relates to its bound."""
 
-    The programs must share a type, an effect theory and a cost monoid.
+    LEQ_UPPER = "leq-upper"  # program <= bound
+    LEQ_LOWER = "leq-lower"  # bound <= program (a cost lower bound)
+    EQUAL = "equal"  # outcomes coincide exactly
+    EXT_EQUAL = "ext-equal"  # outcomes coincide with cost collapsed
+
+
+def relation_check(
+    relation: Relation,
+    program: Program,
+    bound: Program,
+    mode: EvalMode = EvalMode.COST_COUNTING,
+    cfg: DomainConfig = DEFAULT_CONFIG,
+) -> tuple:
+    """How ``relation`` between two source programs is decided in a run
+    of ``mode``: ``(evaluator, program, check)``, where ``program`` is the
+    elaborated ``program`` and ``check(lead=())`` decides the relation
+    at every input starting with the fixed values ``lead`` (a hypothesis
+    spec's candidate argument).
+
+    The one place that maps a relation and a mode to the decider, the
+    operand order and the evaluation mode.  The two programs must share
+    a type, an effect theory and a cost monoid, and one evaluator
+    evaluates both.  The deciders are read when this is called, so a
+    wrapper installed on this module's ``leq_outcome``/``eq_outcome``
+    sees every decision.
     """
-    if lhs.declared_ty != rhs.declared_ty:
+    if program.declared_ty != bound.declared_ty:
         raise OrderError(
             "programs have different types and cannot be compared"
         )
-    if lhs.theory != rhs.theory:
+    if program.theory != bound.theory:
         raise OrderError("programs declare different effect theories")
-    if lhs.monoid is not rhs.monoid:
+    if program.monoid is not bound.monoid:
         raise OrderError("programs declare different cost monoids")
-    ev = Evaluator(lhs.theory, lhs.monoid, mode, cfg)
-    return ev, elaborate(lhs).body, elaborate(rhs).body
+    swap = False
+    if mode is EvalMode.EXTENSIONAL:
+        # with cost collapsed, every stated approximation must be an equality
+        decide = eq_outcome
+    else:
+        match relation:
+            case Relation.LEQ_UPPER:
+                decide = leq_outcome
+            case Relation.LEQ_LOWER:
+                decide, swap = leq_outcome, True
+            case Relation.EQUAL:
+                decide = eq_outcome
+            case Relation.EXT_EQUAL:
+                decide, mode = eq_outcome, EvalMode.EXTENSIONAL
+            case _:
+                raise ValueError(relation)
+    ev = Evaluator(program.theory, program.monoid, mode, cfg)
+    body, bound_body = elaborate(program).body, elaborate(bound).body
+    lhs, rhs = (bound_body, body) if swap else (body, bound_body)
+    return ev, body, lambda lead=(): pointwise(decide, ev, lhs, rhs, lead)
 
 
 def pointwise(
@@ -563,34 +604,3 @@ def pointwise(
         if v.note:
             note = v.note
     return Verdict(True, note=note)
-
-
-def leq_program(
-    lhs: Program,
-    rhs: Program,
-    mode: EvalMode = EvalMode.COST_COUNTING,
-    cfg: DomainConfig = DEFAULT_CONFIG,
-) -> Verdict:
-    """Pointwise ``<=`` of two programs over their enumerated input domain.
-
-    Inputs are visited in canonical enumeration order and the first
-    failing one becomes the witness, so verdicts are deterministic.
-    """
-    return pointwise(leq_outcome, *pair_evaluator(lhs, rhs, mode, cfg))
-
-
-def eq_program(
-    lhs: Program,
-    rhs: Program,
-    mode: EvalMode = EvalMode.COST_COUNTING,
-    cfg: DomainConfig = DEFAULT_CONFIG,
-) -> Verdict:
-    """Pointwise outcome equality over the enumerated input domain."""
-    return pointwise(eq_outcome, *pair_evaluator(lhs, rhs, mode, cfg))
-
-
-def ext_equal_program(
-    lhs: Program, rhs: Program, cfg: DomainConfig = DEFAULT_CONFIG
-) -> Verdict:
-    """Behavioral equality: outcome equality with all costs collapsed."""
-    return eq_program(lhs, rhs, EvalMode.EXTENSIONAL, cfg)

@@ -351,7 +351,8 @@ class _PureOps:
     ``_effect_free``) as ``(cost, value)`` pairs, never wrapped in the
     theory's denotation: ``bind_pure``'s continuation returns a pair, and
     ``flip_pure`` and ``branch_pure`` take two.  The pure theory needs
-    none of them: its denotations are the pairs."""
+    none of them, nor ``bind``: its denotations are the pairs, so every
+    scrutinee is effect-free and ``_c_bind`` charges its cost itself."""
 
     kind = "pure"
 
@@ -364,9 +365,6 @@ class _PureOps:
 
     def charge(self, c, m):
         return (self.monoid.add(c, m[0]), m[1])
-
-    def bind(self, m, k):
-        return self.charge(m[0], k(m[1]))
 
     def par(self, m0, m1):
         return (self.monoid.par(m0[0], m1[0]), ("pair", m0[1], m1[1]))

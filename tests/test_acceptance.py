@@ -21,8 +21,8 @@ from stepbound.gen import gen_dist, gen_outcome, raise_outcome
 from stepbound.harness import verify
 from stepbound.laws import catalog, check_law, mutant_catalog
 from stepbound.order import (
-    dist_leq_flow, eq_outcome, ext_equal_program,
-    leq_outcome, transportation_oracle,
+    Relation, dist_leq_flow, eq_outcome, leq_outcome, relation_check,
+    transportation_oracle,
 )
 from stepbound.semantics import (
     DomainConfig, EvalMode, ProbOutcome, evaluate,
@@ -176,8 +176,9 @@ def test_criterion_8_oracle_agreement():
 
 def test_criterion_9_isort_msort_extensionally_equal():
     start = time.monotonic()
-    verdict = ext_equal_program(ISORT, MSORT,
-                                DomainConfig(list_len=5, elems=5))
+    _, _, check = relation_check(Relation.EXT_EQUAL, ISORT, MSORT,
+                                 cfg=DomainConfig(list_len=5, elems=5))
+    verdict = check()
     elapsed = time.monotonic() - start
     assert verdict.holds
     assert elapsed <= 30, f"took {elapsed:.1f}s (limit 30s)"

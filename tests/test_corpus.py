@@ -16,7 +16,7 @@ from stepbound.harness import (
 )
 from stepbound.laws import catalog, check_law
 from stepbound.semantics import DomainConfig, EvalMode, Evaluator
-from stepbound.syntax import parse
+from stepbound.syntax import PROB, PURE, parse
 from stepbound.typecheck import check_program
 
 COST = EvalMode.COST_COUNTING
@@ -167,6 +167,27 @@ def test_hypothesis_with_a_domain_of_its_own_is_refused(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("theory", PURE), ("theory", PROB), ("monoid", WORK_SPAN),
+], ids=["pure", "prob", "work-span"])
+def test_hypothesis_with_a_theory_of_its_own_is_refused(field, value):
+    # candidates are generated in the spec's theory and monoid, so a
+    # hypothesis in another one would meet operations it cannot run
+    import dataclasses
+
+    from stepbound.order import OrderError
+
+    spec = by_name("twice-hypothesis")
+    retag = lambda p: dataclasses.replace(p, **{field: value})
+    bad = dataclasses.replace(spec, hypothesis=dataclasses.replace(
+        spec.hypothesis, program=retag(spec.hypothesis.program),
+        bound=retag(spec.hypothesis.bound),
+    ))
+    with pytest.raises(OrderError, match="^the hypothesis of spec "
+                       "'twice-hypothesis' declares its own effect theory"):
+        verify(bad)
+
+
 def test_hypothesis_inconclusive_when_too_few_admitted():
     spec = by_name("twice-hypothesis")
     rep = verify(spec, domain_override={"hyp_candidates": 30})
@@ -248,6 +269,44 @@ def test_verify_reports_the_spec_monoid_for_its_cost_range():
     rep = verify(spec)
     assert (rep.min_cost, rep.max_cost) == ((0, 0), (3, 3))
     assert "cost[(0 0)..(3 3)]" in format_table([rep], [])
+
+
+@pytest.mark.parametrize("mode", [COST, EvalMode.EXTENSIONAL],
+                         ids=["cost", "ext"])
+@pytest.mark.parametrize("name, decider", [
+    ("isort-upper", "leq_outcome"),
+    ("isort-lower", "leq_outcome"),
+    ("double-closed-form", "eq_outcome"),
+    ("isort-msort-ext", "eq_outcome"),
+])
+def test_verify_decides_through_the_order_deciders(name, decider, mode,
+                                                   monkeypatch):
+    # wrappers installed on `order`'s deciders see every decision `verify`
+    # makes: one per input, by the decider and in the evaluation mode the
+    # relation and the run's mode call for
+    import dataclasses
+
+    from stepbound import order
+    from stepbound.semantics import enumerate_inputs
+
+    calls = {"leq_outcome": [], "eq_outcome": []}
+    for attr, seen in calls.items():
+        def counting(lhs, rhs, decide=getattr(order, attr), seen=seen):
+            seen.append((lhs.mode, rhs.mode))
+            return decide(lhs, rhs)
+
+        monkeypatch.setattr(order, attr, counting)
+    spec = by_name(name)
+    override = {"nat_max": 4, "list_len": 3, "elems": 3}
+    assert verify(spec, mode=mode, domain_override=override).ok
+    cfg = dataclasses.replace(spec.domain, **override)
+    inputs = enumerate_inputs(spec.program.declared_ty, cfg)[1]
+    if mode is EvalMode.EXTENSIONAL:
+        decider = "eq_outcome"
+    ext = mode is EvalMode.EXTENSIONAL or spec.relation is Relation.EXT_EQUAL
+    run = EvalMode.EXTENSIONAL if ext else COST
+    assert calls[decider] == [(run, run)] * len(inputs)
+    assert sum(map(len, calls.values())) == len(inputs)
 
 
 @pytest.mark.parametrize("name, relations", [

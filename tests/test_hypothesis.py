@@ -16,6 +16,7 @@ from stepbound.corpus import BoundSpec, Relation, corpus
 from stepbound.costs import SEQ_NAT
 from stepbound.gen import TermGen
 from stepbound.harness import CheckReport, verify
+from stepbound.order import relation_check
 from stepbound.semantics import DomainConfig, EvalMode
 from stepbound.syntax import (
     CostLit, Lam, Program, Ret, Step, Triv, parse, term_str, unfold_arrows,
@@ -35,8 +36,13 @@ def reference_verify(spec, mode, seed) -> CheckReport:
     of every admitted candidate, once per generated term."""
     cfg = spec.domain
     inner_ty = unfold_arrows(spec.program.declared_ty)[0][0].comp
-    hyp_ev, _, hyp_check = harness._relation(spec.hypothesis, mode, cfg)
-    concl_ev, _, concl_check = harness._relation(spec, mode, cfg)
+    hyp = spec.hypothesis
+    hyp_ev, _, hyp_check = relation_check(
+        hyp.relation, hyp.program, hyp.bound, mode, cfg
+    )
+    concl_ev, _, concl_check = relation_check(
+        spec.relation, spec.program, spec.bound, mode, cfg
+    )
     gen = TermGen(random.Random(seed), spec.program.theory)
     admitted = tried = 0
     failure = None

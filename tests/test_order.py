@@ -15,9 +15,8 @@ from stepbound.corpus import (
 from stepbound.costs import SEQ_NAT
 from stepbound.gen import TermGen, gen_dist, gen_outcome, raise_outcome, random_theory
 from stepbound.order import (
-    OrderError, _Canon, cdf_dominates, dist_leq_flow, eq_outcome,
-    eq_program, ext_equal_program, leq_outcome, leq_program,
-    transportation_oracle,
+    OrderError, Relation, _Canon, cdf_dominates, dist_leq_flow, eq_outcome,
+    leq_outcome, relation_check, transportation_oracle,
 )
 from stepbound.costs import WORK_SPAN
 from stepbound.semantics import (
@@ -92,15 +91,21 @@ def test_theory_mismatch_raises():
         leq_outcome(pure(0, UNIT_VAL), nd((0, UNIT_VAL)))
 
 
+def holds(relation, program, bound, mode, cfg):
+    """Whether ``relation`` holds between the two programs, pointwise over
+    the enumerated input domain."""
+    return relation_check(relation, program, bound, mode, cfg)[2]().holds
+
+
 def test_program_type_mismatch_raises():
-    with pytest.raises(OrderError):
-        leq_program(ISORT, LOOKUP)
+    with pytest.raises(OrderError, match="different types"):
+        relation_check(Relation.LEQ_UPPER, ISORT, LOOKUP)
 
 
 def test_domain_cap_is_enforced():
     with pytest.raises(OrderError):
-        leq_program(ISORT, ISORT_BOUND, COST,
-                    DomainConfig(list_len=5, elems=5, input_cap=100))
+        holds(Relation.LEQ_UPPER, ISORT, ISORT_BOUND, COST,
+              DomainConfig(list_len=5, elems=5, input_cap=100))
 
 
 def test_eq_outcome_reflexive_and_symmetric_negative():
@@ -600,14 +605,15 @@ SORT_CFG = DomainConfig(list_len=4, elems=4)
 
 
 def test_leq_program_isort_upper_and_lower():
-    assert leq_program(ISORT, ISORT_BOUND, COST, SORT_CFG).holds
-    assert leq_program(ISORT_LOWER_BOUND, ISORT, COST, SORT_CFG).holds
+    assert holds(Relation.LEQ_UPPER, ISORT, ISORT_BOUND, COST, SORT_CFG)
+    assert holds(Relation.LEQ_LOWER, ISORT, ISORT_LOWER_BOUND, COST, SORT_CFG)
 
 
 def test_leq_program_counterexample_reports_first_input():
     # the lower bound is not an upper bound: |l| - 1 < cost on most lists
-    v = leq_program(ISORT, ISORT_LOWER_BOUND, COST,
-                    DomainConfig(list_len=3, elems=3))
+    _, _, check = relation_check(Relation.LEQ_UPPER, ISORT, ISORT_LOWER_BOUND,
+                                 COST, DomainConfig(list_len=3, elems=3))
+    v = check()
     assert not v.holds
     assert v.witness is not None and v.witness.input
 
@@ -617,13 +623,12 @@ def test_leq_program_reflexive_on_corpus():
     for spec in corpus():
         if spec.hypothesis is not None:
             continue
-        assert leq_program(spec.program, spec.program, COST, cfg).holds
+        assert holds(Relation.LEQ_UPPER, spec.program, spec.program, COST, cfg)
 
 
 def test_ext_equal_lookup_behavioral_spec():
-    assert ext_equal_program(
-        LOOKUP, LOOKUP_BOUND, DomainConfig(nat_max=5, list_len=3, elems=3)
-    ).holds
+    assert holds(Relation.EXT_EQUAL, LOOKUP, LOOKUP_BOUND, COST,
+                 DomainConfig(nat_max=5, list_len=3, elems=3))
 
 
 def test_nondet_unit_bound_and_reverse():
@@ -674,5 +679,5 @@ def test_extensional_collapse_of_leq():
         e = gen.closed_comp(ty, 3)
         lo = Program("lo", theory, SEQ_NAT, e, ty)
         hi = Program("hi", theory, SEQ_NAT, Step(CostLit(gen.cost()), e), ty)
-        assert leq_program(lo, hi, COST, cfg).holds
-        assert eq_program(lo, hi, EvalMode.EXTENSIONAL, cfg).holds
+        assert holds(Relation.LEQ_UPPER, lo, hi, COST, cfg)
+        assert holds(Relation.EQUAL, lo, hi, EvalMode.EXTENSIONAL, cfg)

@@ -16,12 +16,12 @@ from stepbound.costs import SEQ_NAT, WORK_SPAN
 from stepbound.gen import (
     RATIONAL_POOL, STATE_NAT, TermGen, gen_dist, random_theory,
 )
-from stepbound.order import eq_outcome
+from stepbound.order import Relation, eq_outcome, relation_check
 from stepbound.harness import run_all
 from stepbound.semantics import (
     DEFAULT_CONFIG, Dist, DomainConfig, EvalMode, EvalError, Evaluator,
     ProbOutcome, _ProbOps, enumerate_inputs, eval_fn, evaluate,
-    pair_sort_key,
+    pair_sort_key, val_str,
 )
 from stepbound.syntax import (
     NAT, NONDET, PROB, UNIT, Ap, ArrowTy, Bind, Branch, CostLit, Flip, FTy,
@@ -622,6 +622,88 @@ def test_fused_branch_of_equal_arms_is_one_branch():
         Branch(Ret(Zero(), ty=ty), Ret(Zero(), ty=ty), ty=ty)
     )
     assert out.branches == frozenset({(0, nat(0))})
+
+
+# -- effects at function type ----------------------------------------------------
+#
+# A computation of type `nat -> F nat` denotes a function, and the evaluator
+# lifts each effect operation through its argument.  Applying the operation
+# to `a` must equal the operation with `a` pushed into its operands.
+
+_F = "(lam (y : nat) (step y (ret (suc y))))"
+_G = "(lam (y : nat) (step 1 (ret y)))"
+_K = "(lam (y : nat) (step x (ret (suc y))))"  # x bound by the enclosing bind
+_H = "(lam (y : nat) (get (s (step y (ret s)))))"
+
+
+@pytest.mark.parametrize("effect, op, pushed", [
+    ("nondet", f"(branch {_F} {_G})", f"(branch (ap {_F} a) (ap {_G} a))"),
+    ("nondet", "fail", "fail"),
+    ("prob", f"(flip 1/3 {_F} {_G})", f"(flip 1/3 (ap {_F} a) (ap {_G} a))"),
+    # scrutinees that are not a ret under steps, so the general bind runs
+    ("nondet", f"(bind (branch (ret 0) (step 1 (ret 1))) (x {_K}))",
+     f"(bind (branch (ret 0) (step 1 (ret 1))) (x (ap {_K} a)))"),
+    ("prob", f"(bind (flip 1/3 (ret 0) (step 1 (ret 2))) (x {_K}))",
+     f"(bind (flip 1/3 (ret 0) (step 1 (ret 2))) (x (ap {_K} a)))"),
+    ("state:nat", f"(bind (get (s (ret s))) (x {_K}))",
+     f"(bind (get (s (ret s))) (x (ap {_K} a)))"),
+    ("state:nat", "(get (s (lam (y : nat) (step s (ret y)))))",
+     "(get (s (ap (lam (y : nat) (step s (ret y))) a)))"),
+    ("state:nat", f"(set 2 {_H})", f"(set 2 (ap {_H} a))"),
+], ids=["branch", "fail", "flip", "bind-nondet", "bind-prob", "bind-state",
+        "get", "set"])
+@pytest.mark.parametrize("mode", [COST, EXT], ids=["cost", "ext"])
+def test_effects_at_function_type_apply_pointwise(effect, op, pushed, mode):
+    def program(body):
+        return parse(f"#effect {effect}\n"
+                     f"(: (-> nat (F nat)) (lam (a : nat) {body}))")
+
+    _, _, check = relation_check(
+        Relation.EQUAL, program(f"(ap {op} a)"), program(pushed), mode,
+        DomainConfig(nat_max=3, state_max=3),
+    )
+    assert check().holds
+
+
+# -- sums, case and products ------------------------------------------------------
+
+
+def _outcomes_by_input(source, cfg):
+    """``{input: printed outcome}`` over ``cfg``'s domain."""
+    prog = parse(source)
+    _, inputs = enumerate_inputs(prog.declared_ty, cfg)
+    return {", ".join(map(val_str, args)): str(out)
+            for args, out in eval_fn(prog, COST, cfg, inputs).items()}
+
+
+def test_case_over_a_sum_input_builds_both_injections():
+    source = """(: (-> (sum nat bool) (F (sum bool nat)))
+      (lam (x : (sum nat bool))
+        (case x (n (step n (ret (inr (suc n)))))
+                (b (step 1 (ret (inl b)))))))"""
+    assert _outcomes_by_input(source, DomainConfig(nat_max=2)) == {
+        "inl 0": "step^0 ret inr 1",
+        "inl 1": "step^1 ret inr 2",
+        "inl 2": "step^2 ret inr 3",
+        "inr false": "step^1 ret inl false",
+        "inr true": "step^1 ret inl true",
+    }
+
+
+def test_projections_over_a_product_input():
+    source = """(: (-> (prod (prod unit bool) nat) (F (prod nat unit)))
+      (lam (p : (prod (prod unit bool) nat))
+        (if (snd (fst p))
+            (step (snd p) (ret (pair (snd p) (fst (fst p)))))
+            (ret (pair 0 tt)))))"""
+    assert _outcomes_by_input(source, DomainConfig(nat_max=2)) == {
+        "((tt, false), 0)": "step^0 ret (0, tt)",
+        "((tt, false), 1)": "step^0 ret (0, tt)",
+        "((tt, false), 2)": "step^0 ret (0, tt)",
+        "((tt, true), 0)": "step^0 ret (0, tt)",
+        "((tt, true), 1)": "step^1 ret (1, tt)",
+        "((tt, true), 2)": "step^2 ret (2, tt)",
+    }
 
 
 # -- error paths -----------------------------------------------------------------
