@@ -28,12 +28,12 @@ merge), which the structure of the algorithms keeps sufficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .costs import SEQ_NAT
 from .order import Relation
+from .records import record
 from .semantics import DomainConfig
 from .syntax import (
     BOOL, NAT, UNIT, Ap, ArrowTy, Bind, BoolLit, Branch, Cons, CostLit, FTy,
@@ -43,7 +43,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class BoundSpec:
     name: str
     program: Program

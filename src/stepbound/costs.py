@@ -15,10 +15,10 @@ live inside frozensets and dict keys without wrapper overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class CostMonoid:
     name: str
 
@@ -46,7 +46,7 @@ class CostMonoid:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record
 class _SeqNat(CostMonoid):
     @property
     def zero(self):
@@ -71,7 +71,7 @@ class _SeqNat(CostMonoid):
         return str(c)
 
 
-@dataclass(frozen=True)
+@record
 class _WorkSpan(CostMonoid):
     @property
     def zero(self):

@@ -12,10 +12,10 @@ compare structurally.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from .costs import SEQ_NAT
+from .records import replace
 from .semantics import (
     Dist, EvalMode, NondetOutcome, ProbOutcome, PureOutcome, StateOutcome,
 )

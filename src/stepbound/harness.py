@@ -37,11 +37,9 @@ dropping the instrumentation must break that program's cost lower bound.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .corpus import BoundSpec, SPEC_HELPERS, corpus
@@ -52,6 +50,7 @@ from .order import OrderError, relation_check
 # unused here; perfbench/test_perfbench.py::test_uninstall_restores_the_package
 # reads harness.leq_outcome, so the name stays until that test changes
 from .order import leq_outcome  # noqa: F401
+from .records import field, record, replace
 from .semantics import (
     DomainConfig, EvalMode, Evaluator, cost_sort_key, enumerate_inputs,
     enumerate_value_ty, eval_fn, val_str,
@@ -62,7 +61,7 @@ from .syntax import (
 )
 
 
-@dataclass
+@record(frozen=False)
 class CheckReport:
     name: str
     relation: str
@@ -76,7 +75,7 @@ class CheckReport:
     # hypothesis candidates decided afresh, not from a decided behaviour
     distinct: Optional[int] = None
     note: str = ""
-    counters: dict = dataclasses.field(default_factory=dict)
+    counters: dict = field(default_factory=dict)
     monoid: CostMonoid = SEQ_NAT  # the spec's; prints the cost range
 
     @property
@@ -110,7 +109,7 @@ class CheckReport:
 def _merge_domain(base: DomainConfig, override: Optional[dict]) -> DomainConfig:
     if not override:
         return base
-    return dataclasses.replace(base, **override)
+    return replace(base, **override)
 
 
 def _cost_stats(ev: Evaluator, program) -> tuple:
@@ -367,7 +366,7 @@ def zero_steps(t: Term, zero=0) -> Term:
 
 
 def mutate_program(p: Program) -> Program:
-    return dataclasses.replace(p, body=zero_steps(p.body, p.monoid.zero))
+    return replace(p, body=zero_steps(p.body, p.monoid.zero))
 
 
 def mutated_corpus(name: str):
@@ -376,9 +375,7 @@ def mutated_corpus(name: str):
     for spec in corpus():
         if spec.program.name == name:
             found = True
-            specs.append(dataclasses.replace(
-                spec, program=mutate_program(spec.program)
-            ))
+            specs.append(replace(spec, program=mutate_program(spec.program)))
         else:
             specs.append(spec)
     if not found:

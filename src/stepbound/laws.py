@@ -34,13 +34,13 @@ import itertools
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .costs import SEQ_NAT
 from .gen import LAW_STATE_TY, THEORY_OF_KIND, TermGen, random_theory
 from .order import eq_outcome
+from .records import field, record
 from .semantics import DomainConfig, EvalMode, Evaluator
 from .syntax import (
     NAT, Ap, ArrowTy, Bind, Branch, CostLit, FTy, Fail, Flip, Get, Lam, Put,
@@ -50,7 +50,7 @@ from .syntax import (
 LAWS_CONFIG = DomainConfig(nat_max=4, list_len=2, elems=2, state_max=4)
 
 
-@dataclass(frozen=True)
+@record
 class Law:
     """One equational axiom: a named pair of term templates.
 
@@ -68,7 +68,7 @@ class Law:
     mutant: bool = False
 
 
-@dataclass
+@record(frozen=False)
 class LawReport:
     law: str
     theory: str

@@ -34,13 +34,13 @@ spec's ``Relation`` and the run's mode call for.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional
 
 from .costs import SEQ_NAT
+from .records import asdict, record, replace
 from .semantics import (
     DEFAULT_CONFIG, Dist, DomainConfig, EvalError, EvalMode, Evaluator,
     NondetOutcome, Outcome, ProbOutcome, PureOutcome, StateOutcome,
@@ -55,7 +55,7 @@ class OrderError(Exception):
     pass
 
 
-@dataclass
+@record(frozen=False)
 class Witness:
     input: str
     lhs: str
@@ -66,7 +66,7 @@ class Witness:
         return asdict(self)
 
 
-@dataclass
+@record(frozen=False)
 class Verdict:
     holds: bool
     witness: Optional[Witness] = None

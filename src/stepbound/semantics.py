@@ -35,18 +35,18 @@ and runs those.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 
+from .records import field, record
 from .syntax import (
     Ap, ArrowTy, Bind, BoolLit, BoolTy, Branch, CompTerm, CompTy, Cons,
     CostLit, EffectTheory, FTy, Fail, Flip, Fst, Get, If, Inl, Inr, Lam,
     ListRec, ListTy, NatCost, NatRec, NatTy, Nil, Pair, Par, ProdTy, Program,
     Put, Ret, Snd, Step, Suc, SumCase, SumTy, Triv, UnitTy, ValueTy, Var,
-    Zero, free_vars, frozen_record, scopes, term_str, unfold_arrows,
+    Zero, free_vars, scopes, term_str, unfold_arrows,
 )
 from .typecheck import elaborate
 
@@ -60,7 +60,7 @@ class EvalMode(Enum):
     EXTENSIONAL = "ext"
 
 
-@dataclass(frozen=True)
+@record
 class DomainConfig:
     """Finite enumeration bounds for inputs, list elements and states."""
 
@@ -159,7 +159,7 @@ def val_str(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-@frozen_record
+@record
 class Outcome:
     """What a closed computation returns, with what it was evaluated
     under: the effect theory, cost monoid and mode, and the domain
@@ -174,7 +174,7 @@ class Outcome:
                               repr=False, kw_only=True)
 
 
-@frozen_record
+@record
 class PureOutcome(Outcome):
     cost: object
     value: object
@@ -189,7 +189,7 @@ class PureOutcome(Outcome):
         return self.cost
 
 
-@frozen_record
+@record
 class NondetOutcome(Outcome):
     branches: frozenset  # of (cost, value)
 
@@ -289,7 +289,7 @@ class Dist:
         return sum(self.nums.values()) == self.den
 
 
-@frozen_record
+@record
 class ProbOutcome(Outcome):
     dist: Dist
 
@@ -307,7 +307,7 @@ class ProbOutcome(Outcome):
         return _extreme_cost((c for c, _ in self.dist.nums), min)
 
 
-@frozen_record
+@record
 class StateOutcome(Outcome):
     table: tuple       # sorted ((s0, (cost, s1, value)), ...)
     escaped: frozenset  # initial states whose run left the domain

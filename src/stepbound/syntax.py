@@ -35,13 +35,12 @@ monoid unit at run time.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from .costs import MONOIDS, SEQ_NAT, WORK_SPAN, CostMonoid
+from .records import field, record, replace
 
 
 class SyntaxError_(Exception):
@@ -60,54 +59,16 @@ class SyntaxError_(Exception):
 # ---------------------------------------------------------------------------
 
 
-def frozen_record(cls):
-    """``cls`` as a frozen dataclass whose ``__init__`` stores the fields
-    straight into the instance ``__dict__``.
-
-    The ``__init__`` that ``dataclass(frozen=True)`` writes assigns each
-    field through ``object.__setattr__``, a call per field, and the law
-    suite and the generators build hundreds of thousands of nodes.  The
-    one written here has the same signature and defaults, and still calls
-    ``__post_init__``; assignment after construction still raises
-    ``FrozenInstanceError``.  Fields must be init fields without a
-    ``default_factory``.
-    """
-    cls = dataclass(frozen=True)(cls)
-    params, kw_params, lines = [], [], []
-    defaults = {}
-    for f in dataclasses.fields(cls):
-        if not f.init or f.default_factory is not dataclasses.MISSING:
-            raise TypeError(f"{cls.__name__}.{f.name}: frozen_record takes "
-                            "init fields with plain defaults only")
-        param = f.name
-        if f.default is not dataclasses.MISSING:
-            defaults[f"_default_{f.name}"] = f.default
-            param += f"=_default_{f.name}"
-        (kw_params if f.kw_only else params).append(param)
-        lines.append(f"    __d[{f.name!r}] = {f.name}")
-    if kw_params:
-        params += ["*", *kw_params]
-    if hasattr(cls, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    source = (f"def __init__(self, {', '.join(params)}):\n"
-              "    __d = self.__dict__\n" + "\n".join(lines) + "\n")
-    exec(source, defaults)
-    init = defaults["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    return cls
-
-
 def _node(cls):
-    """A ``frozen_record`` whose hash is computed on first use and kept.
+    """A record whose hash is computed on first use and kept.
 
     Types and terms compare by value, and the evaluator's table keys hold
     them (inside thunk and ``den`` values), so without the cache every
     lookup would rehash the whole tree.  Nodes are never mutated after
-    construction (``dataclasses.replace`` builds a new one), so a kept
-    hash cannot go stale.
+    construction (``replace`` builds a new one), so a kept hash cannot
+    go stale.
     """
-    cls = frozen_record(cls)
+    cls = record(cls)
     tree_hash = cls.__hash__
 
     def __hash__(self):
@@ -201,7 +162,7 @@ def unfold_arrows(ty: CompTy):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EffectTheory:
     kind: str  # pure | nondet | prob | state
     state_ty: Optional[ValueTy] = None
@@ -447,7 +408,8 @@ class Flip(CompTerm):
     ty: object = field(**_meta)
 
     def __post_init__(self):
-        if not 0 <= self.prob <= 1:
+        n, d = self.prob.as_integer_ratio()
+        if not 0 <= n <= d:
             raise ValueError(f"flip probability {self.prob} outside [0, 1]")
 
 
@@ -480,7 +442,7 @@ class Par(CompTerm):
 # ---------------------------------------------------------------------------
 
 
-@frozen_record
+@record
 class Program:
     name: str
     theory: EffectTheory
@@ -553,7 +515,7 @@ def map_scopes(t, f):
         for b, old, new in zip(binders, names, new_names):
             if new != old:
                 changes[b] = new
-    return dataclasses.replace(t, **changes) if changes else t
+    return replace(t, **changes) if changes else t
 
 
 def free_vars(t) -> frozenset:
@@ -650,14 +612,14 @@ def alpha_eq(a: Term, b: Term) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SAtom:
     text: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@record
 class SList:
     items: tuple
     line: int

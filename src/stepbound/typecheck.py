@@ -26,10 +26,10 @@ their per-cons charge), which the evaluator relies on.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from .costs import WORK_SPAN, CostMonoid
+from .records import replace
 from .syntax import (
     Ap, ArrowTy, Bind, BoolLit, Branch, CompTerm, CompTy, Cons, CostLit,
     EffectTheory, FTy, Fail, Flip, Fst, Get, If, Inl, Inr, Lam, ListRec,
@@ -478,4 +478,4 @@ def check_program(p: Program) -> None:
 def elaborate(p: Program) -> Program:
     """Type-check ``p`` and return it with type-annotated computation nodes."""
     body = Checker(p.theory, p.monoid).check_comp((), p.body, p.declared_ty)
-    return dataclasses.replace(p, body=body)
+    return replace(p, body=body)

@@ -1,24 +1,30 @@
 """Parser and printer: examples, round trips, canonical rendering; how
-nodes, outcomes and programs are built."""
+records (nodes, outcomes, programs, specs and reports) are built."""
 
 import dataclasses
+import importlib
 import math
+import os
+import pkgutil
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import stepbound
+from stepbound import syntax
 from stepbound.corpus import ALL_PROGRAMS
 from stepbound.costs import SEQ_NAT
-from stepbound import syntax
 from stepbound.gen import TermGen, random_theory
+from stepbound.order import Verdict, Witness
 from stepbound.semantics import (
-    DEFAULT_CONFIG, EvalMode, NondetOutcome, Outcome, ProbOutcome,
-    PureOutcome, StateOutcome,
+    DEFAULT_CONFIG, DomainConfig, EvalMode, PureOutcome,
 )
 from stepbound.syntax import (
     BOOL, NAT, PURE, Bind, CostLit, FTy, Flip, Lam, ListTy, NatCost, NatRec,
-    Pair, Program, Ret, Step, Suc, SumTy, SyntaxError_, Term, Triv, Var, Zero,
+    Pair, Ret, Step, Suc, SumTy, SyntaxError_, Term, Triv, Var, Zero,
     alpha_eq, alpha_normalize, free_vars, nat_lit, parse, print_program,
     scopes, subst, term_str,
 )
@@ -372,24 +378,37 @@ def test_alpha_eq_survives_renaming_to_a_fresh_name_and_back():
     assert checked > 150
 
 
-# -- frozen records: how nodes, outcomes and programs are built --------------
+# -- records: how nodes, outcomes, programs, specs and reports are built ----
 
 _NODES = [c for c in vars(syntax).values()
           if isinstance(c, type) and "_hash" in vars(c)]
-_RECORDS = _NODES + [Program, Outcome, PureOutcome, NondetOutcome,
-                     ProbOutcome, StateOutcome]
+_RECORDS = [c for info in pkgutil.iter_modules(stepbound.__path__)
+            for c in vars(importlib.import_module(
+                f"stepbound.{info.name}")).values()
+            if isinstance(c, type) and "__record_fields__" in vars(c)
+            and c.__module__ == f"stepbound.{info.name}"]
+_MUTABLE = [c for c in _RECORDS if c.__hash__ is None]
 # fields that ``__post_init__`` checks, with two valid values each
-_CHECKED = {(Flip, "prob"): (Fraction(1, 2), Fraction(1, 3))}
+_CHECKED = {(Flip, "prob"): (Fraction(1, 2), Fraction(1, 3)),
+            (Verdict, "holds"): (False, None),
+            **{(DomainConfig, name): (1, 2) for name in (
+                "nat_max", "list_len", "elems", "state_max", "input_cap")}}
 
 
 def test_every_node_class_is_a_record():
     # 9 types, 3 term bases, 12 values, 2 cost forms, 15 computations
     assert len(_NODES) == 41
+    # and 41 nodes, Program and 5 outcomes, EffectTheory, SAtom, SList,
+    # 3 cost monoids, DomainConfig, BoundSpec, Law, and 4 mutable reports
+    assert len(_RECORDS) == 60
+    assert {c.__name__ for c in _MUTABLE} == {
+        "Witness", "Verdict", "LawReport", "CheckReport"}
 
 
 @pytest.mark.parametrize("cls", _RECORDS, ids=lambda c: c.__name__)
 def test_record_construction_contract(cls):
     fields = dataclasses.fields(cls)
+    assert dataclasses.is_dataclass(cls)
     kw = {f.name: _CHECKED.get((cls, f.name), (object(),))[0]
           for f in fields}
     ids = lambda obj: [id(getattr(obj, f.name)) for f in fields]
@@ -405,25 +424,71 @@ def test_record_construction_contract(cls):
         with pytest.raises(TypeError):
             cls(*[kw[f.name] for f in fields])
     required = {f.name: kw[f.name] for f in fields
-                if f.default is dataclasses.MISSING}
-    defaulted = cls(**required)
+                if f.default is f.default_factory is dataclasses.MISSING}
+    defaulted, again = cls(**required), cls(**required)
     for f in fields:
-        assert getattr(defaulted, f.name) is required.get(f.name, f.default)
-    for name in [f.name for f in fields] + ["extra"]:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, name, object())
+        if f.default_factory is dataclasses.MISSING:
+            assert getattr(defaulted, f.name) is required.get(f.name,
+                                                              f.default)
+        else:  # a fresh value per instance
+            assert getattr(defaulted, f.name) == f.default_factory()
+            assert getattr(defaulted, f.name) is not getattr(again, f.name)
+    names = [f.name for f in fields] + ["extra"]
+    if cls in _MUTABLE:
+        target = cls(**kw)
+        for name in names:
+            value = object()
+            setattr(target, name, value)
+            assert getattr(target, name) is value
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, object())
+        # the dataclass hash, so hash values and set orders stay as they were
+        assert hash(obj) == hash(tuple(getattr(obj, f.name)
+                                       for f in fields if f.compare))
+    # the dataclass repr, which sort keys of suspended values read
+    shown = (f"{f.name}={getattr(obj, f.name)!r}" for f in fields if f.repr)
+    assert repr(obj) == f"{cls.__qualname__}({', '.join(shown)})"
+    assert obj.__eq__(object()) is NotImplemented
     assert dataclasses.replace(obj) == obj
     for f in fields:
         new = _CHECKED.get((cls, f.name), (None, object()))[1]
         changed = dataclasses.replace(obj, **{f.name: new})
         fresh = cls(**{**kw, f.name: new})
-        assert changed == fresh and hash(changed) == hash(fresh)
+        assert changed == fresh
+        if cls not in _MUTABLE:
+            assert hash(changed) == hash(fresh)
         assert (changed == obj) is not f.compare
 
 
+def test_witness_json_is_its_fields():
+    w = Witness("[1 0]", "step^3 ret 2", "step^2 ret 2", "cost 3 > 2")
+    assert dataclasses.asdict(w) == w.to_json() == {
+        "input": "[1 0]", "lhs": "step^3 ret 2", "rhs": "step^2 ret 2",
+        "explanation": "cost 3 > 2"}
+
+
 def test_record_post_init_still_checks():
-    with pytest.raises(ValueError, match="outside"):
-        Flip(Fraction(3, 2), Ret(Zero()), Ret(Zero()))
+    for prob in (0, 1, Fraction(0), Fraction(1), Fraction(1, 2)):
+        assert Flip(prob, Ret(Zero()), Ret(Zero())).prob == prob
+    for prob in (Fraction(3, 2), Fraction(-1, 2)):
+        with pytest.raises(ValueError,
+                           match=f"flip probability {prob} outside"):
+            Flip(prob, Ret(Zero()), Ret(Zero()))
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter: the test session has both modules loaded
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = ("import sys, stepbound; stepbound.corpus(); "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_outcome_cfg_defaults_to_the_default_domain():
