@@ -285,12 +285,12 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
         tried += 1
         # candidates are born elaborated, so they go to the evaluator as is
         lead = (("thunk", (), cand),)
+        marks = hyp_ev.live_entries, concl_ev.live_entries
         key = _behaviour_key(hyp_ev, cand, points)
         if key in decided:
             holds, concl = decided[key]
         else:
             distinct += 1
-            marks = hyp_ev.table_entries, concl_ev.table_entries
             holds = hyp_check(lead).holds
             concl = concl_check(lead) if holds else None
             # the evaluators observe a closed candidate only through its
@@ -301,6 +301,10 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
                 for ev, mark in zip((hyp_ev, concl_ev), marks)
             ):
                 decided[key] = holds, concl
+        # `seen` skips a repeated term, so no later candidate can hit the
+        # entries keyed by this one; the tables keep what candidates share
+        for ev, mark in zip((hyp_ev, concl_ev), marks):
+            ev.forget(mark, cand)
         if not holds:
             continue
         admitted += 1

@@ -46,7 +46,7 @@ from .syntax import (
     CostLit, EffectTheory, FTy, Fail, Flip, Fst, Get, If, Inl, Inr, Lam,
     ListRec, ListTy, NatCost, NatRec, NatTy, Nil, Pair, Par, ProdTy, Program,
     Put, Ret, Snd, Step, Suc, SumCase, SumTy, Triv, UnitTy, ValueTy, Var,
-    Zero, free_vars, scopes, term_str, unfold_arrows,
+    Zero, free_vars, scopes, subterms, term_str, unfold_arrows,
 )
 from .typecheck import elaborate
 
@@ -619,8 +619,10 @@ class Evaluator:
     would build, and inputs of a tabulated domain share their common
     sub-calls.  Every node in a table key lies in a term the evaluator
     holds, compiled or with its closures dropped, so no ``id`` in the
-    table can be reused while the evaluator lives.  Its table and
-    closures go with it when its check ends.
+    table can be reused while the evaluator lives.  A hypothesis check
+    ``forget``s a candidate's entries once it is decided, since no later
+    candidate can hit them; ``table_entries`` still counts them.  The
+    table and closures go with the evaluator when its check ends.
     """
 
     def __init__(self, theory: EffectTheory, monoid, mode: EvalMode,
@@ -632,6 +634,7 @@ class Evaluator:
         self.ops = _OPS[theory.kind](monoid)
         self.ext = mode is EvalMode.EXTENSIONAL
         self._table: dict = {}
+        self._forgotten = 0  # entries dropped by ``forget``
         self._compiled: dict = {}  # id(node) -> (node, closure)
         self._roots: list = []  # terms compiled from, since the last drop
         self._retired: dict = {}  # id(term) -> term, closures dropped
@@ -641,12 +644,38 @@ class Evaluator:
 
     @property
     def table_entries(self) -> int:
+        """The entries made, forgotten ones included."""
+        return len(self._table) + self._forgotten
+
+    @property
+    def live_entries(self) -> int:
+        """The entries in the table now: the mark ``entries_since`` and
+        ``forget`` take."""
         return len(self._table)
 
     def entries_since(self, mark: int):
         """The table's keys added since it held ``mark`` entries, newest
-        first.  The table only grows, so this walks just those keys."""
+        first.  New keys go last, and ``forget`` drops only keys added
+        since a mark, so this walks just those keys."""
         return itertools.islice(reversed(self._table), len(self._table) - mark)
+
+    def forget(self, mark: int, cand) -> None:
+        """Drop the entries added since the table held ``mark`` entries
+        whose key belongs to the closed computation ``cand``: its node is
+        a node of ``cand``, or ``cand``'s thunk is among its captured
+        values or is its argument.  Only λ and recursor nodes key the
+        table, and no value term holds one, so the walk skips values."""
+        nodes, todo = set(), [cand]
+        while todo:
+            t = todo.pop()
+            nodes.add(id(t))
+            todo += [sub for sub in subterms(t) if isinstance(sub, CompTerm)]
+        lead = ("thunk", (), cand)
+        gone = [k for k in self.entries_since(mark)
+                if k[0] in nodes or lead in k[1] or k[2] == lead]
+        for k in gone:
+            del self._table[k]
+        self._forgotten += len(gone)
 
     # -- compilation ------------------------------------------------------------
 

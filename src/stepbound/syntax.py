@@ -501,6 +501,11 @@ def scopes(t):
         yield field, getattr(t, field), tuple(getattr(t, b) for b in binders)
 
 
+def subterms(t) -> list:
+    """``t``'s sub-terms in traversal order: ``scopes`` without binders."""
+    return [getattr(t, field) for field, _ in _SCOPES.get(type(t), ())]
+
+
 def map_scopes(t, f):
     """``t`` rebuilt from ``f(sub-term, binder names) -> (names, sub-term)``
     over its scopes; ``t`` itself when nothing changes.  Other fields

@@ -19,7 +19,8 @@ from stepbound.harness import CheckReport, verify
 from stepbound.order import relation_check
 from stepbound.semantics import DomainConfig, EvalMode
 from stepbound.syntax import (
-    CostLit, Lam, Program, Ret, Step, Triv, parse, term_str, unfold_arrows,
+    CostLit, Lam, Program, Ret, Step, Triv, parse, scopes, term_str,
+    unfold_arrows,
 )
 from stepbound.typecheck import elaborate
 
@@ -212,6 +213,71 @@ def test_a_candidate_applied_outside_its_key_decides_nothing(guarded,
     else:
         assert report.verdict == "holds"
         assert report.distinct == 1
+
+
+# -- the tables across candidates -------------------------------------------------
+
+
+def _term_ids(t) -> set:
+    """The ids of ``t``'s nodes."""
+    ids, todo = set(), [t]
+    while todo:
+        node = todo.pop()
+        ids.add(id(node))
+        todo.extend(sub for _, sub, _ in scopes(node))
+    return ids
+
+
+def _holds_any(x, ids) -> bool:
+    """Whether the value ``x``, walked through its tuples, holds an
+    object whose id is in ``ids``."""
+    if type(x) is tuple:
+        return any(_holds_any(y, ids) for y in x)
+    return id(x) in ids
+
+
+def _verify_capturing(spec, mode, candidates, monkeypatch):
+    """``verify(spec)`` at seed 0 with ``hyp_candidates`` set, with the
+    evaluators it built and the candidates it drew."""
+    made, drawn = [], []
+    real_check, real_draw = harness.relation_check, TermGen.closed_comp
+
+    def check(*args):
+        made.append(real_check(*args))
+        return made[-1]
+
+    def draw(self, ty, depth):
+        drawn.append(real_draw(self, ty, depth))
+        return drawn[-1]
+
+    monkeypatch.setattr(harness, "relation_check", check)
+    monkeypatch.setattr(TermGen, "closed_comp", draw)
+    report = verify(spec, mode=mode,
+                    domain_override={"hyp_candidates": candidates})
+    return report, [ev for ev, _, _ in made], drawn
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("spec", HYP_SPECS, ids=lambda s: s.name)
+def test_live_tables_are_bounded_by_the_scope(spec, mode, monkeypatch):
+    # each candidate's entries are forgotten once it is decided, so the
+    # tables end holding what the candidates share, however many ran
+    few, few_evs, _ = _verify_capturing(spec, mode, 100, monkeypatch)
+    many, many_evs, drawn = _verify_capturing(spec, mode, 500, monkeypatch)
+    assert len(drawn) == 500
+    ids = set().union(*map(_term_ids, drawn))
+    for ev in many_evs:
+        assert not any(k[0] in ids or _holds_any(k[1:], ids)
+                       for k in ev.entries_since(0))
+    assert ([ev.live_entries for ev in few_evs]
+            == [ev.live_entries for ev in many_evs])
+    # while the counters count every entry made: more candidates decided
+    # afresh make more entries (twice-hypothesis in ext mode meets all of
+    # its 16 behaviours, and so makes all of its entries, in the first 100)
+    grew = many.counters["table_entries"] - few.counters["table_entries"]
+    assert grew > 0 if many.distinct > few.distinct else grew >= 0
+    assert few.counters["table_entries"] >= sum(
+        ev.live_entries for ev in few_evs)
 
 
 # -- observability ---------------------------------------------------------------

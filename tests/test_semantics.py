@@ -9,8 +9,8 @@ import pytest
 from conftest import nat, natlist, program_evaluator
 
 from stepbound.corpus import (
-    BERNOULLI, BINOMIAL, BRANCH_EXAMPLE, DOUBLE, INSERT, ISORT,
-    STATE_DOUBLE, _INSERT_DOMAIN,
+    BERNOULLI, BINOMIAL, BRANCH_EXAMPLE, DOUBLE, INSERT, ISORT, MAP_BINOM,
+    MAP_BINOM_BOUND, STATE_DOUBLE, _INSERT_DOMAIN, _MAP_DOMAIN,
 )
 from stepbound.costs import SEQ_NAT, WORK_SPAN
 from stepbound.gen import (
@@ -28,7 +28,7 @@ from stepbound.syntax import (
     Lam, NatRec, Program, PURE, Ret, Step, Triv, Var, Zero, map_scopes,
     nat_lit, parse, scopes,
 )
-from stepbound.typecheck import check_program
+from stepbound.typecheck import check_program, elaborate
 
 COST = EvalMode.COST_COUNTING
 EXT = EvalMode.EXTENSIONAL
@@ -514,6 +514,39 @@ def test_evaluator_holds_every_node_its_table_keys_name():
             for node in _nodes(term)}
     assert len(ev._table) == 100
     assert {key[0] for key in ev._table} <= held
+
+
+def test_forgetting_a_candidate_never_changes_a_result():
+    # map f l and its bound, with f a closed λ; the bound applies binomial,
+    # a node both sides' later arguments share, to 2·|l|
+    cand = Lam("a", NAT, Flip(Fraction(1, 2),
+                              Step(CostLit(1), Ret(Var("a"), ty=FTy(NAT)),
+                                   ty=FTy(NAT)),
+                              Ret(Zero(), ty=FTy(NAT)), ty=FTy(NAT)),
+               ty=ArrowTy(NAT, FTy(NAT)))
+    lead = ("thunk", (), cand)
+    args = (lead, natlist([0, 1, 2]))
+    bodies = [elaborate(p).body for p in (MAP_BINOM, MAP_BINOM_BOUND)]
+    ev = Evaluator(PROB, SEQ_NAT, COST, _MAP_DOMAIN)
+    first = [ev.outcome(b, args) for b in bodies]
+    made, live = ev.table_entries, ev.live_entries
+    assert made == live
+    ev.forget(live, cand)
+    assert (ev.table_entries, ev.live_entries) == (made, live)
+    own = {id(node) for node in _nodes(cand)}
+    ev.forget(0, cand)
+    kept = list(ev.entries_since(0))
+    assert kept and not any(k[0] in own or lead in k[1] or k[2] == lead
+                            for k in kept)
+    binomial = next(t for t in _nodes(bodies[1])
+                    if type(t) is Lam and t.var == "n")
+    assert any(k[0] in {id(node) for node in _nodes(binomial)}
+               for k in kept)
+    gone = live - ev.live_entries
+    assert gone > 0 and ev.table_entries == made
+    # evaluating again makes the forgotten entries again, and only those
+    assert [ev.outcome(b, args) for b in bodies] == first
+    assert (ev.table_entries, ev.live_entries) == (made + gone, live)
 
 
 def test_a_body_sharing_nodes_with_the_program_runs_their_closures():

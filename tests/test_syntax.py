@@ -26,7 +26,7 @@ from stepbound.syntax import (
     BOOL, NAT, PURE, Bind, CostLit, FTy, Flip, Lam, ListTy, NatCost, NatRec,
     Pair, Ret, Step, Suc, SumTy, SyntaxError_, Term, Triv, Var, Zero,
     alpha_eq, alpha_normalize, free_vars, nat_lit, parse, print_program,
-    scopes, subst, term_str,
+    scopes, subst, subterms, term_str,
 )
 from stepbound.typecheck import check_program
 
@@ -310,6 +310,8 @@ def test_scopes_cover_every_sub_term():
     for body, _ in _open_terms():
         for node in _nodes(body):
             listed = {field for field, _, _ in scopes(node)}
+            assert [id(sub) for sub in subterms(node)] == [
+                id(sub) for _, sub, _ in scopes(node)]
             for f in dataclasses.fields(node):
                 if isinstance(getattr(node, f.name), (Term, NatCost, CostLit)):
                     assert f.name in listed, (type(node).__name__, f.name)
