@@ -160,8 +160,11 @@ def _verify_first_order(spec, mode, cfg) -> CheckReport:
     ev, program, check = relation_check(
         spec.relation, spec.program, spec.bound, mode, cfg
     )
-    verdict = check()
-    hi, lo = _cost_stats(ev, program)
+    try:
+        verdict = check()
+        hi, lo = _cost_stats(ev, program)
+    finally:
+        ev.close()
     return CheckReport(
         name=spec.name,
         relation=spec.relation.value,
@@ -277,45 +280,52 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
     distinct = 0
     failure = None
     seen = set()
-    for _ in range(cfg.hyp_candidates):
-        cand = gen.closed_comp(inner_ty, cfg.hyp_depth)
-        if cand in seen:
-            continue
-        seen.add(cand)
-        tried += 1
-        # candidates are born elaborated, so they go to the evaluator as is
-        lead = (("thunk", (), cand),)
-        marks = hyp_ev.live_entries, concl_ev.live_entries
-        key = _behaviour_key(hyp_ev, cand, points)
-        if key in decided:
-            holds, concl = decided[key]
-        else:
-            distinct += 1
-            holds = hyp_check(lead).holds
-            concl = concl_check(lead) if holds else None
-            # the evaluators observe a closed candidate only through its
-            # results at the points they apply it, so one applied inside
-            # the key's points decides every candidate with its key
-            if key is not None and not any(
-                _applied_outside(ev, mark, cand, inside)
-                for ev, mark in zip((hyp_ev, concl_ev), marks)
-            ):
-                decided[key] = holds, concl
-        # `seen` skips a repeated term, so no later candidate can hit the
-        # entries keyed by this one; the tables keep what candidates share
-        for ev, mark in zip((hyp_ev, concl_ev), marks):
-            ev.forget(mark, cand)
-        if not holds:
-            continue
-        admitted += 1
-        # a failing conclusion ends the loop, so a decided one holds and
-        # a witness names the fresh candidate
-        if not concl.holds:
-            failure = concl
-            failure.witness.input = (
-                f"argument {term_str(cand)}; inputs {concl.witness.input}"
-            )
-            break
+    try:
+        for _ in range(cfg.hyp_candidates):
+            cand = gen.closed_comp(inner_ty, cfg.hyp_depth)
+            if cand in seen:
+                continue
+            seen.add(cand)
+            tried += 1
+            # candidates are born elaborated, so they go to the evaluator
+            # as is
+            lead = (("thunk", (), cand),)
+            marks = hyp_ev.live_entries, concl_ev.live_entries
+            key = _behaviour_key(hyp_ev, cand, points)
+            if key in decided:
+                holds, concl = decided[key]
+            else:
+                distinct += 1
+                holds = hyp_check(lead).holds
+                concl = concl_check(lead) if holds else None
+                # the evaluators observe a closed candidate only through
+                # its results at the points they apply it, so one applied
+                # inside the key's points decides every candidate with its
+                # key
+                if key is not None and not any(
+                    _applied_outside(ev, mark, cand, inside)
+                    for ev, mark in zip((hyp_ev, concl_ev), marks)
+                ):
+                    decided[key] = holds, concl
+            # `seen` skips a repeated term, so no later candidate can hit
+            # the entries keyed by this one; the tables keep what
+            # candidates share
+            for ev, mark in zip((hyp_ev, concl_ev), marks):
+                ev.forget(mark, cand)
+            if not holds:
+                continue
+            admitted += 1
+            # a failing conclusion ends the loop, so a decided one holds
+            # and a witness names the fresh candidate
+            if not concl.holds:
+                failure = concl
+                failure.witness.input = (
+                    f"argument {term_str(cand)}; inputs {concl.witness.input}"
+                )
+                break
+    finally:
+        hyp_ev.close()
+        concl_ev.close()
     if failure is not None:
         verdict = "fails"
         counterexample = failure.witness.to_json()

@@ -420,10 +420,11 @@ def instances(law: Law, seed: int = 0):
         yield (theory, *law.build(TermGen(rng, theory)))
 
 
-def instance_outcomes(theory, lhs, rhs, mode: EvalMode) -> tuple:
-    """The outcomes of a law instance's two sides, from one evaluator:
-    a node the sides share compiles once."""
-    ev = Evaluator(theory, SEQ_NAT, mode, LAWS_CONFIG)
+def instance_outcomes(theory, lhs, rhs, mode: EvalMode, ev=None) -> tuple:
+    """The outcomes of a law instance's two sides, from one evaluator
+    (``ev``, else a new one): a node the sides share compiles once."""
+    if ev is None:
+        ev = Evaluator(theory, SEQ_NAT, mode, LAWS_CONFIG)
     return ev.outcome(lhs), ev.outcome(rhs)
 
 
@@ -445,16 +446,21 @@ def check_law(
     theory_name = law.theory or "any"
     report = LawReport(law.name, theory_name, trials, mode)
     for theory, lhs, rhs, _ in itertools.islice(instances(law, seed), trials):
-        out_l, out_r = instance_outcomes(theory, lhs, rhs, mode)
-        verdict = eq_outcome(out_l, out_r)
-        if not verdict.holds:
-            if len(report.failures) < max_recorded:
-                report.failures.append(
-                    f"under {theory.kind}: {term_str(lhs)}  !=  "
-                    f"{term_str(rhs)}  ({out_l} vs {out_r})"
-                )
-            else:
+        # the outcomes may hold denotations that apply the evaluator, so
+        # it is closed once the verdict and its failure text are built
+        ev = Evaluator(theory, SEQ_NAT, mode, LAWS_CONFIG)
+        try:
+            out_l, out_r = instance_outcomes(theory, lhs, rhs, mode, ev)
+            if eq_outcome(out_l, out_r).holds:
+                continue
+            if len(report.failures) == max_recorded:
                 report.failures.append("...")
                 break
+            report.failures.append(
+                f"under {theory.kind}: {term_str(lhs)}  !=  "
+                f"{term_str(rhs)}  ({out_l} vs {out_r})"
+            )
+        finally:
+            ev.close()
     report.millis = (time.perf_counter() - start) * 1000
     return report

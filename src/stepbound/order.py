@@ -216,7 +216,11 @@ def _decide(decider, lhs, rhs) -> Verdict:
     """``decider`` on canonical outcomes; a witness shows them as given."""
     _check_compatible(lhs, rhs)
     canon = _Canon(lhs)
-    v = decider(canon.outcome(lhs), canon.outcome(rhs))
+    try:
+        v = decider(canon.outcome(lhs), canon.outcome(rhs))
+    finally:
+        if canon._ev is not None:
+            canon._ev.close()
     if not v.holds:
         v.witness.lhs, v.witness.rhs = str(lhs), str(rhs)
     elif canon.suspended:

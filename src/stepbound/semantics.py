@@ -567,7 +567,7 @@ _OPS = {
 # the domain (a hypothesis candidate over every input), then never again.
 # Past this many, every kept closure is dropped, and a term forced again
 # compiles anew.  Keeping them all would hold the closures of every
-# hypothesis candidate until the check ends.
+# hypothesis candidate until the check is decided and its evaluator closed.
 _KEEP_COMPILED = 32
 
 
@@ -621,8 +621,14 @@ class Evaluator:
     holds, compiled or with its closures dropped, so no ``id`` in the
     table can be reused while the evaluator lives.  A hypothesis check
     ``forget``s a candidate's entries once it is decided, since no later
-    candidate can hit them; ``table_entries`` still counts them.  The
-    table and closures go with the evaluator when its check ends.
+    candidate can hit them; ``table_entries`` still counts them.
+
+    The closures and the denotations in the table refer to the
+    evaluator, so they form reference cycles with it, which reference
+    counting never frees.  The owner of an evaluator therefore ``close``s
+    it once its check is decided, and uses neither it nor a denotation it
+    built afterwards: the terms whose ids key the table are no longer
+    held.
     """
 
     def __init__(self, theory: EffectTheory, monoid, mode: EvalMode,
@@ -676,6 +682,16 @@ class Evaluator:
         for k in gone:
             del self._table[k]
         self._forgotten += len(gone)
+
+    def close(self) -> None:
+        """Drop the table, the closures and the terms kept for their ids,
+        breaking the cycles through the evaluator, once the owner's check
+        is decided.  ``table_entries`` still counts every entry made.
+        Closing twice is harmless; using the evaluator after is not."""
+        self._forgotten += len(self._table)
+        for kept in (self._table, self._compiled, self._bodies, self._roots,
+                     self._retired):
+            kept.clear()
 
     # -- compilation ------------------------------------------------------------
 

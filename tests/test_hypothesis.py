@@ -17,7 +17,7 @@ from stepbound.costs import SEQ_NAT
 from stepbound.gen import TermGen
 from stepbound.harness import CheckReport, verify
 from stepbound.order import relation_check
-from stepbound.semantics import DomainConfig, EvalMode
+from stepbound.semantics import DomainConfig, EvalMode, Evaluator
 from stepbound.syntax import (
     CostLit, Lam, Program, Ret, Step, Triv, parse, scopes, term_str,
     unfold_arrows,
@@ -238,9 +238,11 @@ def _holds_any(x, ids) -> bool:
 
 def _verify_capturing(spec, mode, candidates, monkeypatch):
     """``verify(spec)`` at seed 0 with ``hyp_candidates`` set, with the
-    evaluators it built and the candidates it drew."""
-    made, drawn = [], []
+    live size and keys of each table it built, taken just before the
+    check closed its evaluator, and the candidates it drew."""
+    made, drawn, closing = [], [], {}
     real_check, real_draw = harness.relation_check, TermGen.closed_comp
+    real_close = Evaluator.close
 
     def check(*args):
         made.append(real_check(*args))
@@ -250,34 +252,42 @@ def _verify_capturing(spec, mode, candidates, monkeypatch):
         drawn.append(real_draw(self, ty, depth))
         return drawn[-1]
 
+    def close(self):
+        closing.setdefault(self, (self.live_entries,
+                                  list(self.entries_since(0))))
+        real_close(self)
+
     monkeypatch.setattr(harness, "relation_check", check)
     monkeypatch.setattr(TermGen, "closed_comp", draw)
+    monkeypatch.setattr(Evaluator, "close", close)
     report = verify(spec, mode=mode,
                     domain_override={"hyp_candidates": candidates})
-    return report, [ev for ev, _, _ in made], drawn
+    return report, [closing[ev] for ev, _, _ in made], drawn
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 @pytest.mark.parametrize("spec", HYP_SPECS, ids=lambda s: s.name)
 def test_live_tables_are_bounded_by_the_scope(spec, mode, monkeypatch):
     # each candidate's entries are forgotten once it is decided, so the
-    # tables end holding what the candidates share, however many ran
-    few, few_evs, _ = _verify_capturing(spec, mode, 100, monkeypatch)
-    many, many_evs, drawn = _verify_capturing(spec, mode, 500, monkeypatch)
+    # tables end holding what the candidates share, however many ran;
+    # the check then closes its evaluators, so the tables are read as
+    # they stood just before
+    few, few_tables, _ = _verify_capturing(spec, mode, 100, monkeypatch)
+    many, many_tables, drawn = _verify_capturing(spec, mode, 500,
+                                                 monkeypatch)
     assert len(drawn) == 500
     ids = set().union(*map(_term_ids, drawn))
-    for ev in many_evs:
-        assert not any(k[0] in ids or _holds_any(k[1:], ids)
-                       for k in ev.entries_since(0))
-    assert ([ev.live_entries for ev in few_evs]
-            == [ev.live_entries for ev in many_evs])
+    for _, keys in many_tables:
+        assert not any(k[0] in ids or _holds_any(k[1:], ids) for k in keys)
+    assert ([live for live, _ in few_tables]
+            == [live for live, _ in many_tables])
     # while the counters count every entry made: more candidates decided
     # afresh make more entries (twice-hypothesis in ext mode meets all of
     # its 16 behaviours, and so makes all of its entries, in the first 100)
     grew = many.counters["table_entries"] - few.counters["table_entries"]
     assert grew > 0 if many.distinct > few.distinct else grew >= 0
     assert few.counters["table_entries"] >= sum(
-        ev.live_entries for ev in few_evs)
+        live for live, _ in few_tables)
 
 
 # -- observability ---------------------------------------------------------------
