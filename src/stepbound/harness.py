@@ -5,8 +5,10 @@ from the spec's effect theory, cost monoid, evaluation mode and domain,
 which evaluates both the program and the bound:
 
 * a first-order spec is one relation: both programs are tabulated over
-  the enumerated input domain and compared pointwise, and the report's
-  cost range and table counters come from the same evaluator;
+  the enumerated input domain and compared pointwise, in one pass that
+  also yields the report's cost range, the program's max and min cost
+  over the inputs decided (up to and including the witness of a
+  failing check); the table counters come from the same evaluator;
 * a hypothesis spec generates candidate arguments for the leading
   suspended parameter, keeps those satisfying the hypothesis sub-spec,
   and checks the conclusion for each admitted candidate.  The sub-spec
@@ -52,8 +54,8 @@ from .order import OrderError, relation_check
 from .order import leq_outcome  # noqa: F401
 from .records import field, record, replace
 from .semantics import (
-    DomainConfig, EvalMode, Evaluator, cost_sort_key, enumerate_inputs,
-    enumerate_value_ty, eval_fn, val_str,
+    DomainConfig, EvalMode, Evaluator, enumerate_inputs, enumerate_value_ty,
+    eval_fn, val_str,
 )
 from .syntax import (
     ArrowTy, CostLit, FTy, Lam, ListTy, PURE, ProdTy, Program, Step, SumTy,
@@ -112,21 +114,6 @@ def _merge_domain(base: DomainConfig, override: Optional[dict]) -> DomainConfig:
     return replace(base, **override)
 
 
-def _cost_stats(ev: Evaluator, program) -> tuple:
-    """Exact max/min cost of the elaborated ``program`` over ``ev``'s
-    enumerated domain."""
-    _, inputs = enumerate_inputs(program.ty, ev.cfg)
-    lo = hi = None
-    for args in inputs:
-        out = ev.outcome(program, args)
-        mx, mn = out.max_cost(), out.min_cost()
-        if mx is not None and (hi is None or cost_sort_key(mx) > cost_sort_key(hi)):
-            hi = mx
-        if mn is not None and (lo is None or cost_sort_key(mn) < cost_sort_key(lo)):
-            lo = mn
-    return hi, lo
-
-
 def _table_counters(*evs: Evaluator) -> dict:
     """Table counters summed over the evaluators of one check."""
     return {
@@ -141,7 +128,7 @@ def verify(
     domain_override: Optional[dict] = None,
     seed: int = 0,
 ) -> CheckReport:
-    """Check one bound spec and report verdict plus exact cost statistics.
+    """Check one bound spec and report its verdict and exact cost range.
 
     Each relation the check decides has its own evaluator, and with it
     its own table; they end when this call returns.
@@ -157,12 +144,11 @@ def verify(
 
 
 def _verify_first_order(spec, mode, cfg) -> CheckReport:
-    ev, program, check = relation_check(
+    ev, check = relation_check(
         spec.relation, spec.program, spec.bound, mode, cfg
     )
     try:
         verdict = check()
-        hi, lo = _cost_stats(ev, program)
     finally:
         ev.close()
     return CheckReport(
@@ -170,8 +156,8 @@ def _verify_first_order(spec, mode, cfg) -> CheckReport:
         relation=spec.relation.value,
         verdict="holds" if verdict.holds else "fails",
         domain=cfg.to_json(),
-        max_cost=hi,
-        min_cost=lo,
+        max_cost=verdict.max_cost,
+        min_cost=verdict.min_cost,
         counterexample=verdict.witness.to_json() if verdict.witness else None,
         note=verdict.note or spec.note,
         counters=_table_counters(ev),
@@ -263,10 +249,10 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
             "hypothesis specs need a leading suspended argument"
         )
     inner_ty = arg_tys[0].comp
-    hyp_ev, _, hyp_check = relation_check(
+    hyp_ev, hyp_check = relation_check(
         hyp.relation, hyp.program, hyp.bound, mode, cfg
     )
-    concl_ev, _, concl_check = relation_check(
+    concl_ev, concl_check = relation_check(
         spec.relation, spec.program, spec.bound, mode, cfg
     )
     points = _key_points(spec, inner_ty, hyp_ev, concl_ev)

@@ -30,7 +30,8 @@ theory, monoid or domain differ are refused.  A suspension's key is only
 as fine as that domain, so a holding verdict that met one carries a note.
 ``relation_check`` relates two programs of first-order function type
 pointwise over their enumerated input domain, with the decider that a
-spec's ``Relation`` and the run's mode call for.
+spec's ``Relation`` and the run's mode call for, and reads the program's
+cost range off the same pass.
 """
 from __future__ import annotations
 
@@ -71,6 +72,10 @@ class Verdict:
     holds: bool
     witness: Optional[Witness] = None
     note: str = ""
+    # from ``pointwise``: the program side's cost range over the inputs
+    # it decided, up to and including a failing one
+    max_cost: object = None
+    min_cost: object = None
 
     def __post_init__(self):
         if self.holds and self.witness is not None:
@@ -544,10 +549,10 @@ def relation_check(
     cfg: DomainConfig = DEFAULT_CONFIG,
 ) -> tuple:
     """How ``relation`` between two source programs is decided in a run
-    of ``mode``: ``(evaluator, program, check)``, where ``program`` is the
-    elaborated ``program`` and ``check(lead=())`` decides the relation
-    at every input starting with the fixed values ``lead`` (a hypothesis
-    spec's candidate argument).
+    of ``mode``: ``(evaluator, check)``, where ``check(lead=())`` decides
+    the relation at every input starting with the fixed values ``lead``
+    (a hypothesis spec's candidate argument), and its verdict carries
+    ``program``'s cost range over the inputs it decided.
 
     The one place that maps a relation and a mode to the decider, the
     operand order and the evaluation mode.  The two programs must share
@@ -583,28 +588,40 @@ def relation_check(
     ev = Evaluator(program.theory, program.monoid, mode, cfg)
     body, bound_body = elaborate(program).body, elaborate(bound).body
     lhs, rhs = (bound_body, body) if swap else (body, bound_body)
-    return ev, body, lambda lead=(): pointwise(decide, ev, lhs, rhs, lead)
+    return ev, lambda lead=(): pointwise(decide, ev, lhs, rhs, int(swap),
+                                         lead)
 
 
 def pointwise(
-    decide, ev: Evaluator, lhs: CompTerm, rhs: CompTerm, lead: tuple = (),
+    decide, ev: Evaluator, lhs: CompTerm, rhs: CompTerm, side: int,
+    lead: tuple = (),
 ) -> Verdict:
     """``decide`` on the outcomes of the elaborated bodies ``lhs`` and
     ``rhs``, both evaluated by ``ev``, at every input, in order.
 
     Inputs start with the fixed values ``lead`` and enumerate the rest
     of ``ev``'s domain.  The first failing input becomes the witness.
+    The verdict carries the cost range of the program, operand ``side``
+    (0 for ``lhs``, 1 for ``rhs``), over the inputs decided, the
+    witness included.
     """
     try:
         _, inputs = enumerate_inputs(lhs.ty, ev.cfg, lead)
     except EvalError as e:
         raise OrderError(str(e))
-    note = ""
+    note, hi, lo = "", None, None
     for args in inputs:
-        v = decide(ev.outcome(lhs, args), ev.outcome(rhs, args))
+        outs = ev.outcome(lhs, args), ev.outcome(rhs, args)
+        mx, mn = outs[side].max_cost(), outs[side].min_cost()
+        if mx is not None and (hi is None or cost_sort_key(mx) > cost_sort_key(hi)):
+            hi = mx
+        if mn is not None and (lo is None or cost_sort_key(mn) < cost_sort_key(lo)):
+            lo = mn
+        v = decide(*outs)
         if not v.holds:
             v.witness.input = ", ".join(val_str(a) for a in args)
+            v.max_cost, v.min_cost = hi, lo
             return v
         if v.note:
             note = v.note
-    return Verdict(True, note=note)
+    return Verdict(True, note=note, max_cost=hi, min_cost=lo)

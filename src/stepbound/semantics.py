@@ -561,16 +561,6 @@ _OPS = {
 # ---------------------------------------------------------------------------
 
 
-# How many terms an evaluator compiles from (program bodies and forced
-# thunk bodies not already compiled as part of one) before it drops its
-# closures.  A thunk is typically forced again and again over a stretch of
-# the domain (a hypothesis candidate over every input), then never again.
-# Past this many, every kept closure is dropped, and a term forced again
-# compiles anew.  Keeping them all would hold the closures of every
-# hypothesis candidate until the check is decided and its evaluator closed.
-_KEEP_COMPILED = 32
-
-
 class Evaluator:
     """Evaluates closed, elaborated computations of one effect theory and
     cost monoid, under a mode and a domain config.
@@ -595,13 +585,12 @@ class Evaluator:
     ``bind`` with an effect-free scrutinee (its cost charged to the
     continuation's denotation), and a ``flip`` or ``branch`` with two
     effect-free arms (``ops.flip_pure``, ``ops.branch_pure``).  Every
-    other node runs its own closure.  Each computation node compiles once per evaluator, on first use, and
-    its closure is kept in ``_compiled`` by the node's identity: a node
-    reached again, as a forced thunk body or as part of another body
-    evaluated here, runs the closures compiled for it.  So the two sides
-    of a law instance, evaluated by one evaluator, compile the nodes they
-    share once.  Closures are kept for the terms of up to
-    ``_KEEP_COMPILED`` compilations at a time.
+    other node runs its own closure.  Each computation node compiles once
+    per evaluator, on first use, and its closure is kept in ``_compiled``
+    by the node's identity: a node reached again, as a forced thunk body
+    or as part of another body evaluated here, runs the closures compiled
+    for it.  So the two sides of a law instance, evaluated by one
+    evaluator, compile the nodes they share once.
 
     Evaluation is tabled (Michie's memo functions).  One table maps
     ``(id(node), captured, argument)`` to a denotation.  ``node`` is a λ
@@ -617,11 +606,15 @@ class Evaluator:
 
     Evaluation is pure, so a hit is the denotation a fresh evaluation
     would build, and inputs of a tabulated domain share their common
-    sub-calls.  Every node in a table key lies in a term the evaluator
-    holds, compiled or with its closures dropped, so no ``id`` in the
-    table can be reused while the evaluator lives.  A hypothesis check
-    ``forget``s a candidate's entries once it is decided, since no later
-    candidate can hit them; ``table_entries`` still counts them.
+    sub-calls.  Every node id in a table key belongs to a node of a term
+    that ``_compiled`` or ``_bodies`` holds (an ``Ap`` of a λ registers
+    only the ``Ap``, whose λ keys the table), so no ``id`` in the table
+    can be reused while the evaluator lives.  A hypothesis check
+    ``forget``s a candidate once it is decided, since no later candidate
+    can hit its entries: the entries go, and with them the closures of
+    the candidate's nodes.  The generator builds fresh nodes for every
+    candidate, so no other term holds a node whose closure goes.
+    ``table_entries`` still counts the forgotten entries.
 
     The closures and the denotations in the table refer to the
     evaluator, so they form reference cycles with it, which reference
@@ -642,8 +635,6 @@ class Evaluator:
         self._table: dict = {}
         self._forgotten = 0  # entries dropped by ``forget``
         self._compiled: dict = {}  # id(node) -> (node, closure)
-        self._roots: list = []  # terms compiled from, since the last drop
-        self._retired: dict = {}  # id(term) -> term, closures dropped
         self._bodies: dict = {}  # id(body) -> (body, denotation, arity)
         self._states = None  # (state domain, its set), on first use
         self.table_hits = 0
@@ -669,8 +660,10 @@ class Evaluator:
         """Drop the entries added since the table held ``mark`` entries
         whose key belongs to the closed computation ``cand``: its node is
         a node of ``cand``, or ``cand``'s thunk is among its captured
-        values or is its argument.  Only λ and recursor nodes key the
-        table, and no value term holds one, so the walk skips values."""
+        values or is its argument.  The closures of ``cand``'s nodes go
+        too, so ``cand`` must share no node with a term evaluated later.
+        Only computation nodes compile or key the table, and no value
+        term holds one, so the walk skips values."""
         nodes, todo = set(), [cand]
         while todo:
             t = todo.pop()
@@ -682,6 +675,8 @@ class Evaluator:
         for k in gone:
             del self._table[k]
         self._forgotten += len(gone)
+        for nid in nodes:
+            self._compiled.pop(nid, None)
 
     def close(self) -> None:
         """Drop the table, the closures and the terms kept for their ids,
@@ -689,8 +684,7 @@ class Evaluator:
         is decided.  ``table_entries`` still counts every entry made.
         Closing twice is harmless; using the evaluator after is not."""
         self._forgotten += len(self._table)
-        for kept in (self._table, self._compiled, self._bodies, self._roots,
-                     self._retired):
+        for kept in (self._table, self._compiled, self._bodies):
             kept.clear()
 
     # -- compilation ------------------------------------------------------------
@@ -756,18 +750,7 @@ class Evaluator:
     # -- entry points -----------------------------------------------------------
 
     def eval_comp(self, t: CompTerm, env: dict):
-        hit = self._compiled.get(id(t))
-        if hit is not None:
-            return hit[1](env)
-        if len(self._roots) == _KEEP_COMPILED:
-            # the closures go, their terms stay: the ids of the terms'
-            # nodes are in table keys and must not be reused
-            self._retired.update((id(r), r) for r in self._roots)
-            self._roots.clear()
-            self._compiled.clear()
-        run = self._comp(t)
-        self._roots.append(t)
-        return run(env)
+        return self._comp(t)(env)
 
     def force(self, v):
         match v[0]:

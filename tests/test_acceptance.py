@@ -176,8 +176,8 @@ def test_criterion_8_oracle_agreement():
 
 def test_criterion_9_isort_msort_extensionally_equal():
     start = time.monotonic()
-    _, _, check = relation_check(Relation.EXT_EQUAL, ISORT, MSORT,
-                                 cfg=DomainConfig(list_len=5, elems=5))
+    _, check = relation_check(Relation.EXT_EQUAL, ISORT, MSORT,
+                              cfg=DomainConfig(list_len=5, elems=5))
     verdict = check()
     elapsed = time.monotonic() - start
     assert verdict.holds

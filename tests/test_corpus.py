@@ -9,15 +9,19 @@ import pytest
 from conftest import nat, natlist, program_evaluator
 
 from stepbound.corpus import BoundSpec, Relation, corpus
-from stepbound.costs import WORK_SPAN
+from stepbound.costs import WORK_SPAN, cost_to_json
 from stepbound.harness import (
     CheckReport, assert_helpers_cost_free, format_table, mutated_corpus,
     reports_to_json, run_all, verify, zero_steps,
 )
 from stepbound.laws import catalog, check_law
-from stepbound.semantics import DomainConfig, EvalMode, Evaluator
+from stepbound.order import relation_check
+from stepbound.semantics import (
+    DomainConfig, EvalMode, Evaluator, cost_sort_key, enumerate_inputs,
+    val_str,
+)
 from stepbound.syntax import PROB, PURE, parse
-from stepbound.typecheck import check_program
+from stepbound.typecheck import check_program, elaborate
 
 COST = EvalMode.COST_COUNTING
 
@@ -205,6 +209,72 @@ def test_mutated_isort_breaks_lower_bound():
     assert rep.verdict == "fails"
     assert rep.counterexample is not None
     assert rep.counterexample["input"]  # the failing list is reported
+
+
+def _cost_range(spec, mode, inputs) -> tuple:
+    """Exact max/min cost of ``spec``'s program over ``inputs``, in the
+    evaluator its check runs: the loop the harness ran over the whole
+    domain, a second evaluation of the program, before the range came
+    from the check's own pass."""
+    ev, _ = relation_check(spec.relation, spec.program, spec.bound, mode,
+                           spec.domain)
+    program = elaborate(spec.program).body
+    lo = hi = None
+    try:
+        for args in inputs:
+            out = ev.outcome(program, args)
+            mx, mn = out.max_cost(), out.min_cost()
+            if mx is not None and (hi is None or cost_sort_key(mx) > cost_sort_key(hi)):
+                hi = mx
+            if mn is not None and (lo is None or cost_sort_key(mn) < cost_sort_key(lo)):
+                lo = mn
+    finally:
+        ev.close()
+    return hi, lo
+
+
+@pytest.mark.parametrize("mode", ["cost", "ext"])
+def test_a_holding_check_reports_the_whole_domain_cost_range(mode,
+                                                             check_json):
+    _, entries = check_json(mode)
+    reported = {e["name"]: e for e in entries}
+    specs = [s for s in corpus() if s.hypothesis is None]
+    assert specs
+    for spec in specs:
+        entry = reported[spec.name]
+        assert entry["verdict"] == "holds"
+        _, inputs = enumerate_inputs(spec.program.declared_ty, spec.domain)
+        hi, lo = _cost_range(spec, EvalMode(mode), inputs)
+        assert ([entry["min_cost"], entry["max_cost"]]
+                == [cost_to_json(lo), cost_to_json(hi)]), spec.name
+
+
+def _step_n_above_two() -> BoundSpec:
+    """``step n`` against a bound of 2 steps: fails at 3, short of 5."""
+    prog, bound = (parse(f"(: (-> nat (F nat)) (lam (n : nat) "
+                         f"(step {c} (ret n))))") for c in ("n", "2"))
+    return BoundSpec("step-n-above-two", prog, bound, Relation.LEQ_UPPER,
+                     DomainConfig(nat_max=5))
+
+
+@pytest.mark.parametrize("spec, witness", [
+    (next(s for s in mutated_corpus("isort") if s.name == "isort-lower"),
+     "[0 0]"),
+    (_step_n_above_two(), "3"),
+], ids=["mutated-isort-lower", "step-n-above-two"])
+def test_a_failing_check_reports_the_cost_range_up_to_its_witness(
+        spec, witness):
+    rep = verify(spec)
+    assert rep.verdict == "fails"
+    assert rep.counterexample["input"] == witness
+    _, inputs = enumerate_inputs(spec.program.declared_ty, spec.domain)
+    upto = []
+    for args in inputs:
+        upto.append(args)
+        if ", ".join(val_str(a) for a in args) == witness:
+            break
+    assert len(upto) < len(inputs)
+    assert (rep.max_cost, rep.min_cost) == _cost_range(spec, COST, upto)
 
 
 def test_mutated_isort_upper_still_holds():

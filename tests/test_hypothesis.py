@@ -38,10 +38,10 @@ def reference_verify(spec, mode, seed) -> CheckReport:
     cfg = spec.domain
     inner_ty = unfold_arrows(spec.program.declared_ty)[0][0].comp
     hyp = spec.hypothesis
-    hyp_ev, _, hyp_check = relation_check(
+    hyp_ev, hyp_check = relation_check(
         hyp.relation, hyp.program, hyp.bound, mode, cfg
     )
-    concl_ev, _, concl_check = relation_check(
+    concl_ev, concl_check = relation_check(
         spec.relation, spec.program, spec.bound, mode, cfg
     )
     gen = TermGen(random.Random(seed), spec.program.theory)
@@ -236,13 +236,27 @@ def _holds_any(x, ids) -> bool:
     return id(x) in ids
 
 
+def _held_ids(ev, memo) -> set:
+    """The ids of the nodes of every term ``ev``'s ``_compiled`` or
+    ``_bodies`` holds; ``memo`` keeps each term's ids with the term."""
+    held = set()
+    for term in ([t for t, _ in ev._compiled.values()]
+                 + [b for b, _, _ in ev._bodies.values()]):
+        if id(term) not in memo:
+            memo[id(term)] = term, _term_ids(term)
+        held |= memo[id(term)][1]
+    return held
+
+
 def _verify_capturing(spec, mode, candidates, monkeypatch):
     """``verify(spec)`` at seed 0 with ``hyp_candidates`` set, with the
     live size and keys of each table it built, taken just before the
-    check closed its evaluator, and the candidates it drew."""
-    made, drawn, closing = [], [], {}
+    check closed its evaluator, the candidates it drew, and after each
+    ``forget`` whether every node id in a table key belonged to a held
+    term and whether ``_compiled`` still held a node of the candidate."""
+    made, drawn, closing, forgets, memo = [], [], {}, [], {}
     real_check, real_draw = harness.relation_check, TermGen.closed_comp
-    real_close = Evaluator.close
+    real_close, real_forget = Evaluator.close, Evaluator.forget
 
     def check(*args):
         made.append(real_check(*args))
@@ -257,12 +271,20 @@ def _verify_capturing(spec, mode, candidates, monkeypatch):
                                   list(self.entries_since(0))))
         real_close(self)
 
+    def forget(self, mark, cand):
+        real_forget(self, mark, cand)
+        forgets.append((
+            {k[0] for k in self._table} <= _held_ids(self, memo),
+            not _term_ids(cand) & self._compiled.keys(),
+        ))
+
     monkeypatch.setattr(harness, "relation_check", check)
     monkeypatch.setattr(TermGen, "closed_comp", draw)
     monkeypatch.setattr(Evaluator, "close", close)
+    monkeypatch.setattr(Evaluator, "forget", forget)
     report = verify(spec, mode=mode,
                     domain_override={"hyp_candidates": candidates})
-    return report, [closing[ev] for ev, _, _ in made], drawn
+    return report, [closing[ev] for ev, _ in made], drawn, forgets
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
@@ -272,10 +294,15 @@ def test_live_tables_are_bounded_by_the_scope(spec, mode, monkeypatch):
     # tables end holding what the candidates share, however many ran;
     # the check then closes its evaluators, so the tables are read as
     # they stood just before
-    few, few_tables, _ = _verify_capturing(spec, mode, 100, monkeypatch)
-    many, many_tables, drawn = _verify_capturing(spec, mode, 500,
-                                                 monkeypatch)
+    few, few_tables, _, _ = _verify_capturing(spec, mode, 100, monkeypatch)
+    many, many_tables, drawn, forgets = _verify_capturing(spec, mode, 500,
+                                                          monkeypatch)
     assert len(drawn) == 500
+    # forgetting a candidate drops its closures too, and leaves every node
+    # id in a table key on a node of a term the evaluator holds
+    assert len(forgets) == 2 * len(set(drawn))
+    assert all(held for held, _ in forgets)
+    assert all(dropped for _, dropped in forgets)
     ids = set().union(*map(_term_ids, drawn))
     for _, keys in many_tables:
         assert not any(k[0] in ids or _holds_any(k[1:], ids) for k in keys)

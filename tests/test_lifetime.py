@@ -157,4 +157,4 @@ def test_closing_keeps_the_counters_and_is_idempotent():
         ev.close()
         assert (ev.table_entries, ev.table_hits) == counters
         assert ev.live_entries == 0
-        assert not (ev._compiled or ev._bodies or ev._roots or ev._retired)
+        assert not (ev._compiled or ev._bodies)

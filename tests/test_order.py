@@ -94,7 +94,7 @@ def test_theory_mismatch_raises():
 def holds(relation, program, bound, mode, cfg):
     """Whether ``relation`` holds between the two programs, pointwise over
     the enumerated input domain."""
-    return relation_check(relation, program, bound, mode, cfg)[2]().holds
+    return relation_check(relation, program, bound, mode, cfg)[1]().holds
 
 
 def test_program_type_mismatch_raises():
@@ -611,8 +611,8 @@ def test_leq_program_isort_upper_and_lower():
 
 def test_leq_program_counterexample_reports_first_input():
     # the lower bound is not an upper bound: |l| - 1 < cost on most lists
-    _, _, check = relation_check(Relation.LEQ_UPPER, ISORT, ISORT_LOWER_BOUND,
-                                 COST, DomainConfig(list_len=3, elems=3))
+    _, check = relation_check(Relation.LEQ_UPPER, ISORT, ISORT_LOWER_BOUND,
+                              COST, DomainConfig(list_len=3, elems=3))
     v = check()
     assert not v.holds
     assert v.witness is not None and v.witness.input

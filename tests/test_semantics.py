@@ -500,20 +500,27 @@ def _nodes(t):
 
 
 def test_evaluator_holds_every_node_its_table_keys_name():
-    # more thunk bodies than the evaluator keeps compiled, each dropped by
-    # its caller once forced: a table key's node id must still belong to a
-    # live node the evaluator holds, or a new node could reuse it
+    # thunk bodies, each dropped by its caller once forced, every other one
+    # forgotten first: a table key's node id must still belong to a live
+    # node the evaluator holds, or a new node could reuse it; an Ap of a λ
+    # compiles as the Ap alone, and its λ keys the table
     ev = Evaluator(PURE, SEQ_NAT, COST, DEFAULT_CONFIG)
+    forgotten = []
     for n in range(100):
         body = Ap(Lam("y", NAT, Ret(Var("y")), ty=ArrowTy(NAT, FTy(NAT))),
                   Zero(), ty=FTy(NAT))
+        mark = ev.live_entries
         assert ev.force(("thunk", (), body)) == (0, nat(0))
+        if n % 2:
+            ev.forget(mark, body)
+            forgotten.append(body)
     held = {id(node)
             for term in [t for t, _ in ev._compiled.values()]
-            + list(ev._retired.values())
+            + [b for b, _, _ in ev._bodies.values()]
             for node in _nodes(term)}
-    assert len(ev._table) == 100
+    assert len(ev._table) == 50
     assert {key[0] for key in ev._table} <= held
+    assert not {id(node) for b in forgotten for node in _nodes(b)} & held
 
 
 def test_forgetting_a_candidate_never_changes_a_result():
@@ -561,7 +568,6 @@ def test_a_body_sharing_nodes_with_the_program_runs_their_closures():
     assert id(e) in compiled
     assert str(ev.outcome(e)) == "{(1, 0)}"
     assert ev._compiled == compiled
-    assert ev._roots == [body]
 
 
 def test_recursor_capturing_a_variable_matches_closed_form_insert():
@@ -691,7 +697,7 @@ def test_effects_at_function_type_apply_pointwise(effect, op, pushed, mode):
         return parse(f"#effect {effect}\n"
                      f"(: (-> nat (F nat)) (lam (a : nat) {body}))")
 
-    _, _, check = relation_check(
+    _, check = relation_check(
         Relation.EQUAL, program(f"(ap {op} a)"), program(pushed), mode,
         DomainConfig(nat_max=3, state_max=3),
     )
