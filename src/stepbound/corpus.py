@@ -78,9 +78,7 @@ def lam(x, ty, body):
 
 
 def step(c, body):
-    if isinstance(c, int):
-        return Step(CostLit(c), body)
-    if isinstance(c, tuple):
+    if isinstance(c, (int, tuple)):
         return Step(CostLit(c), body)
     return Step(NatCost(c), body)
 

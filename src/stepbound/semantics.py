@@ -75,7 +75,9 @@ class DomainConfig:
 
     def __post_init__(self):
         for name, least in (("nat_max", 0), ("list_len", 0), ("state_max", 0),
-                            ("elems", 1), ("input_cap", 1)):
+                            ("elems", 1), ("input_cap", 1),
+                            ("hyp_candidates", 1), ("hyp_min_admitted", 1),
+                            ("hyp_depth", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, "
                                  f"got {getattr(self, name)}")

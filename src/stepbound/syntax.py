@@ -31,6 +31,9 @@ Values: ``tt``, ``true``/``false``, ``zero``/``(suc v)``/numerals, ``nil``,
 Step annotations ``c`` are numerals (``(w s)`` pairs under the parallel
 monoid) or nat-valued value terms, evaluated cost-free and scaled by the
 monoid unit at run time.
+
+``parse`` checks syntax only; the checker (``typecheck``) judges types and
+effects, and ``parse`` runs it only to synthesize a bare body's type.
 """
 
 from __future__ import annotations
@@ -694,11 +697,6 @@ _RESERVED = _COMP_HEADS | _VALUE_HEADS | {
     "nat", "prod", "sum", "list", "U", "F",
 }
 
-_THEORY_OPS = {
-    "branch": "nondet", "fail": "nondet", "flip": "prob",
-    "get": "state", "set": "state", "par": "pure",
-}
-
 
 def _is_numeral(s: str) -> bool:
     return s.isdigit()
@@ -718,8 +716,7 @@ def _err(sx, msg):
 
 
 class _Parser:
-    def __init__(self, theory: EffectTheory, monoid: CostMonoid):
-        self.theory = theory
+    def __init__(self, monoid: CostMonoid):
         self.monoid = monoid
 
     # -- types --
@@ -858,7 +855,6 @@ class _Parser:
         loc = (sx.line, sx.col)
         if isinstance(sx, SAtom):
             if sx.text == "fail":
-                self._effect_ok("fail", sx)
                 return Fail(loc=loc)
             if sx.text in _RESERVED or _is_numeral(sx.text):
                 _err(sx, f"'{sx.text}' is not a computation")
@@ -932,25 +928,20 @@ class _Parser:
                 return SumCase(s, arms[0][0], arms[0][1], arms[1][0], arms[1][1],
                                loc=loc)
             case "branch" if len(args) == 2:
-                self._effect_ok("branch", sx)
                 return Branch(self.comp(args[0]), self.comp(args[1]), loc=loc)
             case "flip" if len(args) == 3:
-                self._effect_ok("flip", sx)
                 return Flip(
                     self.rational(args[0]), self.comp(args[1]), self.comp(args[2]),
                     loc=loc,
                 )
             case "get" if len(args) == 1:
-                self._effect_ok("get", sx)
                 b = args[0]
                 if not isinstance(b, SList) or len(b.items) != 2:
                     _err(args[0], "get expects (s body)")
                 return Get(self._binder(b.items[0]), self.comp(b.items[1]), loc=loc)
             case "set" if len(args) == 2:
-                self._effect_ok("set", sx)
                 return Put(self.value(args[0]), self.comp(args[1]), loc=loc)
             case "par" if len(args) == 2:
-                self._effect_ok("par", sx)
                 return Par(self.comp(args[0]), self.comp(args[1]), loc=loc)
             case _:
                 _err(sx, f"bad computation form '{head.text}'")
@@ -969,15 +960,6 @@ class _Parser:
         if len(args) == 4:
             _err(args[1], "expected a (: ty) motive annotation")
         return None, args
-
-    def _effect_ok(self, op, sx):
-        need = _THEORY_OPS[op]
-        if self.theory.kind != need:
-            _err(
-                sx,
-                f"effect operation '{op}' not available under the "
-                f"'{self.theory.kind}' theory",
-            )
 
 
 def _parse_headers(source: str):
@@ -1002,7 +984,7 @@ def _parse_headers(source: str):
                 sxs = read_sexprs(ty_src)
                 if len(sxs) != 1:
                     raise SyntaxError_(f"bad state type '{ty_src}'")
-                theory = state_theory(_Parser(PURE, SEQ_NAT).value_ty(sxs[0]))
+                theory = state_theory(_Parser(SEQ_NAT).value_ty(sxs[0]))
             else:
                 raise SyntaxError_(f"unknown effect theory '{spec}'")
         elif line.startswith("#cost"):
@@ -1023,14 +1005,16 @@ def parse(source: str) -> Program:
     """Parse one program: headers, then ``(: ty body)`` or a bare body.
 
     A bare body must synthesize its type; ascribe non-synthesizable
-    programs (for instance a top-level ``fail``) explicitly.
+    programs (for instance a top-level ``fail``) explicitly.  When it
+    does not, the error is at the checker's position, if it gives one.
+    An ascribed body is not type-checked here.
     """
     name, theory, monoid, rest = _parse_headers(source)
     sxs = read_sexprs(rest)
     if len(sxs) != 1:
         raise SyntaxError_("expected exactly one program form")
     top = sxs[0]
-    p = _Parser(theory, monoid)
+    p = _Parser(monoid)
     if (
         isinstance(top, SList)
         and len(top.items) == 3
@@ -1046,9 +1030,10 @@ def parse(source: str) -> Program:
     try:
         ty, _ = Checker(theory, monoid).infer_comp((), body)
     except TypeCheckError as e:
+        line, col = e.loc or (top.line, top.col)
         raise SyntaxError_(
             f"program without a type ascription does not synthesize: "
-            f"{e.message}", top.line, top.col,
+            f"{e.message}", line, col,
         )
     return Program(name, theory, monoid, body, ty)
 

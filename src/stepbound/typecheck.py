@@ -7,17 +7,24 @@ value types only; suspension is transparent, so a computation checks at
 computation position) and the effect discipline (branch/fail only under
 the nondeterminism theory, flip under the probabilistic one, get/set
 under state, par only for pure programs with the parallel monoid).
+The checker is the only judge of these rules: ``syntax.parse`` reads
+syntax only.
 
-Computations are elaborated by one walk, ``Checker._comp(ctx, t, ty)``,
-with one rule per form and two modes (Pierce & Turner, "Local Type
-Inference"): given a type it *checks* ``t`` against it, given None it
+Each sort is elaborated by one walk, ``Checker._value(ctx, t, ty)`` for
+values and ``Checker._comp(ctx, t, ty)`` for computations, with one rule
+per form and the same two modes (Pierce & Turner, "Local Type
+Inference"): given a type a walk *checks* ``t`` against it, given None it
 *infers* one.  Either way it returns the type and the elaborated term.
-A rule passes the mode down where the type flows through (``step``, the
-effect operations, a bind body, the first arm of ``if`` and ``case``, a
-recursor's base case), and the type found there checks the remaining
-arms.  ``fail`` never synthesizes; a variable or an application checks
-by inferring and comparing.  ``check_comp`` and ``infer_comp`` are the
-two entry points.
+In ``_comp`` a rule passes the mode down where the type flows through
+(``step``, the effect operations, a bind body, the first arm of ``if``
+and ``case``, a recursor's base case), and the type found there checks
+the remaining arms.  ``fail`` never synthesizes; a variable or an
+application checks by inferring and comparing.  In ``_value`` ``nil``,
+``cons``, ``pair``, ``inl``, ``inr`` and a thunked computation check
+against a type of their shape; every other value checks by inferring and
+comparing, and ``nil``, ``inl`` and ``inr`` never synthesize.  ``check``
+and ``infer`` choose the walk by sort; ``check_comp`` and ``infer_comp``
+are the computation walk's two entry points.
 
 ``elaborate`` runs the checker over a whole program and returns a copy
 whose computation nodes carry their checked type (and list recursors
@@ -88,112 +95,101 @@ class Checker:
 
     def check(self, ctx: Ctx, t: Term, ty) -> None:
         """Raise TypeCheckError unless ``t`` has type ``ty`` under ``ctx``."""
-        if isinstance(ty, CompTy):
-            self._comp(ctx, t, ty)
-        else:
-            self._check_value(ctx, t, ty)
+        walk = self._comp if isinstance(ty, CompTy) else self._value
+        walk(ctx, t, ty)
 
     def infer(self, ctx: Ctx, t: Term):
-        if isinstance(t, ValueTerm):
-            # A bare variable synthesizes its value type, never a forced one.
-            return self.infer_value(ctx, t)[0]
-        return self._comp(ctx, t, None)[0]
+        # A bare variable synthesizes its value type, never a forced one.
+        walk = self._value if isinstance(t, ValueTerm) else self._comp
+        return walk(ctx, t, None)[0]
 
     # -- values --------------------------------------------------------------
 
-    def infer_value(self, ctx: Ctx, t: Term):
-        match t:
-            case Var(name):
-                ty = ctx_lookup(ctx, name)
-                if ty is None:
-                    raise TypeCheckError(f"unbound variable '{name}'", t.loc)
-                return ty, t
-            case Triv():
-                return UNIT, t
-            case BoolLit(_):
-                return BOOL, t
-            case Zero():
-                return NAT, t
-            case Suc(a):
-                _, a2 = self._check_value(ctx, a, NAT)
-                return NAT, Suc(a2, loc=t.loc)
-            case Pair(a, b):
-                ta, a2 = self.infer_value(ctx, a)
-                tb, b2 = self.infer_value(ctx, b)
-                return ProdTy(ta, tb), Pair(a2, b2, loc=t.loc)
-            case Fst(p):
-                tp, p2 = self.infer_value(ctx, p)
-                if not isinstance(tp, ProdTy):
-                    raise TypeCheckError("fst of a non-product", t.loc, found=tp)
-                return tp.fst, Fst(p2, loc=t.loc)
-            case Snd(p):
-                tp, p2 = self.infer_value(ctx, p)
-                if not isinstance(tp, ProdTy):
-                    raise TypeCheckError("snd of a non-product", t.loc, found=tp)
-                return tp.snd, Snd(p2, loc=t.loc)
-            case Cons(h, tl):
-                try:
-                    tl_ty, tl2 = self.infer_value(ctx, tl)
-                except TypeCheckError:
-                    # tail is nil or another cons chain ending in nil: take
-                    # the element type from the head (zero recursor charge)
-                    h_ty, h2 = self.infer_value(ctx, h)
-                    lty = ListTy(h_ty)
-                    _, tl2 = self._check_value(ctx, tl, lty)
-                    return lty, Cons(h2, tl2, loc=t.loc)
-                if not isinstance(tl_ty, ListTy):
-                    raise TypeCheckError(
-                        "cons onto a non-list", t.loc, found=tl_ty
-                    )
-                _, h2 = self._check_value(ctx, h, tl_ty.elem)
-                return tl_ty, Cons(h2, tl2, loc=t.loc)
-            case Nil() | Inl(_) | Inr(_):
-                raise TypeCheckError(
-                    "term needs a type ascription to synthesize", t.loc
-                )
-            case CompTerm():
-                x, t2 = self._comp(ctx, t, None)
-                return UTy(x), t2
-            case _:
-                raise TypeCheckError(f"cannot infer {type(t).__name__}", t.loc)
-
-    def _check_value(self, ctx: Ctx, t: Term, ty: ValueTy):
-        if not isinstance(ty, ValueTy):
+    def _value(self, ctx: Ctx, t: Term, ty: Optional[ValueTy]):
+        """The value walk: check ``t`` against ``ty``, or infer when ``ty``
+        is None.  Returns ``(type, elaborated term)``."""
+        if ty is not None and not isinstance(ty, ValueTy):
             raise TypeCheckError(
                 "computation type where a value type is required",
                 getattr(t, "loc", None), expected=ty,
             )
-        match t, ty:
-            case (Nil(), ListTy(_, _)):
+        match t:
+            case Nil() if isinstance(ty, ListTy):
                 return ty, t
-            case (Cons(h, tl), ListTy(elem, _)):
-                _, h2 = self._check_value(ctx, h, elem)
-                _, tl2 = self._check_value(ctx, tl, ty)
+            case Cons(h, tl) if isinstance(ty, ListTy):
+                _, h2 = self._value(ctx, h, ty.elem)
+                _, tl2 = self._value(ctx, tl, ty)
                 return ty, Cons(h2, tl2, loc=t.loc)
-            case (Pair(a, b), ProdTy(ta, tb)):
-                _, a2 = self._check_value(ctx, a, ta)
-                _, b2 = self._check_value(ctx, b, tb)
+            case Pair(a, b) if isinstance(ty, ProdTy):
+                _, a2 = self._value(ctx, a, ty.fst)
+                _, b2 = self._value(ctx, b, ty.snd)
                 return ty, Pair(a2, b2, loc=t.loc)
-            case (Inl(a), SumTy(l, _)):
-                _, a2 = self._check_value(ctx, a, l)
-                return ty, Inl(a2, loc=t.loc)
-            case (Inr(a), SumTy(_, r)):
-                _, a2 = self._check_value(ctx, a, r)
-                return ty, Inr(a2, loc=t.loc)
-            case (CompTerm(), UTy(x)):
-                return ty, self._comp(ctx, t, x)[1]
-            case (CompTerm(), _):
+            case Inl(a) if isinstance(ty, SumTy):
+                return ty, Inl(self._value(ctx, a, ty.left)[1], loc=t.loc)
+            case Inr(a) if isinstance(ty, SumTy):
+                return ty, Inr(self._value(ctx, a, ty.right)[1], loc=t.loc)
+            case CompTerm() if ty is None or isinstance(ty, UTy):
+                x, t2 = self._comp(ctx, t, ty and ty.comp)
+                return ty or UTy(x), t2
+            case CompTerm():
                 raise TypeCheckError(
                     "computation term where a value is required",
                     t.loc, expected=ty,
                 )
+            # the forms below synthesize, and check by comparing
+            case Var(name):
+                found, t2 = ctx_lookup(ctx, name), t
+                if found is None:
+                    raise TypeCheckError(f"unbound variable '{name}'", t.loc)
+            case Triv():
+                found, t2 = UNIT, t
+            case BoolLit(_):
+                found, t2 = BOOL, t
+            case Zero():
+                found, t2 = NAT, t
+            case Suc(a):
+                found, t2 = NAT, Suc(self._value(ctx, a, NAT)[1], loc=t.loc)
+            case Pair(a, b):
+                ta, a2 = self._value(ctx, a, None)
+                tb, b2 = self._value(ctx, b, None)
+                found, t2 = ProdTy(ta, tb), Pair(a2, b2, loc=t.loc)
+            case Fst(p):
+                tp, p2 = self._value(ctx, p, None)
+                if not isinstance(tp, ProdTy):
+                    raise TypeCheckError("fst of a non-product", t.loc, found=tp)
+                found, t2 = tp.fst, Fst(p2, loc=t.loc)
+            case Snd(p):
+                tp, p2 = self._value(ctx, p, None)
+                if not isinstance(tp, ProdTy):
+                    raise TypeCheckError("snd of a non-product", t.loc, found=tp)
+                found, t2 = tp.snd, Snd(p2, loc=t.loc)
+            case Cons(h, tl):
+                try:
+                    found, tl2 = self._value(ctx, tl, None)
+                except TypeCheckError:
+                    # tail is nil or another cons chain ending in nil: take
+                    # the element type from the head (zero recursor charge)
+                    h_ty, h2 = self._value(ctx, h, None)
+                    found = ListTy(h_ty)
+                    _, tl2 = self._value(ctx, tl, found)
+                else:
+                    if not isinstance(found, ListTy):
+                        raise TypeCheckError(
+                            "cons onto a non-list", t.loc, found=found
+                        )
+                    _, h2 = self._value(ctx, h, found.elem)
+                t2 = Cons(h2, tl2, loc=t.loc)
+            case Nil() | Inl(_) | Inr(_):
+                raise TypeCheckError(
+                    "term needs a type ascription to synthesize", t.loc
+                )
             case _:
-                found, t2 = self.infer_value(ctx, t)
-                if found != ty:
-                    raise TypeCheckError(
-                        "value type mismatch", t.loc, expected=ty, found=found
-                    )
-                return ty, t2
+                raise TypeCheckError(f"cannot infer {type(t).__name__}", t.loc)
+        if ty is not None and found != ty:
+            raise TypeCheckError(
+                "value type mismatch", t.loc, expected=ty, found=found
+            )
+        return found, t2
 
     # -- computations ----------------------------------------------------------
 
@@ -215,15 +211,12 @@ class Checker:
             )
         match t:
             case Ret(v):
-                if ty is None:
-                    tv, v2 = self.infer_value(ctx, v)
-                    ty = FTy(tv)
-                elif not isinstance(ty, FTy):
+                if ty is not None and not isinstance(ty, FTy):
                     raise TypeCheckError(
                         "ret checks only at an F type", t.loc, expected=ty
                     )
-                else:
-                    _, v2 = self._check_value(ctx, v, ty.value)
+                tv, v2 = self._value(ctx, v, ty and ty.value)
+                ty = ty or FTy(tv)
                 return ty, Ret(v2, loc=t.loc, ty=ty)
             case Bind(e, xv, body):
                 te, e2 = self._comp(ctx, e, None)
@@ -268,7 +261,7 @@ class Checker:
                     raise TypeCheckError(
                         "application of a non-function", t.loc, found=tf
                     )
-                _, a2 = self._check_value(ctx, a, tf.dom)
+                _, a2 = self._value(ctx, a, tf.dom)
                 return tf.cod, Ap(f2, a2, loc=t.loc, ty=tf.cod)
             case Step(c, body):
                 c2 = self._check_cost(ctx, c)
@@ -297,7 +290,7 @@ class Checker:
                 return ty, Get(sv, body2, loc=t.loc, ty=ty)
             case Put(v, body):
                 self._require_theory("set", "state", t)
-                _, v2 = self._check_value(ctx, v, self.theory.state_ty)
+                _, v2 = self._value(ctx, v, self.theory.state_ty)
                 ty, body2 = self._comp(ctx, body, ty)
                 return ty, Put(v2, body2, loc=t.loc, ty=ty)
             case Par(l, r):
@@ -319,12 +312,12 @@ class Checker:
                     _, r2 = self._comp(ctx, r, FTy(ty.value.snd))
                 return ty, Par(l2, r2, loc=t.loc, ty=ty)
             case If(b, th, el):
-                _, b2 = self._check_value(ctx, b, BOOL)
+                _, b2 = self._value(ctx, b, BOOL)
                 ty, th2 = self._comp(ctx, th, ty)
                 _, el2 = self._comp(ctx, el, ty)
                 return ty, If(b2, th2, el2, loc=t.loc, ty=ty)
             case SumCase(sc, xl, lb, xr, rb):
-                ts, sc2 = self.infer_value(ctx, sc)
+                ts, sc2 = self._value(ctx, sc, None)
                 if not isinstance(ts, SumTy):
                     raise TypeCheckError("case of a non-sum", t.loc, found=ts)
                 ty, lb2 = self._comp(ctx_extend(ctx, xl, ts.left), lb, ty)
@@ -332,7 +325,7 @@ class Checker:
                 return ty, SumCase(sc2, xl, lb2, xr, rb2, loc=t.loc, ty=ty)
             case NatRec(n, z, kv, ihv, sb):
                 ty = self._motive(t, ty)
-                _, n2 = self._check_value(ctx, n, NAT)
+                _, n2 = self._value(ctx, n, NAT)
                 ty, z2 = self._comp(ctx, z, ty)
                 _, sb2 = self._comp(
                     ctx_extend(ctx_extend(ctx, kv, NAT), ihv, UTy(ty)), sb, ty
@@ -341,7 +334,7 @@ class Checker:
                                   loc=t.loc, ty=ty)
             case ListRec(l, z, xv, xsv, ihv, cb):
                 ty = self._motive(t, ty)
-                tlist, l2 = self.infer_value(ctx, l)
+                tlist, l2 = self._value(ctx, l, None)
                 if not isinstance(tlist, ListTy):
                     raise TypeCheckError(
                         "listrec of a non-list", t.loc, found=tlist
@@ -427,14 +420,14 @@ class Checker:
         fn_ty = ty
         arg_tys = []
         for a in args:
-            a_ty, _ = self.infer_value(ctx, a)
+            a_ty, _ = self._value(ctx, a, None)
             arg_tys.append(a_ty)
         for a_ty in reversed(arg_tys):
             fn_ty = ArrowTy(a_ty, fn_ty)
         _, out = self._comp(ctx, head, fn_ty)
         cod = fn_ty
         for a, a_ty in zip(args, arg_tys):
-            _, a2 = self._check_value(ctx, a, a_ty)
+            _, a2 = self._value(ctx, a, a_ty)
             cod = cod.cod
             out = Ap(out, a2, loc=t.loc, ty=cod)
         return out
@@ -449,7 +442,7 @@ class Checker:
                     )
                 return c
             case NatCost(term):
-                _, t2 = self._check_value(ctx, term, NAT)
+                _, t2 = self._value(ctx, term, NAT)
                 return NatCost(t2)
             case _:
                 raise TypeCheckError(f"bad cost annotation {c!r}")
@@ -472,7 +465,7 @@ class Checker:
 
 def check_program(p: Program) -> None:
     """Raise TypeCheckError unless ``p.body`` checks at ``p.declared_ty``."""
-    Checker(p.theory, p.monoid).check_comp((), p.body, p.declared_ty)
+    elaborate(p)
 
 
 def elaborate(p: Program) -> Program:

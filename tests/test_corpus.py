@@ -482,11 +482,20 @@ def test_cli_unwritable_report_path_is_a_usage_error(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("nat_max", -1), ("list_len", -1), ("state_max", -1), ("elems", 0),
-    ("input_cap", 0),
+    ("input_cap", 0), ("hyp_candidates", 0), ("hyp_min_admitted", 0),
+    ("hyp_depth", -1),
 ])
 def test_domain_config_rejects_bad_bounds(field, value):
     with pytest.raises(ValueError, match=field):
         DomainConfig(**{field: value})
+
+
+def test_a_hypothesis_check_over_no_candidates_is_refused():
+    # zero generated and zero admitted arguments would otherwise read holds
+    with pytest.raises(ValueError,
+                       match="hyp_candidates must be at least 1, got 0"):
+        verify(by_name("twice-hypothesis"),
+               domain_override={"hyp_candidates": 0, "hyp_min_admitted": 0})
 
 
 def test_domain_override_flows_through():

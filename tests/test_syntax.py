@@ -28,7 +28,7 @@ from stepbound.syntax import (
     alpha_eq, alpha_normalize, free_vars, nat_lit, parse, print_program,
     scopes, subst, subterms, term_str,
 )
-from stepbound.typecheck import check_program
+from stepbound.typecheck import TypeCheckError, check_program
 
 DOUBLE_SRC = """
 #name double
@@ -133,6 +133,28 @@ def test_par_requires_declared_theory():
     src = "#effect nondet\n#cost par\n(par (ret tt) (ret tt))"
     with pytest.raises(SyntaxError_):
         parse(src)
+
+
+def test_parse_reads_syntax_and_the_checker_judges_effects():
+    # an ascribed body parses whatever its effects; the checker rejects an
+    # operation outside the declared theory, at the operation
+    prog = parse("#effect pure\n(: (F unit)\n   (branch (ret tt) (ret tt)))")
+    with pytest.raises(TypeCheckError) as e:
+        check_program(prog)
+    assert str(e.value) == ("3:3: effect operation 'branch' outside its "
+                            "theory (program declares 'pure')")
+    # a bare body is checked to synthesize its type, and a checker error
+    # is reported where the checker found it, else at the top form (a
+    # numeral carries no position)
+    for src, where, message in (
+        ("(bind (ret 1) (x (branch (ret x) (ret x))))", (1, 17),
+         "effect operation 'branch' outside its theory"),
+        ("\n  (if 1 (ret tt) (ret tt))", (2, 2), "value type mismatch"),
+    ):
+        with pytest.raises(SyntaxError_) as e:
+            parse(src)
+        assert (e.value.line, e.value.col) == where
+        assert message in e.value.message
 
 
 @pytest.mark.parametrize("prog", ALL_PROGRAMS, ids=lambda p: p.name)
@@ -394,7 +416,8 @@ _MUTABLE = [c for c in _RECORDS if c.__hash__ is None]
 _CHECKED = {(Flip, "prob"): (Fraction(1, 2), Fraction(1, 3)),
             (Verdict, "holds"): (False, None),
             **{(DomainConfig, name): (1, 2) for name in (
-                "nat_max", "list_len", "elems", "state_max", "input_cap")}}
+                "nat_max", "list_len", "elems", "state_max", "input_cap",
+                "hyp_candidates", "hyp_min_admitted", "hyp_depth")}}
 
 
 def test_every_node_class_is_a_record():
