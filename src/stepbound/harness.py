@@ -220,13 +220,12 @@ def _behaviour_key(ev: Evaluator, cand, points):
     return tuple([den(a) for a in points]) if points else den
 
 
-def _applied_outside(ev: Evaluator, mark: int, cand, inside) -> bool:
+def _applied_outside(ev: Evaluator, cand, inside) -> bool:
     """Whether ``ev`` applied the closed λ ``cand`` at a point outside
-    ``inside`` since its table held ``mark`` entries.  Every application
-    of a λ is tabled under ``(id(λ), captured, argument)``."""
-    nid = id(cand)
-    return any(k[0] == nid and k[2] not in inside
-               for k in ev.entries_since(mark))
+    ``inside``.  Every application of a λ is tabled in the λ's own
+    table, and ``cand`` is fresh, so its table holds only this check's
+    applications."""
+    return any(a not in inside for a in ev.applied_at(cand))
 
 
 def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
@@ -276,7 +275,6 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
             # candidates are born elaborated, so they go to the evaluator
             # as is
             lead = (("thunk", (), cand),)
-            marks = hyp_ev.live_entries, concl_ev.live_entries
             key = _behaviour_key(hyp_ev, cand, points)
             if key in decided:
                 holds, concl = decided[key]
@@ -289,15 +287,15 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
                 # inside the key's points decides every candidate with its
                 # key
                 if key is not None and not any(
-                    _applied_outside(ev, mark, cand, inside)
-                    for ev, mark in zip((hyp_ev, concl_ev), marks)
+                    _applied_outside(ev, cand, inside)
+                    for ev in (hyp_ev, concl_ev)
                 ):
                     decided[key] = holds, concl
             # `seen` skips a repeated term, so no later candidate can hit
             # the entries keyed by this one; the tables keep what
             # candidates share
-            for ev, mark in zip((hyp_ev, concl_ev), marks):
-                ev.forget(mark, cand)
+            for ev in (hyp_ev, concl_ev):
+                ev.forget(cand)
             if not holds:
                 continue
             admitted += 1

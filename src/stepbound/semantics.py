@@ -594,36 +594,37 @@ class Evaluator:
     for it.  So the two sides of a law instance, evaluated by one
     evaluator, compile the nodes they share once.
 
-    Evaluation is tabled (Michie's memo functions).  One table maps
-    ``(id(node), captured, argument)`` to a denotation.  ``node`` is a λ
-    or recursor node, and ``captured`` holds the environment's values at
-    the names of the variables it captures, which its compile function
-    computed once:
+    Evaluation is tabled (Michie's memo functions).  Each λ or recursor
+    node has a table of its own, made when the node compiles, held by its
+    closure and registered in ``_tables`` by the node's id.  It maps
+    ``captured`` to a group ``{argument: denotation}``, where ``captured``
+    holds the environment's values at the names of the variables the node
+    captures, which its compile function computed once:
 
     * for a λ node, the argument is the value it is applied to;
     * for a recursor node, the argument is the scrutinee (a nat, or the
       items of a list), and ``captured`` covers the free variables of its
       branches.  A recursor resumes from the largest tabled prefix (nat)
-      or suffix (list) of its scrutinee.
+      or suffix (list) of its scrutinee in its group.
 
     Evaluation is pure, so a hit is the denotation a fresh evaluation
     would build, and inputs of a tabulated domain share their common
-    sub-calls.  Every node id in a table key belongs to a node of a term
-    that ``_compiled`` or ``_bodies`` holds (an ``Ap`` of a λ registers
-    only the ``Ap``, whose λ keys the table), so no ``id`` in the table
-    can be reused while the evaluator lives.  A hypothesis check
-    ``forget``s a candidate once it is decided, since no later candidate
-    can hit its entries: the entries go, and with them the closures of
-    the candidate's nodes.  The generator builds fresh nodes for every
-    candidate, so no other term holds a node whose closure goes.
-    ``table_entries`` still counts the forgotten entries.
+    sub-calls.  Every id in ``_tables`` names a node of a term that
+    ``_compiled`` or ``_bodies`` holds (an ``Ap`` of a λ registers only
+    the ``Ap``, and the λ's table), so no id there can be reused while
+    the evaluator lives.  A hypothesis check ``forget``s a candidate once
+    it is decided, since no later candidate can hit its entries: the
+    tables and closures of the candidate's nodes go, and so do the groups
+    and entries elsewhere that hold its thunk.  The generator builds
+    fresh nodes for every candidate, so no other term holds a node whose
+    closure goes.  ``table_entries`` counts every entry as it is made.
 
-    The closures and the denotations in the table refer to the
-    evaluator, so they form reference cycles with it, which reference
-    counting never frees.  The owner of an evaluator therefore ``close``s
-    it once its check is decided, and uses neither it nor a denotation it
-    built afterwards: the terms whose ids key the table are no longer
-    held.
+    The closures and the denotations in the tables refer to the
+    evaluator and to the tables, so they form reference cycles, which
+    reference counting never frees.  The owner of an evaluator therefore
+    ``close``s it once its check is decided, and uses neither it nor a
+    denotation it built afterwards: the terms whose ids key ``_tables``
+    are no longer held.
     """
 
     def __init__(self, theory: EffectTheory, monoid, mode: EvalMode,
@@ -634,60 +635,61 @@ class Evaluator:
         self.cfg = cfg
         self.ops = _OPS[theory.kind](monoid)
         self.ext = mode is EvalMode.EXTENSIONAL
-        self._table: dict = {}
-        self._forgotten = 0  # entries dropped by ``forget``
+        self._tables: dict = {}  # id(node) -> {captured: {argument: den}}
         self._compiled: dict = {}  # id(node) -> (node, closure)
         self._bodies: dict = {}  # id(body) -> (body, denotation, arity)
         self._states = None  # (state domain, its set), on first use
+        self.table_entries = 0  # entries made, forgotten ones included
         self.table_hits = 0
 
     @property
-    def table_entries(self) -> int:
-        """The entries made, forgotten ones included."""
-        return len(self._table) + self._forgotten
-
-    @property
     def live_entries(self) -> int:
-        """The entries in the table now: the mark ``entries_since`` and
-        ``forget`` take."""
-        return len(self._table)
+        """The entries in the tables now."""
+        return sum(len(group) for table in self._tables.values()
+                   for group in table.values())
 
-    def entries_since(self, mark: int):
-        """The table's keys added since it held ``mark`` entries, newest
-        first.  New keys go last, and ``forget`` drops only keys added
-        since a mark, so this walks just those keys."""
-        return itertools.islice(reversed(self._table), len(self._table) - mark)
+    def applied_at(self, lam) -> list:
+        """The arguments the λ node ``lam`` has live entries at."""
+        return [a for group in self._tables.get(id(lam), {}).values()
+                for a in group]
 
-    def forget(self, mark: int, cand) -> None:
-        """Drop the entries added since the table held ``mark`` entries
-        whose key belongs to the closed computation ``cand``: its node is
-        a node of ``cand``, or ``cand``'s thunk is among its captured
-        values or is its argument.  The closures of ``cand``'s nodes go
-        too, so ``cand`` must share no node with a term evaluated later.
-        Only computation nodes compile or key the table, and no value
-        term holds one, so the walk skips values."""
-        nodes, todo = set(), [cand]
+    def forget(self, cand) -> None:
+        """Drop the entries that belong to the closed computation
+        ``cand``: the tables and closures of ``cand``'s nodes, and in
+        every other table the groups whose captured values hold
+        ``cand``'s thunk and the entries whose argument is that thunk.
+        ``cand`` must share no node with a term evaluated later.  Only
+        computation nodes compile or have tables, and no value term holds
+        one, so the walk skips values."""
+        todo = [cand]
         while todo:
             t = todo.pop()
-            nodes.add(id(t))
+            self._compiled.pop(id(t), None)
+            self._tables.pop(id(t), None)
             todo += [sub for sub in subterms(t) if isinstance(sub, CompTerm)]
         lead = ("thunk", (), cand)
-        gone = [k for k in self.entries_since(mark)
-                if k[0] in nodes or lead in k[1] or k[2] == lead]
-        for k in gone:
-            del self._table[k]
-        self._forgotten += len(gone)
-        for nid in nodes:
-            self._compiled.pop(nid, None)
+        for table in self._tables.values():
+            for captured in [c for c in table if lead in c]:
+                del table[captured]
+            for group in table.values():
+                if lead in group:
+                    del group[lead]
 
     def close(self) -> None:
-        """Drop the table, the closures and the terms kept for their ids,
-        breaking the cycles through the evaluator, once the owner's check
-        is decided.  ``table_entries`` still counts every entry made.
-        Closing twice is harmless; using the evaluator after is not."""
-        self._forgotten += len(self._table)
-        for kept in (self._table, self._compiled, self._bodies):
+        """Drop the tables, the closures and the terms kept for their
+        ids, breaking the cycles through the evaluator, once the owner's
+        check is decided.  Each table is cleared first, since the closure
+        holding it may be held by a denotation in it.  ``table_entries``
+        still counts every entry made.  Closing twice is harmless; using
+        the evaluator after is not."""
+        for table in self._tables.values():
+            table.clear()
+        for kept in (self._tables, self._compiled, self._bodies):
             kept.clear()
+
+    def _table(self, node) -> dict:
+        """The table of the λ or recursor ``node``, made on first use."""
+        return self._tables.setdefault(id(node), {})
 
     # -- compilation ------------------------------------------------------------
 
@@ -761,17 +763,6 @@ class Evaluator:
             case "den":
                 return v[2]
         raise EvalError(f"forcing a non-thunk value {val_str(v)}")
-
-    def _resume(self, nid, captured, scrutinees):
-        """The first of ``scrutinees`` (largest first) at which ``node`` is
-        tabled, with its denotation; ``(None, None)`` if there is none."""
-        table = self._table
-        for k in scrutinees:
-            d = table.get((nid, captured, k))
-            if d is not None:
-                self.table_hits += 1
-                return k, d
-        return None, None
 
     # -- outcomes ---------------------------------------------------------------
 
@@ -1023,20 +1014,24 @@ def _c_bind(ev, t):
 def _lam_call(ev, t, names):
     """``call(env, captured, a)``: the λ node ``t``, closed over
     ``captured`` (its values at ``names`` in ``env``), applied to ``a``."""
-    body, x, nid, table = ev._comp(t.body), t.var, id(t), ev._table
+    body, x, table = ev._comp(t.body), t.var, ev._table(t)
 
     def call(env, captured, a):
-        key = (nid, captured, a)
-        d = table.get(key)
-        if d is not None:
-            ev.table_hits += 1
-            return d
+        group = table.get(captured)
+        if group is None:
+            group = table[captured] = {}
+        else:
+            d = group.get(a)
+            if d is not None:
+                ev.table_hits += 1
+                return d
         if names:
             e2 = dict(env)
             e2[x] = a
         else:
             e2 = {x: a}
-        d = table[key] = body(e2)
+        d = group[a] = body(e2)
+        ev.table_entries += 1
         return d
 
     return call
@@ -1118,20 +1113,26 @@ def _c_natrec(ev, t):
         ev._value(t.scrut), ev._comp(t.zero_branch), ev._comp(t.suc_branch)
     )
     kvar, ihvar, ty = t.var_pred, t.var_ih, t.ty
-    names, nid, table = _capture_names(t), id(t), ev._table
+    names, table = _capture_names(t), ev._table(t)
 
     def run(env):
         nv = scrut(env)[1]
-        captured = _capture(names, env)
-        start, d = ev._resume(nid, captured, range(nv, -1, -1))
-        if d is None:
-            start = 0
-            d = table[(nid, captured, 0)] = zero(env)
+        group = table.setdefault(_capture(names, env), {})
+        for start in range(nv, -1, -1):
+            d = group.get(start)
+            if d is not None:
+                ev.table_hits += 1
+                break
+        else:
+            start, d = 0, zero(env)
+            group[0] = d
+            ev.table_entries += 1
         for i in range(start, nv):
             e2 = dict(env)
             e2[kvar] = ("nat", i)
             e2[ihvar] = ("den", ty, d)
-            d = table[(nid, captured, i + 1)] = succ(e2)
+            d = group[i + 1] = succ(e2)
+            ev.table_entries += 1
         return d
 
     return run
@@ -1142,7 +1143,7 @@ def _c_listrec(ev, t):
         ev._value(t.scrut), ev._comp(t.nil_branch), ev._comp(t.cons_branch)
     )
     xvar, xsvar, ihvar, ty = t.var_head, t.var_tail, t.var_ih, t.ty
-    names, nid, table = _capture_names(t), id(t), ev._table
+    names, table = _capture_names(t), ev._table(t)
     c = t.list_charge
     charge = None
     if not (c is None or ev.ext or c == ev.ops.zero):
@@ -1150,15 +1151,18 @@ def _c_listrec(ev, t):
 
     def run(env):
         items = scrut(env)[1]
-        captured = _capture(names, env)
+        group = table.setdefault(_capture(names, env), {})
         # fold from the tail, resuming from the longest tabled suffix
-        suffix, d = ev._resume(
-            nid, captured, (items[i:] for i in range(len(items) + 1))
-        )
-        if d is None:
-            suffix = ()
-            d = table[(nid, captured, ())] = nil(env)
-        for i in range(len(items) - len(suffix) - 1, -1, -1):
+        for start in range(len(items) + 1):
+            d = group.get(items[start:])
+            if d is not None:
+                ev.table_hits += 1
+                break
+        else:
+            start, d = len(items), nil(env)
+            group[()] = d
+            ev.table_entries += 1
+        for i in range(start - 1, -1, -1):
             e2 = dict(env)
             e2[xvar] = items[i]
             e2[xsvar] = ("list", items[i + 1:])
@@ -1166,7 +1170,8 @@ def _c_listrec(ev, t):
             d = cons(e2)
             if charge is not None:
                 d = charge(c, d)
-            table[(nid, captured, items[i:])] = d
+            group[items[i:]] = d
+            ev.table_entries += 1
         return d
 
     return run

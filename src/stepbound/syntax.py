@@ -454,10 +454,11 @@ class Program:
     declared_ty: CompTy
 
 
-def nat_lit(n: int) -> ValueTerm:
-    t: ValueTerm = Zero()
+def nat_lit(n: int, loc=None) -> ValueTerm:
+    """The numeral ``n`` as ``suc``s over ``zero``, each at ``loc``."""
+    t: ValueTerm = Zero(loc=loc)
     for _ in range(n):
-        t = Suc(t)
+        t = Suc(t, loc=loc)
     return t
 
 
@@ -824,7 +825,7 @@ class _Parser:
                 case "fail":
                     return self.comp(sx)  # a thunked fail
                 case s if _is_numeral(s):
-                    return nat_lit(int(s))
+                    return nat_lit(int(s), loc)
                 case s if s in _RESERVED:
                     _err(sx, f"'{s}' is not a value")
                 case s:
@@ -1033,7 +1034,7 @@ def parse(source: str) -> Program:
         line, col = e.loc or (top.line, top.col)
         raise SyntaxError_(
             f"program without a type ascription does not synthesize: "
-            f"{e.message}", line, col,
+            f"{e.reason}", line, col,
         )
     return Program(name, theory, monoid, body, ty)
 

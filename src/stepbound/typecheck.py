@@ -54,11 +54,12 @@ class TypeCheckError(Exception):
         self.loc = loc
         self.expected = expected
         self.found = found
-        where = f"{loc[0]}:{loc[1]}: " if loc else ""
-        extra = ""
+        # the message with its types, without the position
+        self.reason = message
         if expected is not None or found is not None:
-            extra = f" (expected {_show(expected)}, found {_show(found)})"
-        super().__init__(f"{where}{message}{extra}")
+            self.reason += f" (expected {_show(expected)}, found {_show(found)})"
+        where = f"{loc[0]}:{loc[1]}: " if loc else ""
+        super().__init__(f"{where}{self.reason}")
 
 
 def _show(x):

@@ -21,6 +21,13 @@ def program_evaluator(p, mode, cfg):
     return Evaluator(p.theory, p.monoid, mode, cfg), elaborate(p).body
 
 
+def live_keys(ev) -> list:
+    """``(id(node), captured, argument)`` of every entry in ``ev``'s node
+    tables."""
+    return [(nid, captured, a) for nid, table in ev._tables.items()
+            for captured, group in table.items() for a in group]
+
+
 @pytest.fixture(scope="session")
 def check_json(tmp_path_factory):
     """``check_json(mode)``: ``stepbound check --mode MODE --seed 0

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from conftest import live_keys
 from stepbound import harness
 from stepbound.corpus import BoundSpec, Relation, corpus
 from stepbound.costs import SEQ_NAT
@@ -252,8 +253,9 @@ def _verify_capturing(spec, mode, candidates, monkeypatch):
     """``verify(spec)`` at seed 0 with ``hyp_candidates`` set, with the
     live size and keys of each table it built, taken just before the
     check closed its evaluator, the candidates it drew, and after each
-    ``forget`` whether every node id in a table key belonged to a held
-    term and whether ``_compiled`` still held a node of the candidate."""
+    ``forget`` whether every id in the node-table registry named a node
+    of a held term and whether ``_compiled`` still held a node of the
+    candidate."""
     made, drawn, closing, forgets, memo = [], [], {}, [], {}
     real_check, real_draw = harness.relation_check, TermGen.closed_comp
     real_close, real_forget = Evaluator.close, Evaluator.forget
@@ -267,14 +269,13 @@ def _verify_capturing(spec, mode, candidates, monkeypatch):
         return drawn[-1]
 
     def close(self):
-        closing.setdefault(self, (self.live_entries,
-                                  list(self.entries_since(0))))
+        closing.setdefault(self, (self.live_entries, live_keys(self)))
         real_close(self)
 
-    def forget(self, mark, cand):
-        real_forget(self, mark, cand)
+    def forget(self, cand):
+        real_forget(self, cand)
         forgets.append((
-            {k[0] for k in self._table} <= _held_ids(self, memo),
+            self._tables.keys() <= _held_ids(self, memo),
             not _term_ids(cand) & self._compiled.keys(),
         ))
 
@@ -298,8 +299,8 @@ def test_live_tables_are_bounded_by_the_scope(spec, mode, monkeypatch):
     many, many_tables, drawn, forgets = _verify_capturing(spec, mode, 500,
                                                           monkeypatch)
     assert len(drawn) == 500
-    # forgetting a candidate drops its closures too, and leaves every node
-    # id in a table key on a node of a term the evaluator holds
+    # forgetting a candidate drops its closures too, and leaves every id
+    # in the node-table registry on a node of a term the evaluator holds
     assert len(forgets) == 2 * len(set(drawn))
     assert all(held for held, _ in forgets)
     assert all(dropped for _, dropped in forgets)
@@ -315,6 +316,29 @@ def test_live_tables_are_bounded_by_the_scope(spec, mode, monkeypatch):
     assert grew > 0 if many.distinct > few.distinct else grew >= 0
     assert few.counters["table_entries"] >= sum(
         live for live, _ in few_tables)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("spec", HYP_SPECS, ids=lambda s: s.name)
+def test_forget_leaves_no_entry_holding_the_candidate(spec, mode,
+                                                      monkeypatch):
+    # right after each forget, no live (node, captured, argument) names a
+    # node of the candidate or holds one, its thunk included: the
+    # candidate's own tables go, and so do the groups that captured its
+    # thunk and the entries applied to it
+    real_forget, left, forgets = Evaluator.forget, [], []
+
+    def forget(self, cand):
+        real_forget(self, cand)
+        ids = _term_ids(cand)
+        forgets.append(cand)
+        left.extend(k for k in live_keys(self)
+                    if k[0] in ids or _holds_any(k[1:], ids))
+
+    monkeypatch.setattr(Evaluator, "forget", forget)
+    for seed in range(3):
+        verify(spec, mode=mode, seed=seed)
+    assert forgets and not left
 
 
 # -- observability ---------------------------------------------------------------

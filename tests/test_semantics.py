@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import nat, natlist, program_evaluator
+from conftest import live_keys, nat, natlist, program_evaluator
 
 from stepbound.corpus import (
     BERNOULLI, BINOMIAL, BRANCH_EXAMPLE, DOUBLE, INSERT, ISORT, MAP_BINOM,
@@ -501,25 +501,24 @@ def _nodes(t):
 
 def test_evaluator_holds_every_node_its_table_keys_name():
     # thunk bodies, each dropped by its caller once forced, every other one
-    # forgotten first: a table key's node id must still belong to a live
-    # node the evaluator holds, or a new node could reuse it; an Ap of a λ
-    # compiles as the Ap alone, and its λ keys the table
+    # forgotten first: a node table's id must still belong to a live node
+    # the evaluator holds, or a new node could reuse it; an Ap of a λ
+    # compiles as the Ap alone, and its λ has the table
     ev = Evaluator(PURE, SEQ_NAT, COST, DEFAULT_CONFIG)
     forgotten = []
     for n in range(100):
         body = Ap(Lam("y", NAT, Ret(Var("y")), ty=ArrowTy(NAT, FTy(NAT))),
                   Zero(), ty=FTy(NAT))
-        mark = ev.live_entries
         assert ev.force(("thunk", (), body)) == (0, nat(0))
         if n % 2:
-            ev.forget(mark, body)
+            ev.forget(body)
             forgotten.append(body)
     held = {id(node)
             for term in [t for t, _ in ev._compiled.values()]
             + [b for b, _, _ in ev._bodies.values()]
             for node in _nodes(term)}
-    assert len(ev._table) == 50
-    assert {key[0] for key in ev._table} <= held
+    assert len(ev._tables) == ev.live_entries == 50
+    assert ev._tables.keys() <= held
     assert not {id(node) for b in forgotten for node in _nodes(b)} & held
 
 
@@ -538,11 +537,14 @@ def test_forgetting_a_candidate_never_changes_a_result():
     first = [ev.outcome(b, args) for b in bodies]
     made, live = ev.table_entries, ev.live_entries
     assert made == live
-    ev.forget(live, cand)
+    # a candidate the evaluator never ran owns no entry
+    ev.forget(Lam("a", NAT, Ret(Zero(), ty=FTy(NAT)),
+                  ty=ArrowTy(NAT, FTy(NAT))))
     assert (ev.table_entries, ev.live_entries) == (made, live)
     own = {id(node) for node in _nodes(cand)}
-    ev.forget(0, cand)
-    kept = list(ev.entries_since(0))
+    assert own & ev._tables.keys()
+    ev.forget(cand)
+    kept = live_keys(ev)
     assert kept and not any(k[0] in own or lead in k[1] or k[2] == lead
                             for k in kept)
     binomial = next(t for t in _nodes(bodies[1])

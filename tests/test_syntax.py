@@ -144,17 +144,34 @@ def test_parse_reads_syntax_and_the_checker_judges_effects():
     assert str(e.value) == ("3:3: effect operation 'branch' outside its "
                             "theory (program declares 'pure')")
     # a bare body is checked to synthesize its type, and a checker error
-    # is reported where the checker found it, else at the top form (a
-    # numeral carries no position)
+    # is reported where the checker found it, a numeral included, with
+    # the types the checker names
     for src, where, message in (
         ("(bind (ret 1) (x (branch (ret x) (ret x))))", (1, 17),
-         "effect operation 'branch' outside its theory"),
-        ("\n  (if 1 (ret tt) (ret tt))", (2, 2), "value type mismatch"),
+         "effect operation 'branch' outside its theory (program declares "
+         "'pure')"),
+        ("\n  (if 1 (ret tt) (ret tt))", (2, 6),
+         "value type mismatch (expected bool, found nat)"),
+        ("(if 0 (ret tt) (ret tt))", (1, 4),
+         "value type mismatch (expected bool, found nat)"),
     ):
         with pytest.raises(SyntaxError_) as e:
             parse(src)
         assert (e.value.line, e.value.col) == where
-        assert message in e.value.message
+        assert e.value.message == ("program without a type ascription does "
+                                   f"not synthesize: {message}")
+
+
+def test_a_numeral_sits_where_it_is_written():
+    # every node of a parsed numeral carries the numeral's position, so
+    # the checker can name it for an ascribed program too
+    t = parse("(: (F nat)\n   (ret 2))").body.value
+    assert t == nat_lit(2)
+    assert [n.loc for n in (t, t.arg, t.arg.arg)] == [(2, 8)] * 3
+    with pytest.raises(TypeCheckError) as e:
+        check_program(parse("(: (F unit)\n  (if 1 (ret tt) (ret tt)))"))
+    assert str(e.value) == ("2:6: value type mismatch "
+                            "(expected bool, found nat)")
 
 
 @pytest.mark.parametrize("prog", ALL_PROGRAMS, ids=lambda p: p.name)
