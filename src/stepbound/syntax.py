@@ -19,14 +19,12 @@ Surface syntax is s-expressions, one program per file::
 Headers: ``#name NAME`` (optional), ``#effect pure|nondet|prob|state:<ty>``
 and ``#cost seq|par``.  Comments run from ``;`` to end of line.
 
-Forms: ``(ret v)``, ``(bind e (x body))``, ``(lam (x : ty) body)``,
-``(ap f v ...)``, ``(step c body)``, ``(natrec n z (k ih body))``,
-``(listrec l nl (x xs ih body))``, ``(if b t f)``,
-``(case s (x e1) (y e2))``, ``(branch e0 e1)``, ``fail``,
-``(flip p e0 e1)``, ``(get (s body))``, ``(set v body)``, ``(par e0 e1)``.
-Values: ``tt``, ``true``/``false``, ``zero``/``(suc v)``/numerals, ``nil``,
-``(cons v l)``, ``(pair a b)``, ``(fst v)``, ``(snd v)``, ``(inl v)``,
-``(inr v)``, variables, or any computation form (a thunk).
+The forms, such as ``(bind e (x body))`` or ``(lam (x : ty) body)``,
+come from one table, ``_FORMS``: each head with its node class and its
+fields in the order they are written.  The parser and the printer both
+read it, and the keywords (``tt``, ``true``, ``zero``, ``nil``, ``fail``,
+``unit``, ...) from ``_ATOMS``.  A value is a value form, a keyword, a
+numeral (ASCII digits), a variable, or any computation form (a thunk).
 
 Step annotations ``c`` are numerals (``(w s)`` pairs under the parallel
 monoid) or nat-valued value terms, evaluated cost-free and scaled by the
@@ -685,105 +683,204 @@ def read_sexprs(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Surface forms: one table, read by the parser and the printer
 # ---------------------------------------------------------------------------
 
-_COMP_HEADS = {
-    "ret", "bind", "lam", "ap", "step", "natrec", "listrec", "if", "case",
-    "branch", "flip", "get", "set", "par",
+# Each form's head, node class and layout: the node's fields in the order
+# they are written.  A nested tuple is a parenthesised group, ":" a literal
+# colon and "motive" an optional ``(: ty)``.  A field's record annotation
+# says how it is read and printed (``_KINDS``).  Four cases have code of
+# their own: numerals, the variadic ``ap`` and ``->``, and ``list`` with
+# an optional per-cons charge.
+_FORMS = {
+    "suc": (Suc, ("arg",)),
+    "cons": (Cons, ("head", "tail")),
+    "pair": (Pair, ("fst", "snd")),
+    "fst": (Fst, ("pair",)),
+    "snd": (Snd, ("pair",)),
+    "inl": (Inl, ("arg",)),
+    "inr": (Inr, ("arg",)),
+    "ret": (Ret, ("value",)),
+    "bind": (Bind, ("comp", ("var", "body"))),
+    "lam": (Lam, (("var", ":", "var_ty"), "body")),
+    "ap": (Ap, ("fn", "arg")),
+    "step": (Step, ("cost", "body")),
+    "natrec": (NatRec, ("scrut", "motive", "zero_branch",
+                        ("var_pred", "var_ih", "suc_branch"))),
+    "listrec": (ListRec, ("scrut", "motive", "nil_branch",
+                          ("var_head", "var_tail", "var_ih", "cons_branch"))),
+    "if": (If, ("cond", "then_branch", "else_branch")),
+    "case": (SumCase, ("scrut", ("var_left", "left_branch"),
+                       ("var_right", "right_branch"))),
+    "branch": (Branch, ("left", "right")),
+    "flip": (Flip, ("prob", "left", "right")),
+    "get": (Get, (("var", "body"),)),
+    "set": (Put, ("value", "body")),
+    "par": (Par, ("left", "right")),
+    "prod": (ProdTy, ("fst", "snd")),
+    "sum": (SumTy, ("left", "right")),
+    "list": (ListTy, ("elem",)),
+    "U": (UTy, ("comp",)),
+    "F": (FTy, ("value",)),
+    "->": (ArrowTy, ("dom", "cod")),
 }
-_VALUE_HEADS = {"suc", "cons", "pair", "fst", "snd", "inl", "inr"}
-_RESERVED = _COMP_HEADS | _VALUE_HEADS | {
-    "fail", "tt", "true", "false", "zero", "nil", ":", "->", "unit", "bool",
-    "nat", "prod", "sum", "list", "U", "F",
+
+# Keywords: each stands for one node.
+_ATOMS = {
+    "tt": Triv(), "true": BoolLit(True), "false": BoolLit(False),
+    "zero": Zero(), "nil": Nil(), "fail": Fail(),
+    "unit": UNIT, "bool": BOOL, "nat": NAT,
 }
 
+_RESERVED = {*_FORMS, *_ATOMS, ":"}
 
-def _is_numeral(s: str) -> bool:
-    return s.isdigit()
-
-
-def _is_cost_lit(sx) -> bool:
-    """A numeral, or a pair of numerals (a work/span cost)."""
-    if isinstance(sx, SAtom):
-        return _is_numeral(sx.text)
-    return isinstance(sx, SList) and len(sx.items) == 2 and all(
-        isinstance(i, SAtom) and _is_numeral(i.text) for i in sx.items
-    )
+# both tables as the printer looks them up
+_HEADS = {cls: (head, layout) for head, (cls, layout) in _FORMS.items()}
+_KEYWORDS = {node: name for name, node in _ATOMS.items()}
 
 
 def _err(sx, msg):
     raise SyntaxError_(msg, sx.line, sx.col)
 
 
+def _numeral(sx) -> Optional[int]:
+    """The number ``sx`` writes, or None if it is no numeral.  Numerals
+    are ASCII digits; a token of other digits is an error."""
+    if not isinstance(sx, SAtom) or not sx.text.isdigit():
+        return None
+    if not sx.text.isascii():
+        _err(sx, f"'{sx.text}' is not a numeral: numerals are ASCII digits")
+    return int(sx.text)
+
+
+def _is_cost_lit(sx) -> bool:
+    """A numeral, or a pair of numerals (a work/span cost)."""
+    if isinstance(sx, SAtom):
+        return _numeral(sx) is not None
+    return isinstance(sx, SList) and len(sx.items) == 2 and all(
+        _numeral(i) is not None for i in sx.items)
+
+
+def _is_colon(sx) -> bool:
+    return isinstance(sx, SAtom) and sx.text == ":"
+
+
+def _bad_form(sx, head: str, usage=None):
+    """Reject ``sx``, a badly shaped ``head`` form, saying how the form is
+    written: by default, as its layout, with its fields' names."""
+    def written(layout):
+        return " ".join("[(: motive)]" if i == "motive"
+                        else f"({written(i)})" if isinstance(i, tuple) else i
+                        for i in layout)
+
+    usage = usage or f"({head} {written(_FORMS[head][1])})"
+    _err(sx, f"bad '{head}' form, expected {usage}")
+
+
 class _Parser:
     def __init__(self, monoid: CostMonoid):
         self.monoid = monoid
 
-    # -- types --
+    def value(self, sx) -> ValueTerm:
+        # a computation form in value position is its thunk
+        return self.node(sx, Term, "value")
 
-    def ty(self, sx) -> Ty:
-        if isinstance(sx, SAtom):
-            match sx.text:
-                case "unit":
-                    return UNIT
-                case "bool":
-                    return BOOL
-                case "nat":
-                    return NAT
-                case _:
-                    _err(sx, f"unknown type '{sx.text}'")
-        items = sx.items
-        if not items or not isinstance(items[0], SAtom):
-            _err(sx, "bad type")
-        head = items[0].text
-        args = items[1:]
-        match head:
-            case "prod" if len(args) == 2:
-                return ProdTy(self.value_ty(args[0]), self.value_ty(args[1]))
-            case "sum" if len(args) == 2:
-                return SumTy(self.value_ty(args[0]), self.value_ty(args[1]))
-            case "list" if len(args) == 1:
-                return ListTy(self.value_ty(args[0]))
-            case "list" if len(args) == 2:
-                charge = self.cost_lit(args[0])
-                if charge == self.monoid.zero:
-                    return ListTy(self.value_ty(args[1]))
-                return ListTy(self.value_ty(args[1]), charge)
-            case "U" if len(args) == 1:
-                return UTy(self.comp_ty(args[0]))
-            case "F" if len(args) == 1:
-                return FTy(self.value_ty(args[0]))
-            case "->" if len(args) >= 2:
-                cod = self.comp_ty(args[-1])
-                for a in reversed(args[:-1]):
-                    cod = ArrowTy(self.value_ty(a), cod)
-                return cod
-            case _:
-                _err(sx, f"bad type form '{head}'")
+    def comp(self, sx) -> CompTerm:
+        return self.node(sx, CompTerm, "computation")
 
     def value_ty(self, sx) -> ValueTy:
-        t = self.ty(sx)
+        t = self.node(sx, Ty, "type")
         if not isinstance(t, ValueTy):
             _err(sx, "expected a value type, found a computation type")
         return t
 
     def comp_ty(self, sx) -> CompTy:
-        t = self.ty(sx)
+        t = self.node(sx, Ty, "type")
         if not isinstance(t, CompTy):
             _err(sx, "expected a computation type, found a value type")
         return t
 
-    # -- costs --
+    def node(self, sx, sort: type, what: str):
+        """The node of class ``sort`` that ``sx`` writes; ``what`` names
+        the sort in errors."""
+        loc = (sx.line, sx.col)
+        if isinstance(sx, SAtom):
+            atom = _ATOMS.get(sx.text)
+            if isinstance(atom, sort):
+                return replace(atom, loc=loc) if isinstance(atom, Term) else atom
+            n = _numeral(sx)
+            if n is not None and sort is Term:
+                return nat_lit(n, loc)
+            if n is not None or sx.text in _RESERVED or sort is Ty:
+                _err(sx, f"'{sx.text}' is not a {what}")
+            return Var(sx.text, loc=loc)  # forced in computation position
+        head = sx.items[0] if sx.items else None
+        if not isinstance(head, SAtom):
+            _err(sx, f"bad {what} form")
+        cls, layout = _FORMS.get(head.text, (None, ()))
+        if cls is None or not issubclass(cls, sort):
+            _err(sx, f"'{head.text}' is not a {what} form")
+        args = sx.items[1:]
+        if cls is Ap:  # (ap f a b) is (ap (ap f a) b)
+            if len(args) < 2:
+                _bad_form(sx, "ap", "(ap fn arg ...)")
+            t = self.comp(args[0])
+            for a in args[1:]:
+                t = Ap(t, self.value(a), loc=loc)
+            return t
+        if cls is ArrowTy:  # (-> a b c) is (-> a (-> b c)), read from c
+            if len(args) < 2:
+                _bad_form(sx, "->", "(-> dom ... cod)")
+            t = self.comp_ty(args[-1])
+            for a in reversed(args[:-1]):
+                t = ArrowTy(self.value_ty(a), t)
+            return t
+        if cls is ListTy and len(args) != 1:  # (list c ty): c per cons
+            if len(args) != 2:
+                _bad_form(sx, "list", "(list [charge] elem)")
+            charge = self.cost_lit(args[0])
+            elem = self.value_ty(args[1])
+            return ListTy(elem, None if charge == self.monoid.zero else charge)
+        if len(args) == len(layout) - 1 and "motive" in layout:
+            layout = tuple(i for i in layout if i != "motive")
+        if len(args) != len(layout):
+            _bad_form(sx, head.text)
+        fields = {} if sort is Ty else {"loc": loc}
+        self.fields(head.text, cls, layout, args, fields)
+        return cls(**fields)
+
+    def fields(self, head: str, cls: type, layout, items, out: dict):
+        """Read ``items`` by ``layout`` into ``out``, each group's shape
+        checked before any field in it is read."""
+        for item, sx in zip(layout, items):
+            if item == "motive":
+                if not (isinstance(sx, SList) and len(sx.items) == 2
+                        and _is_colon(sx.items[0])):
+                    _bad_form(sx, head)
+                out[item] = self.comp_ty(sx.items[1])
+            elif isinstance(item, tuple):
+                if not (isinstance(sx, SList) and len(sx.items) == len(item)
+                        and all(_is_colon(s) for i, s in zip(item, sx.items)
+                                if i == ":")):
+                    _bad_form(sx, head)
+                self.fields(head, cls, item, sx.items, out)
+            elif item != ":":
+                out[item] = _KINDS[cls.__record_fields__[item].type][0](self, sx)
+
+    def binder(self, sx) -> str:
+        if (not isinstance(sx, SAtom) or sx.text in _RESERVED
+                or _numeral(sx) is not None):
+            _err(sx, "expected a variable name")
+        return sx.text
 
     def cost_lit(self, sx):
         if not _is_cost_lit(sx):
             _err(sx, "expected a cost literal")
         if isinstance(sx, SAtom):
-            return self.monoid.scale(int(sx.text))
+            return self.monoid.scale(_numeral(sx))
         if self.monoid is not WORK_SPAN:
             _err(sx, "pair cost literal requires the parallel cost monoid")
-        return (int(sx.items[0].text), int(sx.items[1].text))
+        return tuple(map(_numeral, sx.items))
 
     def cost_expr(self, sx) -> CostExpr:
         if _is_cost_lit(sx):
@@ -794,212 +891,55 @@ class _Parser:
         if not isinstance(sx, SAtom):
             _err(sx, "expected a rational")
         try:
-            p = Fraction(sx.text)
+            p = Fraction(sx.text)  # it reads non-ASCII digits too
         except (ValueError, ZeroDivisionError):
+            p = None
+        if p is None or not sx.text.isascii():
             _err(sx, f"bad rational '{sx.text}'")
         if not 0 <= p <= 1:
             _err(sx, f"probability {p} outside [0, 1]")
         return p
 
-    # -- terms --
 
-    def _binder(self, sx) -> str:
-        if not isinstance(sx, SAtom) or sx.text in _RESERVED or _is_numeral(sx.text):
-            _err(sx, "expected a variable name")
-        return sx.text
-
-    def value(self, sx) -> ValueTerm:
-        loc = (sx.line, sx.col)
-        if isinstance(sx, SAtom):
-            match sx.text:
-                case "tt":
-                    return Triv(loc=loc)
-                case "true":
-                    return BoolLit(True, loc=loc)
-                case "false":
-                    return BoolLit(False, loc=loc)
-                case "zero":
-                    return Zero(loc=loc)
-                case "nil":
-                    return Nil(loc=loc)
-                case "fail":
-                    return self.comp(sx)  # a thunked fail
-                case s if _is_numeral(s):
-                    return nat_lit(int(s), loc)
-                case s if s in _RESERVED:
-                    _err(sx, f"'{s}' is not a value")
-                case s:
-                    return Var(s, loc=loc)
-        head = sx.items[0] if sx.items else None
-        if isinstance(head, SAtom):
-            args = sx.items[1:]
-            match head.text:
-                case "suc" if len(args) == 1:
-                    return Suc(self.value(args[0]), loc=loc)
-                case "cons" if len(args) == 2:
-                    return Cons(self.value(args[0]), self.value(args[1]), loc=loc)
-                case "pair" if len(args) == 2:
-                    return Pair(self.value(args[0]), self.value(args[1]), loc=loc)
-                case "fst" if len(args) == 1:
-                    return Fst(self.value(args[0]), loc=loc)
-                case "snd" if len(args) == 1:
-                    return Snd(self.value(args[0]), loc=loc)
-                case "inl" if len(args) == 1:
-                    return Inl(self.value(args[0]), loc=loc)
-                case "inr" if len(args) == 1:
-                    return Inr(self.value(args[0]), loc=loc)
-                case h if h in _COMP_HEADS:
-                    return self.comp(sx)  # transparent thunk
-        _err(sx, "bad value form")
-
-    def comp(self, sx) -> CompTerm:
-        loc = (sx.line, sx.col)
-        if isinstance(sx, SAtom):
-            if sx.text == "fail":
-                return Fail(loc=loc)
-            if sx.text in _RESERVED or _is_numeral(sx.text):
-                _err(sx, f"'{sx.text}' is not a computation")
-            return Var(sx.text, loc=loc)  # forced thunk variable
-        head = sx.items[0] if sx.items else None
-        if not isinstance(head, SAtom):
-            _err(sx, "bad computation form")
-        args = sx.items[1:]
-        match head.text:
-            case "ret" if len(args) == 1:
-                return Ret(self.value(args[0]), loc=loc)
-            case "bind" if len(args) == 2:
-                e = self.comp(args[0])
-                if not isinstance(args[1], SList) or len(args[1].items) != 2:
-                    _err(args[1], "bind expects (x body)")
-                x = self._binder(args[1].items[0])
-                return Bind(e, x, self.comp(args[1].items[1]), loc=loc)
-            case "lam" if len(args) == 2:
-                b = args[0]
-                if (
-                    not isinstance(b, SList)
-                    or len(b.items) != 3
-                    or not isinstance(b.items[1], SAtom)
-                    or b.items[1].text != ":"
-                ):
-                    _err(args[0], "lam expects (x : ty)")
-                x = self._binder(b.items[0])
-                return Lam(x, self.value_ty(b.items[2]), self.comp(args[1]), loc=loc)
-            case "ap" if len(args) >= 2:
-                fn = self.comp(args[0])
-                for a in args[1:]:
-                    fn = Ap(fn, self.value(a), loc=loc)
-                return fn
-            case "step" if len(args) == 2:
-                return Step(self.cost_expr(args[0]), self.comp(args[1]), loc=loc)
-            case "natrec" if len(args) in (3, 4):
-                n = self.value(args[0])
-                motive, args = self._motive(args)
-                z = self.comp(args[1])
-                b = args[2]
-                if not isinstance(b, SList) or len(b.items) != 3:
-                    _err(args[2], "natrec expects (k ih body)")
-                k = self._binder(b.items[0])
-                ih = self._binder(b.items[1])
-                return NatRec(n, z, k, ih, self.comp(b.items[2]), motive,
-                              loc=loc)
-            case "listrec" if len(args) in (3, 4):
-                l = self.value(args[0])
-                motive, args = self._motive(args)
-                z = self.comp(args[1])
-                b = args[2]
-                if not isinstance(b, SList) or len(b.items) != 4:
-                    _err(args[2], "listrec expects (x xs ih body)")
-                x = self._binder(b.items[0])
-                xs = self._binder(b.items[1])
-                ih = self._binder(b.items[2])
-                return ListRec(l, z, x, xs, ih, self.comp(b.items[3]), motive,
-                               loc=loc)
-            case "if" if len(args) == 3:
-                return If(
-                    self.value(args[0]), self.comp(args[1]), self.comp(args[2]),
-                    loc=loc,
-                )
-            case "case" if len(args) == 3:
-                s = self.value(args[0])
-                arms = []
-                for a in args[1:]:
-                    if not isinstance(a, SList) or len(a.items) != 2:
-                        _err(a, "case expects (x body) arms")
-                    arms.append((self._binder(a.items[0]), self.comp(a.items[1])))
-                return SumCase(s, arms[0][0], arms[0][1], arms[1][0], arms[1][1],
-                               loc=loc)
-            case "branch" if len(args) == 2:
-                return Branch(self.comp(args[0]), self.comp(args[1]), loc=loc)
-            case "flip" if len(args) == 3:
-                return Flip(
-                    self.rational(args[0]), self.comp(args[1]), self.comp(args[2]),
-                    loc=loc,
-                )
-            case "get" if len(args) == 1:
-                b = args[0]
-                if not isinstance(b, SList) or len(b.items) != 2:
-                    _err(args[0], "get expects (s body)")
-                return Get(self._binder(b.items[0]), self.comp(b.items[1]), loc=loc)
-            case "set" if len(args) == 2:
-                return Put(self.value(args[0]), self.comp(args[1]), loc=loc)
-            case "par" if len(args) == 2:
-                return Par(self.comp(args[0]), self.comp(args[1]), loc=loc)
-            case _:
-                _err(sx, f"bad computation form '{head.text}'")
-
-    def _motive(self, args):
-        """Peel an optional ``(: ty)`` motive annotation from a recursor."""
-        if (
-            len(args) == 4
-            and isinstance(args[1], SList)
-            and len(args[1].items) == 2
-            and isinstance(args[1].items[0], SAtom)
-            and args[1].items[0].text == ":"
-        ):
-            motive = self.comp_ty(args[1].items[1])
-            return motive, (args[0],) + tuple(args[2:])
-        if len(args) == 4:
-            _err(args[1], "expected a (: ty) motive annotation")
-        return None, args
+_THEORIES = {t.kind: t for t in (PURE, NONDET, PROB)}
 
 
 def _parse_headers(source: str):
-    name = "main"
-    theory = None
-    monoid = None
+    """The name, theory and monoid the ``#`` lines declare, and the source
+    with those lines blank, so the program keeps its line numbers."""
+    name, theory, monoid = "main", PURE, SEQ_NAT
     rest_lines = []
-    for raw in source.splitlines():
+    for lineno, raw in enumerate(source.splitlines(), 1):
         line = raw.strip()
-        if line.startswith("#name"):
-            name = line[len("#name"):].strip()
-        elif line.startswith("#effect"):
-            spec = line[len("#effect"):].strip()
-            if spec == "pure":
-                theory = PURE
-            elif spec == "nondet":
-                theory = NONDET
-            elif spec == "prob":
-                theory = PROB
-            elif spec.startswith("state:"):
-                ty_src = spec[len("state:"):]
-                sxs = read_sexprs(ty_src)
-                if len(sxs) != 1:
-                    raise SyntaxError_(f"bad state type '{ty_src}'")
-                theory = state_theory(_Parser(SEQ_NAT).value_ty(sxs[0]))
-            else:
-                raise SyntaxError_(f"unknown effect theory '{spec}'")
-        elif line.startswith("#cost"):
-            spec = line[len("#cost"):].strip()
-            if spec not in MONOIDS:
-                raise SyntaxError_(f"unknown cost monoid '{spec}'")
-            monoid = MONOIDS[spec]
-        elif line.startswith("#"):
-            raise SyntaxError_(f"unknown header '{line}'")
-        else:
+        if not line.startswith("#"):
             rest_lines.append(raw)
             continue
-        rest_lines.append("")  # keep line numbers aligned with the source
-    return name, theory or PURE, monoid or SEQ_NAT, "\n".join(rest_lines)
+        rest_lines.append("")
+        key, *spec = line.split(None, 1)
+        spec = spec[0] if spec else ""
+        key_col = raw.index(key)
+        col = raw.index(spec, key_col + len(key)) if spec else key_col + len(key)
+        if key == "#name":
+            name = spec
+        elif key == "#effect" and spec in _THEORIES:
+            theory = _THEORIES[spec]
+        elif key == "#effect" and spec.startswith("state:"):
+            col += len("state:")
+            ty_src = spec[len("state:"):]
+            # read where it stands, so its errors carry their positions
+            sxs = read_sexprs("\n" * (lineno - 1) + " " * col + ty_src)
+            if len(sxs) != 1:
+                raise SyntaxError_(f"bad state type '{ty_src}'", lineno, col)
+            theory = state_theory(_Parser(SEQ_NAT).value_ty(sxs[0]))
+        elif key == "#effect":
+            raise SyntaxError_(f"unknown effect theory '{spec}'", lineno, col)
+        elif key == "#cost" and spec in MONOIDS:
+            monoid = MONOIDS[spec]
+        elif key == "#cost":
+            raise SyntaxError_(f"unknown cost monoid '{spec}'", lineno, col)
+        else:
+            raise SyntaxError_(f"unknown header '{key}'", lineno, key_col)
+    return name, theory, monoid, "\n".join(rest_lines)
 
 
 def parse(source: str) -> Program:
@@ -1016,12 +956,8 @@ def parse(source: str) -> Program:
         raise SyntaxError_("expected exactly one program form")
     top = sxs[0]
     p = _Parser(monoid)
-    if (
-        isinstance(top, SList)
-        and len(top.items) == 3
-        and isinstance(top.items[0], SAtom)
-        and top.items[0].text == ":"
-    ):
+    if (isinstance(top, SList) and len(top.items) == 3
+            and _is_colon(top.items[0])):
         ty = p.comp_ty(top.items[1])
         body = p.comp(top.items[2])
         return Program(name, theory, monoid, body, ty)
@@ -1062,94 +998,57 @@ def cost_expr_str(c: CostExpr, monoid: CostMonoid) -> str:
     return term_str(c.term, monoid)
 
 
-def term_str(t: Term, monoid: CostMonoid = SEQ_NAT) -> str:
-    s = lambda x: term_str(x, monoid)
-    match t:
-        case Var(name):
-            return name
-        case Triv():
-            return "tt"
-        case BoolLit(v):
-            return "true" if v else "false"
-        case Zero():
-            return "0"
-        case Suc(_):
-            n = _nat_chain(t)
-            return str(n) if n is not None else f"(suc {s(t.arg)})"
-        case Nil():
-            return "nil"
-        case Cons(h, tl):
-            return f"(cons {s(h)} {s(tl)})"
-        case Pair(a, b):
-            return f"(pair {s(a)} {s(b)})"
-        case Fst(p):
-            return f"(fst {s(p)})"
-        case Snd(p):
-            return f"(snd {s(p)})"
-        case Inl(a):
-            return f"(inl {s(a)})"
-        case Inr(a):
-            return f"(inr {s(a)})"
-        case Ret(v):
-            return f"(ret {s(v)})"
-        case Bind(e, x, b):
-            return f"(bind {s(e)} ({x} {s(b)}))"
-        case Lam(x, xty, b):
-            return f"(lam ({x} : {ty_str(xty, monoid)}) {s(b)})"
-        case Ap(f, a):
-            return f"(ap {s(f)} {s(a)})"
-        case Step(c, b):
-            return f"(step {cost_expr_str(c, monoid)} {s(b)})"
-        case NatRec(n, z, k, ih, sb):
-            mot = f" (: {ty_str(t.motive, monoid)})" if t.motive else ""
-            return f"(natrec {s(n)}{mot} {s(z)} ({k} {ih} {s(sb)}))"
-        case ListRec(l, z, x, xs, ih, cb):
-            mot = f" (: {ty_str(t.motive, monoid)})" if t.motive else ""
-            return f"(listrec {s(l)}{mot} {s(z)} ({x} {xs} {ih} {s(cb)}))"
-        case If(b, th, el):
-            return f"(if {s(b)} {s(th)} {s(el)})"
-        case SumCase(sc, xl, lb, xr, rb):
-            return f"(case {s(sc)} ({xl} {s(lb)}) ({xr} {s(rb)}))"
-        case Branch(l, r):
-            return f"(branch {s(l)} {s(r)})"
-        case Fail():
-            return "fail"
-        case Flip(p, l, r):
-            return f"(flip {_rat_str(p)} {s(l)} {s(r)})"
-        case Get(x, b):
-            return f"(get ({x} {s(b)}))"
-        case Put(v, b):
-            return f"(set {s(v)} {s(b)})"
-        case Par(l, r):
-            return f"(par {s(l)} {s(r)})"
-        case _:
+def term_str(t, monoid: CostMonoid = SEQ_NAT) -> str:
+    """Source text of a term or a type, which ``parse`` reads back."""
+    cls = type(t)
+    if cls is Var:
+        return t.name
+    if cls is Suc or cls is Zero:
+        n = _nat_chain(t)
+        if n is not None:
+            return str(n)
+    form = _HEADS.get(cls)
+    if form is None:
+        keyword = _KEYWORDS.get(t)
+        if keyword is None:
             raise ValueError(f"cannot print {t!r}")
+        return keyword
+    if cls is ListTy and t.charge is not None:
+        return f"(list {monoid.show(t.charge)} {term_str(t.elem, monoid)})"
+    head, layout = form
+    return f"({head} {_written(t, layout, monoid)})"
 
 
-def ty_str(ty: Ty, monoid: CostMonoid = SEQ_NAT) -> str:
-    match ty:
-        case UnitTy():
-            return "unit"
-        case BoolTy():
-            return "bool"
-        case NatTy():
-            return "nat"
-        case ProdTy(a, b):
-            return f"(prod {ty_str(a, monoid)} {ty_str(b, monoid)})"
-        case SumTy(a, b):
-            return f"(sum {ty_str(a, monoid)} {ty_str(b, monoid)})"
-        case ListTy(e, None):
-            return f"(list {ty_str(e, monoid)})"
-        case ListTy(e, c):
-            return f"(list {monoid.show(c)} {ty_str(e, monoid)})"
-        case UTy(x):
-            return f"(U {ty_str(x, monoid)})"
-        case FTy(a):
-            return f"(F {ty_str(a, monoid)})"
-        case ArrowTy(a, x):
-            return f"(-> {ty_str(a, monoid)} {ty_str(x, monoid)})"
-        case _:
-            raise ValueError(f"cannot print type {ty!r}")
+ty_str = term_str  # types print by the same table
+
+
+def _written(t, layout, monoid: CostMonoid) -> str:
+    """The fields of ``t`` as ``layout`` writes them."""
+    parts = []
+    for item in layout:
+        if item == "motive":
+            if t.motive is not None:
+                parts.append(f"(: {term_str(t.motive, monoid)})")
+        elif isinstance(item, tuple):
+            parts.append(f"({_written(t, item, monoid)})")
+        elif item == ":":
+            parts.append(item)
+        else:
+            _, show = _KINDS[type(t).__record_fields__[item].type]
+            parts.append(show(getattr(t, item), monoid))
+    return " ".join(parts)
+
+
+# How a field is read and printed, by its record annotation.
+_KINDS = {
+    "ValueTerm": (_Parser.value, term_str),
+    "CompTerm": (_Parser.comp, term_str),
+    "ValueTy": (_Parser.value_ty, term_str),
+    "CompTy": (_Parser.comp_ty, term_str),
+    "str": (_Parser.binder, lambda name, monoid: name),
+    "CostExpr": (_Parser.cost_expr, cost_expr_str),
+    "Fraction": (_Parser.rational, lambda p, monoid: _rat_str(p)),
+}
 
 
 def print_program(p: Program) -> str:

@@ -294,6 +294,94 @@ def test_charged_list_type_round_trip():
     ).declared_ty
 
 
+# -- forms: shape errors, numerals, headers ----------------------------------
+
+# a wrongly shaped instance of each form, and where the parser with one
+# match case per form rejected it: at the form, or at its bad group
+_SHAPES = (
+    ("suc", "(ret (suc 1 2))", (1, 5)),
+    ("cons", "(ret (cons 1))", (1, 5)),
+    ("pair", "(ret (pair 1))", (1, 5)),
+    ("fst", "(ret (fst))", (1, 5)),
+    ("snd", "(ret (snd 1 2))", (1, 5)),
+    ("inl", "(ret (inl))", (1, 5)),
+    ("inr", "(ret (inr 1 2))", (1, 5)),
+    ("ret", "(ret)", (1, 0)),
+    ("bind", "(bind (ret 0) (x))", (1, 14)),
+    ("lam", "(: (-> nat (F nat))\n   (lam (n nat) (ret n)))", (2, 8)),
+    ("ap", "(ap (ret 0))", (1, 0)),
+    ("step", "(step 1)", (1, 0)),
+    ("natrec", "(natrec 2 (ret 0) (k (ret k)))", (1, 18)),
+    ("listrec", "(listrec nil (F nat) (ret 0) (x xs ih (ret x)))", (1, 13)),
+    ("if", "(if true (ret 0))", (1, 0)),
+    ("case", "(case (inl 0) (x (ret x)) (y))", (1, 26)),
+    ("branch", "#effect nondet\n(branch (ret 0))", (2, 0)),
+    ("flip", "#effect prob\n(flip 1/2 (ret 0))", (2, 0)),
+    ("get", "#effect state:nat\n(get s (ret s))", (2, 0)),
+    ("set", "#effect state:nat\n(set 0)", (2, 0)),
+    ("par", "#cost par\n(par (ret 0))", (2, 0)),
+    ("prod", "(: (F (prod nat)) (ret 0))", (1, 6)),
+    ("sum", "(: (F (sum nat bool unit)) (ret 0))", (1, 6)),
+    ("list", "(: (F (list 1 2 nat)) (ret nil))", (1, 6)),
+    ("U", "(: (F (U)) (ret 0))", (1, 6)),
+    ("F", "(: (F nat bool) (ret 0))", (1, 3)),
+    ("->", "(: (-> (F nat)) (ret 0))", (1, 3)),
+)
+
+
+def test_every_form_has_a_shape_case():
+    assert sorted(head for head, _, _ in _SHAPES) == sorted(syntax._FORMS)
+
+
+@pytest.mark.parametrize("head, src, where", _SHAPES,
+                         ids=[head for head, _, _ in _SHAPES])
+def test_a_badly_shaped_form_is_named_where_it_stands(head, src, where):
+    with pytest.raises(SyntaxError_) as e:
+        parse(src)
+    assert (e.value.line, e.value.col) == where
+    assert f"bad '{head}' form, expected ({head} " in e.value.message
+
+
+@pytest.mark.parametrize("src, where", [
+    ("(ret ²)", (1, 5)),
+    ("(step ² (ret tt))", (1, 6)),
+    ("#cost par\n(step (1 ²) (ret tt))", (2, 9)),
+    ("(ret 𝟙)", (1, 5)),
+    ("(bind (ret 0) (² (ret tt)))", (1, 15)),
+    ("(: (F (list ² nat)) (ret nil))", (1, 12)),
+    ("#effect prob\n(flip 𝟙 (ret tt) (ret tt))", (2, 6)),
+])
+def test_numerals_are_ascii_digits(src, where):
+    # str.isdigit accepts '²' and '𝟙'; a numeral is ASCII digits only,
+    # and any other digit token is an error where it stands
+    with pytest.raises(SyntaxError_) as e:
+        parse(src)
+    assert (e.value.line, e.value.col) == where
+
+
+@pytest.mark.parametrize("src, where, message", [
+    ("#namex foo\n(ret tt)", (1, 0), "unknown header '#namex'"),
+    ("#effects pure\n(ret tt)", (1, 0), "unknown header '#effects'"),
+    ("#name x\n  #effect bogus\n(ret tt)", (2, 10),
+     "unknown effect theory 'bogus'"),
+    ("#name x\n#cost  bogus\n(ret tt)", (2, 7), "unknown cost monoid 'bogus'"),
+    ("#name x\n#effect state:(prod nat)\n(ret tt)", (2, 14),
+     "bad 'prod' form, expected (prod fst snd)"),
+    ("#name x\n#effect state:nat bool\n(ret tt)", (2, 14),
+     "bad state type 'nat bool'"),
+])
+def test_a_header_error_names_the_header_line(src, where, message):
+    with pytest.raises(SyntaxError_) as e:
+        parse(src)
+    assert (e.value.line, e.value.col, e.value.message) == (*where, message)
+
+
+def test_a_header_keyword_is_a_whole_word():
+    p = parse("#name  foo bar\n#effect\tstate: nat\n#cost par\n(ret tt)")
+    assert (p.name, p.theory, p.monoid.name) == (
+        "foo bar", syntax.state_theory(NAT), "par")
+
+
 # -- binding structure: free variables, substitution, alpha equivalence -------
 
 # The corpus has no sum case; this program adds one, with a nat-cost step
