@@ -48,6 +48,8 @@ from .syntax import (
 )
 
 LAWS_CONFIG = DomainConfig(nat_max=4, list_len=2, elems=2, state_max=4)
+# failing instances a report records before it stops with "..."
+MAX_RECORDED = 5
 
 
 @record
@@ -65,7 +67,6 @@ class Law:
     equation: str
     build: Callable
     side_note: str = ""
-    mutant: bool = False
 
 
 @record(frozen=False)
@@ -73,7 +74,6 @@ class LawReport:
     law: str
     theory: str
     trials: int
-    mode: EvalMode
     failures: list = field(default_factory=list)
     millis: float = 0.0
 
@@ -84,10 +84,6 @@ class LawReport:
 
 def _step(c, e):
     return Step(CostLit(c), e, ty=e.ty)
-
-
-def _open_comp(gen, ctx, ty, depth=3):
-    return gen.comp(ctx, ty, depth)
 
 
 # -- builders -----------------------------------------------------------------
@@ -110,7 +106,7 @@ def _b_step_plus(gen):
 def _b_bind_step(gen):
     ty = gen.result_ty()
     e = gen.synth_comp(FTy(NAT), 3)
-    f = _open_comp(gen, {"bx": NAT}, ty)
+    f = gen.comp({"bx": NAT}, ty, 3)
     c = gen.cost()
     lhs = Bind(_step(c, e), "bx", f, ty=ty)
     rhs = _step(c, Bind(e, "bx", f, ty=ty))
@@ -120,7 +116,7 @@ def _b_bind_step(gen):
 def _b_lam_step(gen):
     # the two lambda sides are compared applied to a drawn argument
     ty = gen.result_ty()
-    body = _open_comp(gen, {"lx": NAT}, ty)
+    body = gen.comp({"lx": NAT}, ty, 3)
     c = gen.cost()
     arg = gen.value({}, NAT)
     fn_ty = ArrowTy(NAT, ty)
@@ -132,7 +128,7 @@ def _b_lam_step(gen):
 def _b_bind_ret(gen):
     ty = gen.result_ty()
     a = gen.value({}, NAT)
-    f = _open_comp(gen, {"bx": NAT}, ty)
+    f = gen.comp({"bx": NAT}, ty, 3)
     lhs = Bind(Ret(a, ty=FTy(NAT)), "bx", f, ty=ty)
     rhs = subst(f, {"bx": a})
     return lhs, rhs, ty
@@ -142,7 +138,7 @@ def _b_bind_assoc(gen):
     ty = gen.result_ty()
     e = gen.synth_comp(FTy(NAT), 2)
     f = gen.synth_comp(FTy(NAT), 2, {"bx": NAT})
-    g = _open_comp(gen, {"by": NAT}, ty, 2)
+    g = gen.comp({"by": NAT}, ty, 2)
     lhs = Bind(Bind(e, "bx", f, ty=f.ty), "by", g, ty=ty)
     rhs = Bind(e, "bx", Bind(f, "by", g, ty=ty), ty=ty)
     return lhs, rhs, ty
@@ -246,7 +242,7 @@ def _b_flip_step(gen):
 
 def _b_get_get(gen):
     ty = gen.result_ty()
-    e = _open_comp(gen, {"sv1": LAW_STATE_TY, "sv2": LAW_STATE_TY}, ty)
+    e = gen.comp({"sv1": LAW_STATE_TY, "sv2": LAW_STATE_TY}, ty, 3)
     lhs = Get("sv1", Get("sv2", e, ty=ty), ty=ty)
     rhs = Get("sv0", subst(e, {"sv1": Var("sv0"), "sv2": Var("sv0")}), ty=ty)
     return lhs, rhs, ty
@@ -261,7 +257,7 @@ def _b_get_set(gen):
 def _b_set_get(gen):
     ty = gen.result_ty()
     s = gen.value({}, LAW_STATE_TY)
-    e = _open_comp(gen, {"sv1": LAW_STATE_TY}, ty)
+    e = gen.comp({"sv1": LAW_STATE_TY}, ty, 3)
     lhs = Put(s, Get("sv1", e, ty=ty), ty=ty)
     rhs = Put(s, subst(e, {"sv1": s}), ty=ty)
     return lhs, rhs, ty
@@ -276,7 +272,7 @@ def _b_set_set(gen):
 
 def _b_get_step(gen):
     ty = gen.result_ty()
-    e = _open_comp(gen, {"sv1": LAW_STATE_TY}, ty)
+    e = gen.comp({"sv1": LAW_STATE_TY}, ty, 3)
     c = gen.cost()
     return _step(c, Get("sv1", e, ty=ty)), Get("sv1", _step(c, e), ty=ty), ty
 
@@ -323,7 +319,7 @@ def _m_set_set_first(gen):
 def _m_bind_step_drop(gen):
     ty = gen.result_ty()
     e = gen.synth_comp(FTy(NAT), 3)
-    f = _open_comp(gen, {"bx": NAT}, ty)
+    f = gen.comp({"bx": NAT}, ty, 3)
     c = gen.rng.choice((1, 2, 3))
     return (
         Bind(_step(c, e), "bx", f, ty=ty), Bind(e, "bx", f, ty=ty), ty
@@ -381,16 +377,15 @@ _CATALOG = (
 
 _MUTANTS = (
     Law("mutant:flip/one-returns-left", "prob", "flip(1, e0, e1) = e0",
-        _m_flip_one_left, mutant=True),
+        _m_flip_one_left),
     Law("mutant:step/one-free", "pure", "step^1(e) = e",
-        _m_step_one_free, mutant=True),
+        _m_step_one_free),
     Law("mutant:branch/left-bias", "nondet", "branch(e0, e1) = e0",
-        _m_branch_left_bias, mutant=True),
+        _m_branch_left_bias),
     Law("mutant:set/set-keeps-first", "state",
-        "set(s1, set(s2, e)) = set(s1, e)", _m_set_set_first, mutant=True),
+        "set(s1, set(s2, e)) = set(s1, e)", _m_set_set_first),
     Law("mutant:bind/step-drops-cost", "pure",
-        "bind(step^c(e), x. f) = bind(e, x. f)", _m_bind_step_drop,
-        mutant=True),
+        "bind(step^c(e), x. f) = bind(e, x. f)", _m_bind_step_drop),
 )
 
 
@@ -433,7 +428,6 @@ def check_law(
     trials: int = 500,
     seed: int = 0,
     mode: EvalMode = EvalMode.COST_COUNTING,
-    max_recorded: int = 5,
 ) -> LawReport:
     """Instantiate and semantically check ``law`` for ``trials`` rounds.
 
@@ -444,7 +438,7 @@ def check_law(
         raise ValueError("trials must be at least 1")
     start = time.perf_counter()
     theory_name = law.theory or "any"
-    report = LawReport(law.name, theory_name, trials, mode)
+    report = LawReport(law.name, theory_name, trials)
     for theory, lhs, rhs, _ in itertools.islice(instances(law, seed), trials):
         # the outcomes may hold denotations that apply the evaluator, so
         # it is closed once the verdict and its failure text are built
@@ -453,7 +447,7 @@ def check_law(
             out_l, out_r = instance_outcomes(theory, lhs, rhs, mode, ev)
             if eq_outcome(out_l, out_r).holds:
                 continue
-            if len(report.failures) == max_recorded:
+            if len(report.failures) == MAX_RECORDED:
                 report.failures.append("...")
                 break
             report.failures.append(

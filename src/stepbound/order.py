@@ -9,11 +9,11 @@ making the effect operations monotone:
   the right and every branch of the right dominates one of the left; the
   empty outcome relates only to itself.
 * prob   -- coupling order: a joint distribution with the two marginals
-  exists that is supported on base-related pairs.  Decided exactly: for a
-  totally ordered cost monoid the problem splits per value into CDF
-  dominance of equal-mass cost distributions; the general case clears
-  denominators and runs an integral max-flow (`transportation_oracle`),
-  which stays authoritative for the partial work/span order.
+  exists that is supported on base-related pairs.  Such a coupling moves
+  mass only between keys of one value, so it is decided exactly per
+  value, on the equal-mass cost distributions over a shared denominator:
+  by CDF dominance for a totally ordered cost monoid, and by an integral
+  max-flow (`transportation_oracle`) for the partial work/span order.
 * state  -- pointwise over the tabulated state domain: cost relaxes,
   final state and value must agree.
 
@@ -373,27 +373,23 @@ def _leq_prob(lhs, rhs) -> Verdict:
             f"total mass at value {val_str(v)} differs: "
             f"{Fraction(mass(gl, v), den)} vs {Fraction(mass(gr, v), den)}"
         )
-    if lhs.monoid is SEQ_NAT:
-        # total cost order: the coupling problem splits per value into
-        # first-order dominance of equal-mass cost distributions
-        for v in _print_order(gl):
-            if not cdf_dominates(gl[v], gr[v]):
-                return _fail(
-                    f"cost distribution at value {val_str(v)} is not "
-                    "stochastically below the right-hand one"
-                )
-        return Verdict(True)
-    rel = _base_relation(lhs.monoid)
-    scaled = lambda d: [(k, n * (den // d.den)) for k, n in d.nums.items()]
-    if transportation_oracle(scaled(dl), scaled(dr), rel):
-        return Verdict(True)
-    return _fail("no feasible coupling supported on the base order")
+    # a coupling moves mass only between keys of one value; a total cost
+    # order is decided by first-order dominance, a partial one by a flow
+    monoid = lhs.monoid
+    for v in _print_order(gl):
+        if not (cdf_dominates(gl[v], gr[v]) if monoid is SEQ_NAT
+                else transportation_oracle(gl[v], gr[v], monoid.leq)):
+            return _fail(
+                f"cost distribution at value {val_str(v)} is not "
+                "stochastically below the right-hand one"
+            )
+    return Verdict(True)
 
 
 def dist_leq_flow(lhs, rhs) -> bool:
     """Coupling order on distributions over (int cost, value) pairs,
-    decided by max-flow transportation feasibility: the reference for
-    the per-value CDF path of `leq_outcome`."""
+    decided by one max-flow over the whole distribution: the reference
+    for the per-value deciders of `leq_outcome`."""
     rel = lambda a, b: a[1] == b[1] and a[0] <= b[0]
     return transportation_oracle(list(lhs), list(rhs), rel)
 
@@ -460,71 +456,44 @@ def transportation_oracle(lhs, rhs, relation: Callable) -> bool:
     if total_l == 0:
         return True
     denom = lcm(*(w.denominator for _, w in list(lhs) + list(rhs)))
-    supply = [int(w * denom) for _, w in lhs]
-    demand = [int(w * denom) for _, w in rhs]
+    total = int(total_l * denom)
     n, m = len(lhs), len(rhs)
     src, snk = n + m, n + m + 1
-    g = _Dinic(n + m + 2)
-    for i, s in enumerate(supply):
-        g.add_edge(src, i, s)
-    for j, d in enumerate(demand):
-        g.add_edge(n + j, snk, d)
-    inf = sum(supply)
-    for i, (a, _) in enumerate(lhs):
+    cap = [{} for _ in range(n + m + 2)]
+    for i, (a, w) in enumerate(lhs):
+        cap[src][i] = int(w * denom)
         for j, (b, _) in enumerate(rhs):
             if relation(a, b):
-                g.add_edge(i, n + j, inf)
-    return g.max_flow(src, snk) == sum(supply)
+                cap[i][n + j] = total
+    for j, (_, w) in enumerate(rhs):
+        cap[n + j][snk] = int(w * denom)
+    return _max_flow(cap, src, snk) == total
 
 
-class _Dinic:
-    """Integral max-flow on a small graph; capacities are Python ints."""
-
-    def __init__(self, n):
-        self.n = n
-        self.adj = [[] for _ in range(n)]
-
-    def add_edge(self, u, v, cap):
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def _bfs(self, s, t):
-        level = [-1] * self.n
-        level[s] = 0
+def _max_flow(cap, s, t) -> int:
+    """The value of a maximum ``s``-``t`` flow, augmented along shortest
+    paths (Edmonds and Karp, JACM 1972).  ``cap[u]`` maps each successor
+    of node ``u`` to its residual capacity, a Python int, and is used up."""
+    flow = 0
+    while True:
+        prev = {s: s}
         queue = [s]
         for u in queue:
-            for v, cap, _ in self.adj[u]:
-                if cap > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+            for v, c in cap[u].items():
+                if c > 0 and v not in prev:
+                    prev[v] = u
                     queue.append(v)
-        self.level = level
-        return level[t] >= 0
-
-    def _dfs(self, u, t, f):
-        if u == t:
-            return f
-        while self.it[u] < len(self.adj[u]):
-            e = self.adj[u][self.it[u]]
-            v, cap, rev = e
-            if cap > 0 and self.level[v] == self.level[u] + 1:
-                d = self._dfs(v, t, min(f, cap))
-                if d > 0:
-                    e[1] -= d
-                    self.adj[v][rev][1] += d
-                    return d
-            self.it[u] += 1
-        return 0
-
-    def max_flow(self, s, t):
-        flow = 0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                f = self._dfs(s, t, 1 << 62)
-                if f == 0:
-                    break
-                flow += f
-        return flow
+        if t not in prev:
+            return flow
+        path, v = [], t
+        while v != s:
+            path.append((prev[v], v))
+            v = prev[v]
+        f = min(cap[u][v] for u, v in path)
+        for u, v in path:
+            cap[u][v] -= f
+            cap[v][u] = cap[v].get(u, 0) + f
+        flow += f
 
 
 # ---------------------------------------------------------------------------

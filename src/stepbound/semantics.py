@@ -784,7 +784,14 @@ class Evaluator:
         table = []
         escaped = []
         for s0 in domain:
-            c, s1, v = den(s0)
+            try:
+                c, s1, v = den(s0)
+            except RecursionError:
+                # each charge and bind of a run nests one closure call
+                raise EvalError(
+                    f"the run from state {val_str(s0)} nests deeper than "
+                    "Python's recursion limit; use a smaller state domain"
+                ) from None
             if s1 in domain_set:
                 table.append((s0, (c, s1, v)))
             else:

@@ -953,7 +953,11 @@ def parse(source: str) -> Program:
     name, theory, monoid, rest = _parse_headers(source)
     sxs = read_sexprs(rest)
     if len(sxs) != 1:
-        raise SyntaxError_("expected exactly one program form")
+        # at the second form, or at the end of a source with none
+        line, col = (sxs[1].line, sxs[1].col) if sxs else (
+            source.count("\n") + 1, len(source) - source.rfind("\n") - 1
+        )
+        raise SyntaxError_("expected exactly one program form", line, col)
     top = sxs[0]
     p = _Parser(monoid)
     if (isinstance(top, SList) and len(top.items) == 3

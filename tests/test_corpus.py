@@ -17,8 +17,8 @@ from stepbound.harness import (
 from stepbound.laws import catalog, check_law
 from stepbound.order import relation_check
 from stepbound.semantics import (
-    DomainConfig, EvalMode, Evaluator, cost_sort_key, enumerate_inputs,
-    val_str,
+    DomainConfig, EvalError, EvalMode, Evaluator, cost_sort_key,
+    enumerate_inputs, val_str,
 )
 from stepbound.syntax import PROB, PURE, parse
 from stepbound.typecheck import check_program, elaborate
@@ -465,6 +465,21 @@ def test_cli_usage_errors_are_one_line(args, message):
     assert proc.stdout == ""
     assert proc.stderr.startswith("stepbound: error: ")
     assert message in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_a_run_too_deep_for_python_is_an_eval_error(capsys):
+    # each step of a state run nests closure calls, so a large enough
+    # state domain exceeds the recursion limit
+    from stepbound import cli
+
+    with pytest.raises(EvalError, match="recursion limit"):
+        verify(by_name("state-double-equal"),
+               domain_override={"state_max": 2000})
+    args = ["check", "--spec", "state-double-equal", "--state-max", "2000"]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("stepbound: error: ")
+    assert "recursion limit" in err and err.count("\n") == 1
 
 
 def test_cli_unwritable_report_path_is_a_usage_error(tmp_path):

@@ -21,7 +21,9 @@ from stepbound.costs import SEQ_NAT
 from stepbound.harness import mutated_corpus, verify
 from stepbound.laws import LAWS_CONFIG, catalog, check_law, instances
 from stepbound.order import eq_outcome
-from stepbound.semantics import DomainConfig, EvalMode, Evaluator, evaluate
+from stepbound.semantics import (
+    DomainConfig, EvalError, EvalMode, Evaluator, evaluate,
+)
 from stepbound.syntax import (
     NAT, NONDET, PROB, PURE, ArrowTy, Bind, CostLit, FTy, Lam, Program, Ret,
     Step, UTy, Var, nat_lit, state_theory,
@@ -96,6 +98,12 @@ def test_a_first_order_check_frees_its_evaluator(name, evaluators):
 def test_a_failing_check_frees_its_evaluator(evaluators):
     spec = next(s for s in mutated_corpus("isort") if s.name == "isort-lower")
     assert verify(spec).verdict == "fails"
+    assert_freed(evaluators)
+
+
+def test_a_check_too_deep_to_run_frees_its_evaluator(evaluators):
+    with pytest.raises(EvalError):
+        verify(SPECS["state-double-equal"], domain_override={"state_max": 2000})
     assert_freed(evaluators)
 
 

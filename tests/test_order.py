@@ -429,6 +429,81 @@ def test_work_span_coupling_matches_hall_condition():
     assert checked >= 300 and 30 <= held <= checked - 30
 
 
+def ws_prob(d):
+    return ProbOutcome(PROB, WORK_SPAN, COST, Dist(d))
+
+
+def test_a_work_span_coupling_failure_names_its_value():
+    half = Fraction(1, 2)
+    lhs = ws_prob({((1, 0), nat(0)): half, ((0, 0), nat(1)): half})
+    rhs = ws_prob({((0, 1), nat(0)): half, ((0, 0), nat(1)): half})
+    assert leq_outcome(lhs, rhs).witness.explanation == (
+        "cost distribution at value 0 is not stochastically below the "
+        "right-hand one"
+    )
+    assert leq_outcome(lhs, lhs).holds
+
+
+def test_a_flow_moves_mass_it_has_already_placed():
+    # (0 0) fits under both right keys and (1 0) under (1 0) alone, so a
+    # first path from (0 0) to (1 0) must be undone
+    lhs = [((0, 0), 1), ((1, 0), 1)]
+    assert transportation_oracle(lhs, [((1, 0), 1), ((0, 5), 1)], WORK_SPAN.leq)
+    assert not transportation_oracle(
+        lhs, [((0, 5), 1), ((0, 6), 1)], WORK_SPAN.leq
+    )
+
+
+def _ws_side(rng, values, masses):
+    """5 to 8 distinct work/span keys over ``values``, each value's
+    weights summing to ``masses[v]``."""
+    keys = [((w, s), v) for w in range(3) for s in range(3) for v in values]
+    while True:
+        chosen = rng.sample(keys, rng.randrange(5, 9))
+        if {v for _, v in chosen} == set(values):
+            break
+    raw = {k: rng.randrange(1, 4) for k in chosen}
+    per_value = {v: sum(n for (_, u), n in raw.items() if u == v)
+                 for v in values}
+    return {k: masses[k[1]] * Fraction(n, per_value[k[1]])
+            for k, n in raw.items()}
+
+
+def test_work_span_coupling_of_several_keys_per_value_matches_hall():
+    # larger supports than the generated outcomes reach: 5 to 8 keys over
+    # two or three values, so a value's flow has several keys to route
+    rng = random.Random(227)
+    rel = lambda a, b: a[1] == b[1] and WORK_SPAN.leq(a[0], b[0])
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        values = [nat(i) for i in range(rng.choice((2, 3)))]
+        raw = [rng.randrange(1, 4) for _ in values]
+        masses = {v: Fraction(n, sum(raw)) for v, n in zip(values, raw)}
+        a = _ws_side(rng, values, masses)
+        if rng.random() < 0.5:
+            b = _ws_side(rng, values, masses)
+        else:  # each key raised by at most one in work and in span
+            b = {}
+            for ((w, s), v), p in a.items():
+                key = ((w + rng.randrange(2), s + rng.randrange(2)), v)
+                b[key] = b.get(key, 0) + p
+        verdict = leq_outcome(ws_prob(a), ws_prob(b))
+        assert verdict.holds == _hall_feasible(list(a.items()),
+                                               list(b.items()), rel)
+        if not verdict.holds:
+            # the value named is the first in print order that fails
+            failing = [v for v in values if not _hall_feasible(
+                [kv for kv in a.items() if kv[0][1] == v],
+                [kv for kv in b.items() if kv[0][1] == v], rel)]
+            first = min(failing, key=lambda v: (
+                min(c for c, u in a if u == v), v))
+            assert verdict.witness.explanation.startswith(
+                f"cost distribution at value {first[1]} "
+            )
+        seen[verdict.holds] += 1
+    assert min(seen.values()) >= 60
+
+
 # suspensions ``a``, ``b`` and ``c``, returned as ``ret (thunk _)``: ``a``
 # and ``b`` are equivalent; ``c`` is not, differing in cost at F type and
 # in value at arrow type

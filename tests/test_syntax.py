@@ -376,6 +376,21 @@ def test_a_header_error_names_the_header_line(src, where, message):
     assert (e.value.line, e.value.col, e.value.message) == (*where, message)
 
 
+@pytest.mark.parametrize("src, where", [
+    ("(ret tt) (ret tt)", (1, 9)),  # at the second form
+    ("", (1, 0)),  # at the end of a source with none
+    ("#name x\n", (2, 0)),
+    ("#name x\n#effect prob", (2, 12)),
+    ("; only a comment", (1, 16)),
+])
+def test_a_source_without_exactly_one_form_names_a_position(src, where):
+    with pytest.raises(SyntaxError_) as e:
+        parse(src)
+    assert (e.value.line, e.value.col, e.value.message) == (
+        *where, "expected exactly one program form"
+    )
+
+
 def test_a_header_keyword_is_a_whole_word():
     p = parse("#name  foo bar\n#effect\tstate: nat\n#cost par\n(ret tt)")
     assert (p.name, p.theory, p.monoid.name) == (
