@@ -412,6 +412,9 @@ def run_all(
 
     Returns (spec_reports, law_reports, exit_code).
     """
+    if trials < 1:
+        # refused before any spec runs, not after the whole corpus
+        raise ValueError("trials must be at least 1")
     specs = mutated_corpus(mutate) if mutate else corpus()
     if spec_name is not None:
         specs = tuple(s for s in specs if s.name == spec_name)

@@ -354,19 +354,28 @@ class _PureOps:
     theory's denotation: ``bind_pure``'s continuation returns a pair, and
     ``flip_pure`` and ``branch_pure`` take two.  The pure theory needs
     none of them, nor ``bind``: its denotations are the pairs, so every
-    scrutinee is effect-free and ``_c_bind`` charges its cost itself."""
+    scrutinee is effect-free and ``_c_bind`` charges its cost itself.
+
+    ``values`` is the evaluator's value table, a dict holding one stored
+    copy of each value it keeps (hash-consing): the pure ``unit`` and
+    ``charge``, and ``_v_cons`` in every theory, return the stored copy of
+    what they build, so equal pairs and lists in many table entries are
+    one object."""
 
     kind = "pure"
 
     def __init__(self, monoid):
         self.monoid = monoid
         self.zero = monoid.zero  # a property of the monoid, read once
+        self.values: dict = {}  # value -> the one stored copy of it
 
     def unit(self, v):
-        return (self.zero, v)
+        d = (self.zero, v)
+        return self.values.setdefault(d, d)
 
     def charge(self, c, m):
-        return (self.monoid.add(c, m[0]), m[1])
+        d = (self.monoid.add(c, m[0]), m[1])
+        return self.values.setdefault(d, d)
 
     def par(self, m0, m1):
         return (self.monoid.par(m0[0], m1[0]), ("pair", m0[1], m1[1]))
@@ -619,6 +628,13 @@ class Evaluator:
     fresh nodes for every candidate, so no other term holds a node whose
     closure goes.  ``table_entries`` counts every entry as it is made.
 
+    The values the tables hold are hash-consed: ``ops.values``, the
+    evaluator's value table, keeps one copy of each list and pure
+    ``(cost, value)`` denotation built (see ``_PureOps``), so inputs that
+    reach one result share one object.  ``close`` and ``forget`` clear
+    it, so what a check holds between candidates stays bounded and no
+    stored value holds a forgotten candidate's thunk.
+
     The closures and the denotations in the tables refer to the
     evaluator and to the tables, so they form reference cycles, which
     reference counting never frees.  The owner of an evaluator therefore
@@ -674,17 +690,19 @@ class Evaluator:
             for group in table.values():
                 if lead in group:
                     del group[lead]
+        self.ops.values.clear()
 
     def close(self) -> None:
-        """Drop the tables, the closures and the terms kept for their
-        ids, breaking the cycles through the evaluator, once the owner's
-        check is decided.  Each table is cleared first, since the closure
-        holding it may be held by a denotation in it.  ``table_entries``
+        """Drop the tables, the closures, the terms kept for their ids
+        and the value table, breaking the cycles through the evaluator,
+        once the owner's check is decided.  Each table is cleared first,
+        since the closure holding it may be held by a denotation in it.  ``table_entries``
         still counts every entry made.  Closing twice is harmless; using
         the evaluator after is not."""
         for table in self._tables.values():
             table.clear()
-        for kept in (self._tables, self._compiled, self._bodies):
+        for kept in (self._tables, self._compiled, self._bodies,
+                     self.ops.values):
             kept.clear()
 
     def _table(self, node) -> dict:
@@ -891,7 +909,13 @@ def _v_suc(ev, t):
 
 def _v_cons(ev, t):
     head, tail = ev._value(t.head), ev._value(t.tail)
-    return lambda env: ("list", (head(env),) + tail(env)[1])
+    values = ev.ops.values
+
+    def run(env):
+        v = ("list", (head(env),) + tail(env)[1])
+        return values.setdefault(v, v)
+
+    return run
 
 
 def _v_pair(ev, t):
@@ -1124,7 +1148,10 @@ def _c_natrec(ev, t):
 
     def run(env):
         nv = scrut(env)[1]
-        group = table.setdefault(_capture(names, env), {})
+        captured = _capture(names, env)
+        group = table.get(captured)
+        if group is None:
+            group = table[captured] = {}
         for start in range(nv, -1, -1):
             d = group.get(start)
             if d is not None:
@@ -1158,7 +1185,10 @@ def _c_listrec(ev, t):
 
     def run(env):
         items = scrut(env)[1]
-        group = table.setdefault(_capture(names, env), {})
+        captured = _capture(names, env)
+        group = table.get(captured)
+        if group is None:
+            group = table[captured] = {}
         # fold from the tail, resuming from the longest tabled suffix
         for start in range(len(items) + 1):
             d = group.get(items[start:])
@@ -1333,6 +1363,36 @@ def enumerate_value_ty(ty: ValueTy, cfg: DomainConfig, nat_bound=None):
             raise EvalError(f"cannot enumerate values of type {ty!r}")
 
 
+def _domain_size(ty: ValueTy, cfg: DomainConfig, nat_bound=None) -> int:
+    """How many values ``enumerate_value_ty`` lists for ``ty``, counted
+    from the type without building them.  A list domain stops counting
+    once it passes ``cfg.input_cap``, so a huge length costs no huge sum;
+    every domain has a value, so a type holding it passes the cap too."""
+    match ty:
+        case UnitTy():
+            return 1
+        case BoolTy():
+            return 2
+        case NatTy():
+            return (cfg.nat_max if nat_bound is None else nat_bound) + 1
+        case ProdTy(a, b):
+            return (_domain_size(a, cfg, nat_bound)
+                    * _domain_size(b, cfg, nat_bound))
+        case SumTy(a, b):
+            return (_domain_size(a, cfg, nat_bound)
+                    + _domain_size(b, cfg, nat_bound))
+        case ListTy(elem, _):
+            elems = _domain_size(elem, cfg, nat_bound=cfg.elems - 1)
+            total, power = 0, 1  # lists of each length k: elems ** k
+            for _ in range(cfg.list_len + 1):
+                total += power
+                if total > cfg.input_cap:
+                    break
+                power *= elems
+            return total
+    raise EvalError(f"cannot enumerate values of type {ty!r}")
+
+
 def state_domain(ty: ValueTy, cfg: DomainConfig):
     if isinstance(ty, NatTy):
         return [("nat", n) for n in range(cfg.state_max + 1)]
@@ -1346,14 +1406,17 @@ def enumerate_inputs(ty: CompTy, cfg: DomainConfig, lead: tuple = ()):
     arguments are enumerated (a hypothesis spec's suspended argument is
     fixed this way)."""
     arg_tys, _ = unfold_arrows(ty)
-    domains = [[v] for v in lead]
-    domains += [enumerate_value_ty(a, cfg) for a in arg_tys[len(lead):]]
+    rest = arg_tys[len(lead):]
     count = 1
-    for d in domains:
-        count *= len(d)
+    for a in rest:
+        # counted before any domain is built, so an oversized one costs
+        # no memory
+        count *= _domain_size(a, cfg)
         if count > cfg.input_cap:
             raise EvalError(
                 f"input domain larger than the configured cap "
                 f"({cfg.input_cap})"
             )
+    domains = [[v] for v in lead]
+    domains += [enumerate_value_ty(a, cfg) for a in rest]
     return arg_tys, list(itertools.product(*domains))

@@ -15,7 +15,7 @@ from stepbound.harness import (
     reports_to_json, run_all, verify, zero_steps,
 )
 from stepbound.laws import catalog, check_law
-from stepbound.order import relation_check
+from stepbound.order import OrderError, relation_check
 from stepbound.semantics import (
     DomainConfig, EvalError, EvalMode, Evaluator, cost_sort_key,
     enumerate_inputs, val_str,
@@ -465,6 +465,36 @@ def test_cli_usage_errors_are_one_line(args, message):
     assert proc.stdout == ""
     assert proc.stderr.startswith("stepbound: error: ")
     assert message in proc.stderr and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec, override", [
+    ("isort-upper", {"list_len": 40}),
+    ("double-closed-form", {"nat_max": 10**12}),
+])
+def test_an_oversized_domain_is_refused_before_it_is_built(spec, override):
+    # 5**40 lists or 10**12 nats: counted from the type, never enumerated
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderError,
+                           match=r"larger than the configured cap \(20000\)"):
+            verify(by_name(spec), domain_override=override)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_zero_trials_is_refused_before_any_spec_runs(monkeypatch, capsys):
+    from stepbound import cli, harness
+
+    ran = []
+    monkeypatch.setattr(harness, "verify", lambda *a, **k: ran.append(a))
+    assert cli.main(["check", "--trials", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert not ran and out == ""
+    assert err == "stepbound: error: trials must be at least 1\n"
 
 
 def test_a_run_too_deep_for_python_is_an_eval_error(capsys):

@@ -9,8 +9,8 @@ import pytest
 from conftest import live_keys, nat, natlist, program_evaluator
 
 from stepbound.corpus import (
-    BERNOULLI, BINOMIAL, BRANCH_EXAMPLE, DOUBLE, INSERT, ISORT, MAP_BINOM,
-    MAP_BINOM_BOUND, STATE_DOUBLE, _INSERT_DOMAIN, _MAP_DOMAIN,
+    BERNOULLI, BINOMIAL, BRANCH_EXAMPLE, DOUBLE, INSERT, ISORT, ISORT_BOUND,
+    MAP_BINOM, MAP_BINOM_BOUND, STATE_DOUBLE, _INSERT_DOMAIN, _MAP_DOMAIN,
 )
 from stepbound.costs import SEQ_NAT, WORK_SPAN
 from stepbound.gen import (
@@ -190,6 +190,30 @@ def test_prob_bind_on_a_point_mass():
     assert ops.bind(Dist({(2, nat(0)): Fraction(1)}), _continuation) == Dist(
         {(3, nat(0)): Fraction(1, 2), (2, nat(2)): Fraction(1, 2)}
     )
+
+
+def test_prob_ops_built_alone_have_an_empty_value_table():
+    ops = _ProbOps(SEQ_NAT)
+    assert ops.values == {}
+    assert ops.unit(nat(0)) == Dist({(0, nat(0)): Fraction(1)})
+    # a distribution is not a pure denotation: the table keeps none
+    assert ops.values == {}
+
+
+def test_an_evaluator_keeps_one_copy_of_each_list_and_pure_denotation():
+    # isort sorts [1 0] and [0 1] to one list, at one comparison each
+    ev, _ = relation_check(Relation.LEQ_UPPER, ISORT, ISORT_BOUND, COST,
+                           DEFAULT_CONFIG)
+    den = ev.eval_comp(elaborate(ISORT).body, {})
+    d10, d01 = den(natlist([1, 0])), den(natlist([0, 1]))
+    assert d10 == (1, natlist([0, 1]))
+    assert d10[1] is d01[1] and d10 is d01
+    assert ev.ops.values
+    ev.forget(elaborate(ISORT_BOUND).body)
+    assert ev.ops.values == {}
+    assert den(natlist([2, 1])) == (1, natlist([1, 2])) and ev.ops.values
+    ev.close()
+    assert ev.ops.values == {}
 
 
 # A Fraction reference for `_ProbOps`: a distribution is a dict from
