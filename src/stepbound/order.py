@@ -48,7 +48,7 @@ from .semantics import (
     cost_sort_key, enumerate_inputs, enumerate_value_ty, pair_sort_key,
     val_sort_key, val_str,
 )
-from .syntax import ArrowTy, CompTerm, Program
+from .syntax import ArrowTy, CompTerm, Program, map_scopes, subterms
 from .typecheck import elaborate
 
 
@@ -555,10 +555,23 @@ def relation_check(
             case _:
                 raise ValueError(relation)
     ev = Evaluator(program.theory, program.monoid, mode, cfg)
-    body, bound_body = elaborate(program).body, elaborate(bound).body
+    memo = {}
+    body, bound_body = [_share(elaborate(p).body, memo)
+                        for p in (program, bound)]
     lhs, rhs = (bound_body, body) if swap else (body, bound_body)
     return ev, lambda lead=(): pointwise(decide, ev, lhs, rhs, int(swap),
                                          lead)
+
+
+def _share(t, memo: dict):
+    """``t`` hash-consed bottom-up into ``memo``, so that equal sub-terms
+    compile and are tabled once.  Two nodes become one when they are equal
+    and share their sub-term nodes, ``ty`` and ``list_charge``: the last
+    two the evaluator reads, but node equality ignores."""
+    t = map_scopes(t, lambda sub, names: (names, _share(sub, memo)))
+    key = (t, getattr(t, "ty", None), getattr(t, "list_charge", None),
+           tuple(map(id, subterms(t))))
+    return memo.setdefault(key, t)
 
 
 def pointwise(

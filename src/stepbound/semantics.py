@@ -614,7 +614,9 @@ class Evaluator:
     * for a recursor node, the argument is the scrutinee (a nat, or the
       items of a list), and ``captured`` covers the free variables of its
       branches.  A recursor resumes from the largest tabled prefix (nat)
-      or suffix (list) of its scrutinee in its group.
+      or suffix (list) of its scrutinee in its group.  One whose step
+      branch ignores its IH is a case instead: it runs that branch once,
+      at the predecessor or at the head and tail, and has no table.
 
     Evaluation is pure, so a hit is the denotation a fresh evaluation
     would build, and inputs of a tabulated domain share their common
@@ -1144,7 +1146,18 @@ def _c_natrec(ev, t):
         ev._value(t.scrut), ev._comp(t.zero_branch), ev._comp(t.suc_branch)
     )
     kvar, ihvar, ty = t.var_pred, t.var_ih, t.ty
-    names, table = _capture_names(t), ev._table(t)
+    names = _capture_names(t)
+    if ihvar not in free_vars(t.suc_branch):
+        # a step branch that ignores its IH is a case: no fold, no table
+        def case(env):
+            nv = scrut(env)[1]
+            _capture(names, env)  # an ill-scoped branch fails even unrun
+            if nv == 0:
+                return zero(env)
+            return succ(_extend(env, kvar, ("nat", nv - 1)))
+
+        return case
+    table = ev._table(t)
 
     def run(env):
         nv = scrut(env)[1]
@@ -1177,11 +1190,23 @@ def _c_listrec(ev, t):
         ev._value(t.scrut), ev._comp(t.nil_branch), ev._comp(t.cons_branch)
     )
     xvar, xsvar, ihvar, ty = t.var_head, t.var_tail, t.var_ih, t.ty
-    names, table = _capture_names(t), ev._table(t)
+    names = _capture_names(t)
     c = t.list_charge
     charge = None
     if not (c is None or ev.ext or c == ev.ops.zero):
         charge = ev._at(ty, ev.ops.charge, ev._charge)
+    if ihvar not in free_vars(t.cons_branch):
+        # a cons branch that ignores its IH is a case: no fold, no table
+        def case(env):
+            items = scrut(env)[1]
+            _capture(names, env)  # an ill-scoped branch fails even unrun
+            if not items:
+                return nil(env)
+            d = cons({**env, xvar: items[0], xsvar: ("list", items[1:])})
+            return d if charge is None else charge(c, d)
+
+        return case
+    table = ev._table(t)
 
     def run(env):
         items = scrut(env)[1]
@@ -1394,7 +1419,13 @@ def _domain_size(ty: ValueTy, cfg: DomainConfig, nat_bound=None) -> int:
 
 
 def state_domain(ty: ValueTy, cfg: DomainConfig):
-    if isinstance(ty, NatTy):
+    nat = isinstance(ty, NatTy)
+    # counted before it is built, as an input domain is
+    if (cfg.state_max + 1 if nat else _domain_size(ty, cfg)) > cfg.input_cap:
+        raise EvalError(
+            f"state domain larger than the configured cap ({cfg.input_cap})"
+        )
+    if nat:
         return [("nat", n) for n in range(cfg.state_max + 1)]
     return enumerate_value_ty(ty, cfg)
 

@@ -512,6 +512,30 @@ def test_a_run_too_deep_for_python_is_an_eval_error(capsys):
     assert "recursion limit" in err and err.count("\n") == 1
 
 
+def test_an_oversized_state_domain_is_refused_before_it_is_built(capsys):
+    import tracemalloc
+
+    from stepbound import cli
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(EvalError) as e:
+            verify(by_name("state-double-equal"),
+                   domain_override={"state_max": 10**8})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == \
+        "state domain larger than the configured cap (20000)"
+    assert peak < 5 * 2**20
+    args = ["check", "--spec", "state-double-equal", "--state-max",
+            str(10**8)]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("stepbound: error: state domain ")
+    assert err.count("\n") == 1
+
+
 def test_cli_unwritable_report_path_is_a_usage_error(tmp_path):
     path = tmp_path / "missing" / "report.json"
     proc = subprocess.run(
