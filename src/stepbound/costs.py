@@ -27,6 +27,10 @@ class CostMonoid:
         raise NotImplementedError
 
     def add(self, a, b):
+        """Sequential combination.  It must be injective in each
+        argument, ``add(c, a) == add(c, b)`` only when ``a == b``, as it is
+        in both monoids here: charging one cost to every key of a
+        distribution then merges no two keys."""
         raise NotImplementedError
 
     def leq(self, a, b) -> bool:

@@ -355,6 +355,7 @@ class _PureOps:
     ``flip_pure`` and ``branch_pure`` take two.  The pure theory needs
     none of them, nor ``bind``: its denotations are the pairs, so every
     scrutinee is effect-free and ``_c_bind`` charges its cost itself.
+    The prob theory has ``bind_fused`` in place of ``bind_pure``.
 
     ``values`` is the evaluator's value table, a dict holding one stored
     copy of each value it keeps (hash-consing): the pure ``unit`` and
@@ -443,11 +444,13 @@ class _ProbOps(_PureOps):
     """Distributions in integers: each operation scales numerators to a
     common denominator and reduces once, at the end.
 
-    An effect-free operand is a point mass, so the ``*_pure`` operations
-    build no ``Dist`` for it: ``bind_pure`` moves each numerator of ``m``
-    to its continuation's pair and reduces only if two keys merged, and
-    ``flip_pure`` builds its two keys' weights directly, in lowest terms
-    because ``p`` is."""
+    An effect-free operand is a point mass, so no operation builds a
+    ``Dist`` for it.  ``bind_fused`` takes a continuation as weighted
+    pairs (an effect-free one is a single pair) and adds them into one
+    accumulator for all keys of ``m``, reducing once; when every key
+    gives one pair and no two merged it moves ``m``'s numerators as they
+    are.  ``flip_pure`` builds its two keys' weights directly, in lowest
+    terms because ``p`` is."""
 
     kind = "prob"
 
@@ -455,9 +458,10 @@ class _ProbOps(_PureOps):
         return Dist._reduced({(self.zero, v): 1}, 1)
 
     def charge(self, c, m):
-        # adding a cost to every key moves the weights as they are
+        # adding a cost is injective (see ``CostMonoid.add``), so no two
+        # keys merge and m's numerators stay in lowest terms
         add = self.monoid.add
-        return Dist._of(
+        return Dist._reduced(
             {(add(c, c0), v): n for (c0, v), n in m.nums.items()}, m.den
         )
 
@@ -480,17 +484,20 @@ class _ProbOps(_PureOps):
                 acc[key] = acc.get(key, 0) + scale * n1
         return Dist._of(acc, m.den * den)
 
-    def bind_pure(self, m, k):
-        add = self.monoid.add
+    def bind_fused(self, m, den, feed):
+        """``bind(m, k)`` for a continuation ``k`` given as weighted pairs
+        (see ``_prob_spread``): ``feed(acc, c0, n, v)`` adds each pair
+        ``(c1, v1)`` of ``k(v)``, of weight ``w / den``, to ``acc`` as
+        ``(c0 + c1, v1): n * w``.  One accumulator serves every key of
+        ``m``, reduced once, over ``m.den * den``."""
         acc: dict = {}
         for (c0, v), n in m.nums.items():
-            c1, v1 = k(v)
-            key = (add(c0, c1), v1)
-            acc[key] = acc.get(key, 0) + n
-        if len(acc) < len(m.nums):
-            return Dist._of(acc, m.den)
-        # no two keys merged: m's numerators, in lowest terms, on new keys
-        return Dist._reduced(acc, m.den)
+            feed(acc, c0, n, v)
+        if den == 1 and len(acc) == len(m.nums):
+            # one pair per key, none merged: m's numerators, in lowest
+            # terms, on new keys
+            return Dist._reduced(acc, m.den)
+        return Dist._of(acc, m.den * den)
 
     def flip(self, p: Fraction, m0, m1):
         if p == 0:
@@ -595,8 +602,14 @@ class Evaluator:
     ``bind`` with an effect-free continuation (``ops.bind_pure``), a
     ``bind`` with an effect-free scrutinee (its cost charged to the
     continuation's denotation), and a ``flip`` or ``branch`` with two
-    effect-free arms (``ops.flip_pure``, ``ops.branch_pure``).  Every
-    other node runs its own closure.  Each computation node compiles once
+    effect-free arms (``ops.flip_pure``, ``ops.branch_pure``).  A prob
+    ``bind`` at F type also fuses two more continuations into its one
+    accumulator (``ops.bind_fused``, see ``_prob_spread``): a ``flip``
+    of two effect-free arms, and a ``bind(e, y. Q)`` with ``Q``
+    effect-free and ``e`` not naming the outer variable, whose ``e`` is
+    then evaluated once per run, not once per key of the scrutinee, so
+    it makes fewer table hits.  Every other node runs its own
+    closure.  Each computation node compiles once
     per evaluator, on first use, and its closure is kept in ``_compiled``
     by the node's identity: a node reached again, as a forced thunk body
     or as part of another body evaluated here, runs the closures compiled
@@ -1019,8 +1032,13 @@ def _c_bind(ev, t):
 
         return run
     comp = ev._comp(t.comp)
-    pair = None if isinstance(t.ty, ArrowTy) else _effect_free(ev, t.body)
-    if pair is not None:
+    fusable = not isinstance(t.ty, ArrowTy)
+    if fusable and ev.theory.kind == "prob":
+        spread = _prob_spread(ev, t.body, x)
+        if spread is not None:
+            bind_fused = ev.ops.bind_fused
+            return lambda env: bind_fused(comp(env), *spread(env))
+    elif fusable and (pair := _effect_free(ev, t.body)) is not None:
         bind_pure = ev.ops.bind_pure
 
         def run(env):
@@ -1042,6 +1060,75 @@ def _c_bind(ev, t):
         return bind(comp(env), lambda v: body(_extend(env, x, v)))
 
     return run
+
+
+def _prob_spread(ev, k, x):
+    """The continuation ``k`` of a prob ``bind`` of ``x``, at F type, as
+    weighted pairs, if it has one of three shapes; else None.
+
+    The result is ``spread(env) -> (den, feed)``, for ``bind_fused``:
+    ``feed(acc, c0, n, v)`` adds each pair of ``k`` at ``x = v`` into
+    ``acc``, so no key of the scrutinee builds a ``Dist``.  The shapes:
+
+    * ``k`` effect-free: its pair, of weight 1 over 1;
+    * ``flip(a/b, A, B)`` with effect-free arms: ``A``'s pair of weight
+      ``b - a`` and ``B``'s of weight ``a``, over ``b``;
+    * ``bind(e, y. Q)`` with ``Q`` effect-free and ``x`` not free in
+      ``e``: ``e`` is evaluated once per run, not once per value of
+      ``x``, and each key ``(c1, y1)`` of it, of numerator ``n1``, gives
+      ``Q``'s pair at ``y = y1``, charged ``c1``, of weight ``n1`` over
+      ``e``'s denominator.
+
+    Each pair is computed in one copy of the environment, as in
+    ``bind_pure``.  Nondet and state binds are not fused this way: in
+    state, evaluating ``e`` once would reorder its effects."""
+    add = ev.monoid.add
+    if type(k) is Bind:
+        q = _effect_free(ev, k.body)
+        if q is None or x in free_vars(k.comp):
+            return None
+        e, y = ev._comp(k.comp), k.var
+
+        def hoisted(env):
+            d, e2 = e(env), dict(env)
+            items = d.nums.items()
+
+            def feed(acc, c0, n, v):
+                e2[x] = v
+                for (c1, y1), n1 in items:
+                    e2[y] = y1
+                    c2, v2 = q(e2)
+                    key = (add(add(c0, c1), c2), v2)
+                    acc[key] = acc.get(key, 0) + n * n1
+
+            return d.den, feed
+
+        return hoisted
+    if type(k) is Flip:
+        pairs = _effect_free_arms(ev, k)
+        if pairs is None:
+            return None
+        a, den = k.prob.numerator, k.prob.denominator
+        arms = tuple((w, p) for w, p in zip((den - a, a), pairs) if w)
+    else:
+        pair = _effect_free(ev, k)
+        if pair is None:
+            return None
+        arms, den = ((1, pair),), 1
+
+    def spread(env):
+        e2 = dict(env)
+
+        def feed(acc, c0, n, v):
+            e2[x] = v
+            for w, p in arms:
+                c1, v1 = p(e2)
+                key = (add(c0, c1), v1)
+                acc[key] = acc.get(key, 0) + n * w
+
+        return den, feed
+
+    return spread
 
 
 def _lam_call(ev, t, names):

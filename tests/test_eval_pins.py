@@ -1,9 +1,11 @@
 """What the evaluator computes, pinned by digest.
 
-The digests were printed by the tree-walking interpreter that closure
-compilation replaced.  They cover outcomes as printed together with the
-evaluation table's entry and hit counts, so the compiled evaluator must
-compute, and table, exactly what the interpreter did.
+The outcome digests were printed by the tree-walking interpreter that
+closure compilation replaced, so the compiled evaluator must compute
+exactly what the interpreter did.  Each outcome digest has a counters
+digest beside it, over the evaluation table's entry and hit counts, so a
+mismatch names the entry and says which of the two moved: a change that
+shares or skips evaluation may move counters, never outcomes.
 """
 
 import hashlib
@@ -35,24 +37,28 @@ def _digest(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
-# the keys of a report entry that the digests cover: every key an entry
-# had when they were recorded except ``millis``; a key added later is
-# pinned by its own tests
+# the keys of a report entry that the outcome digests cover: every key an
+# entry had when they were recorded except ``millis`` and ``counters``,
+# which the counters digests cover; a key added later is pinned by its own
+# tests
 _PINNED_KEYS = (
     "name", "relation", "verdict", "domain", "max_cost", "min_cost",
-    "counters", "counterexample", "admitted", "note",
+    "counterexample", "admitted", "note",
 )
 
 
 def report_digests(mode: str, check_json) -> dict:
-    """Digest of each entry of ``stepbound check --json`` at seed 0,
-    over its ``_PINNED_KEYS``."""
+    """``(outcome digest, counters digest)`` of each entry of ``stepbound
+    check --json`` at seed 0: the first over its ``_PINNED_KEYS``, the
+    second over its ``counters`` (null for a law)."""
     code, entries = check_json(mode)
     assert code == 0
     return {
-        e["name"]: _digest([json.dumps(
-            {k: e[k] for k in _PINNED_KEYS if k in e}, sort_keys=True
-        )])
+        e["name"]: (
+            _digest([json.dumps({k: e[k] for k in _PINNED_KEYS if k in e},
+                                sort_keys=True)]),
+            _digest([json.dumps(e.get("counters"), sort_keys=True)]),
+        )
         for e in entries
     }
 
@@ -78,7 +84,8 @@ def _leads(program, cfg):
 
 
 def program_digests(mode: EvalMode) -> dict:
-    """Per corpus program: every outcome over its domain, then the table
+    """Per corpus program: ``(outcome digest, counters digest)``, the
+    first over every outcome over its domain, the second over the table
     counters of the one evaluator that computed them."""
     got = {}
     for program in ALL_PROGRAMS:
@@ -89,8 +96,10 @@ def program_digests(mode: EvalMode) -> dict:
         for lead in _leads(program, cfg):
             _, inputs = enumerate_inputs(program.declared_ty, cfg, lead)
             lines += [str(ev.outcome(body, args)) for args in inputs]
-        lines.append(f"entries={ev.table_entries} hits={ev.table_hits}")
-        got[program.name] = _digest(lines)
+        got[program.name] = (
+            _digest(lines),
+            _digest([f"entries={ev.table_entries} hits={ev.table_hits}"]),
+        )
     return got
 
 
@@ -109,187 +118,185 @@ def law_digests(mode: EvalMode) -> dict:
     return got
 
 
-# sha256 prefixes printed by the interpreter, except two groups recorded
-# since, in each mode: the three hypothesis specs', whose table counters
-# fell when each candidate behaviour came to be decided once; and the
-# first-order specs' whose table hits fell when the cost range came to be
-# folded into the check's one pass, instead of re-evaluating the program
-# (nondet-bool-upper's and nondet-unit-upper's counters did not change);
-# and the seven sort and lookup specs', whose table counters fell when a
-# recursor that ignores its IH came to run as a case, without a table,
-# and a relation's program and bound came to share their equal sub-terms
+# (outcome digest, counters digest) per entry.  The two halves were first
+# recorded together, the outcomes as printed by the tree-walking
+# interpreter that closure compilation replaced, and the counters
+# re-recorded whenever an evaluation change made fewer table entries or
+# hits; they were split on a checkout that matched every combined digest.
+# Since then only map-binomial-hypothesis's counters moved, in each mode:
+# its table hits fell when a prob bind came to evaluate an inner
+# scrutinee that does not name its variable once per run, not once per
+# key
 _REPORTS = {
     "cost": {
-        "double-closed-form": "ad10428e0d267a95",
-        "insert-upper": "229e038aeb0cbe45",
-        "isort-lower": "8ef3ab9062aff1ab",
-        "isort-msort-ext": "bd8edc1eb66be9fc",
-        "isort-upper": "27c689365d96af93",
-        "law:bind/assoc": "9b89d7b6f500a24c",
-        "law:bind/ret": "b55851dc04d6fb13",
-        "law:bind/step": "2b75999e082bb4a2",
-        "law:branch/assoc": "8e937f2120bad22b",
-        "law:branch/comm": "d727a216eaa4afbb",
-        "law:branch/idem": "babe64ad416b9bf0",
-        "law:branch/idl": "0739f316c0dd8e5c",
-        "law:branch/idr": "92b29e9659875770",
-        "law:branch/step": "454f85367aa1ab8b",
-        "law:fail/step": "ea39cee98832195e",
-        "law:flip/assoc": "22aef5cdb900257e",
-        "law:flip/comm": "48130accb35011a5",
-        "law:flip/idem": "7e3b04a46f26e998",
-        "law:flip/one": "c28b250c58f5e9db",
-        "law:flip/step": "a817552e385b02d5",
-        "law:flip/zero": "e3c342b8ef4425fb",
-        "law:get/get": "2554c470a2109e0b",
-        "law:get/set": "197b4d04fa9a4e02",
-        "law:get/step": "22fa0cb5383a7988",
-        "law:lam/step": "50b505c907148656",
-        "law:set/get": "01086ed79694532f",
-        "law:set/set": "48a06e19c631934c",
-        "law:set/step": "9ff3063b9adab837",
-        "law:step/plus": "cfcb87d8f2929cae",
-        "law:step/zero": "e4f06743f8e6a62b",
-        "lookup-exact": "0881223deae205ff",
-        "map-binomial-hypothesis": "59130e815c625194",
-        "map-const-hypothesis": "41118a20b8d5629d",
-        "msort-upper": "4c3cd17c42684aaf",
-        "nondet-bool-upper": "794f3225d49bcef6",
-        "nondet-unit-upper": "6f3d595c39cadf53",
-        "qsort-upper": "92a0720b00917093",
-        "state-double-equal": "a8fb24d6bae4e7a2",
-        "sublist-binomial": "4643e941b71df9ff",
-        "sublist-upper": "18b021ee417eca15",
-        "twice-hypothesis": "5b92abc17a676081",
+        "double-closed-form": ("bb838e25f41f62e9", "a312dca6134c1f8f"),
+        "insert-upper": ("be2949fe212f8bd6", "c24d3c9f66477d19"),
+        "isort-lower": ("affdb3976fecd973", "9b66080a96dccfed"),
+        "isort-msort-ext": ("9f3bec781cf649ad", "3aa9d313f3c5d904"),
+        "isort-upper": ("947fe4d8adc50d18", "f947ef0489e17a2d"),
+        "law:bind/assoc": ("9b89d7b6f500a24c", "74234e98afe7498f"),
+        "law:bind/ret": ("b55851dc04d6fb13", "74234e98afe7498f"),
+        "law:bind/step": ("2b75999e082bb4a2", "74234e98afe7498f"),
+        "law:branch/assoc": ("8e937f2120bad22b", "74234e98afe7498f"),
+        "law:branch/comm": ("d727a216eaa4afbb", "74234e98afe7498f"),
+        "law:branch/idem": ("babe64ad416b9bf0", "74234e98afe7498f"),
+        "law:branch/idl": ("0739f316c0dd8e5c", "74234e98afe7498f"),
+        "law:branch/idr": ("92b29e9659875770", "74234e98afe7498f"),
+        "law:branch/step": ("454f85367aa1ab8b", "74234e98afe7498f"),
+        "law:fail/step": ("ea39cee98832195e", "74234e98afe7498f"),
+        "law:flip/assoc": ("22aef5cdb900257e", "74234e98afe7498f"),
+        "law:flip/comm": ("48130accb35011a5", "74234e98afe7498f"),
+        "law:flip/idem": ("7e3b04a46f26e998", "74234e98afe7498f"),
+        "law:flip/one": ("c28b250c58f5e9db", "74234e98afe7498f"),
+        "law:flip/step": ("a817552e385b02d5", "74234e98afe7498f"),
+        "law:flip/zero": ("e3c342b8ef4425fb", "74234e98afe7498f"),
+        "law:get/get": ("2554c470a2109e0b", "74234e98afe7498f"),
+        "law:get/set": ("197b4d04fa9a4e02", "74234e98afe7498f"),
+        "law:get/step": ("22fa0cb5383a7988", "74234e98afe7498f"),
+        "law:lam/step": ("50b505c907148656", "74234e98afe7498f"),
+        "law:set/get": ("01086ed79694532f", "74234e98afe7498f"),
+        "law:set/set": ("48a06e19c631934c", "74234e98afe7498f"),
+        "law:set/step": ("9ff3063b9adab837", "74234e98afe7498f"),
+        "law:step/plus": ("cfcb87d8f2929cae", "74234e98afe7498f"),
+        "law:step/zero": ("e4f06743f8e6a62b", "74234e98afe7498f"),
+        "lookup-exact": ("9083d08cac310d7d", "8bd04eed92740832"),
+        "map-binomial-hypothesis": ("d6a83da3b88e41ce", "64303cc07b7af665"),
+        "map-const-hypothesis": ("b30d2f1a3413534c", "d627f236534f8e1f"),
+        "msort-upper": ("eaca351f2e4cc047", "85ba3b577adee7ab"),
+        "nondet-bool-upper": ("303f9e4ebe0c43f3", "cef713f8983562c4"),
+        "nondet-unit-upper": ("de98517cf9e1fe75", "cef713f8983562c4"),
+        "qsort-upper": ("91348a61185c1d11", "8c374542e8857f74"),
+        "state-double-equal": ("2af1ded771894332", "c98d6ef6483c694e"),
+        "sublist-binomial": ("171eb1cff7259852", "0c2ab985f7256665"),
+        "sublist-upper": ("7dae5862a6768627", "e012fea6662fe6b0"),
+        "twice-hypothesis": ("bab71be574a5a308", "e68e94141b6b6556"),
     },
     "ext": {
-        "double-closed-form": "ab89a51acc9856de",
-        "insert-upper": "43c1feb3d35718f6",
-        "isort-lower": "147cea0bc54431bf",
-        "isort-msort-ext": "bd8edc1eb66be9fc",
-        "isort-upper": "003303c592ec2b72",
-        "law:bind/assoc": "9b89d7b6f500a24c",
-        "law:bind/ret": "b55851dc04d6fb13",
-        "law:bind/step": "2b75999e082bb4a2",
-        "law:branch/assoc": "8e937f2120bad22b",
-        "law:branch/comm": "d727a216eaa4afbb",
-        "law:branch/idem": "babe64ad416b9bf0",
-        "law:branch/idl": "0739f316c0dd8e5c",
-        "law:branch/idr": "92b29e9659875770",
-        "law:branch/step": "454f85367aa1ab8b",
-        "law:fail/step": "ea39cee98832195e",
-        "law:flip/assoc": "22aef5cdb900257e",
-        "law:flip/comm": "48130accb35011a5",
-        "law:flip/idem": "7e3b04a46f26e998",
-        "law:flip/one": "c28b250c58f5e9db",
-        "law:flip/step": "a817552e385b02d5",
-        "law:flip/zero": "e3c342b8ef4425fb",
-        "law:get/get": "2554c470a2109e0b",
-        "law:get/set": "197b4d04fa9a4e02",
-        "law:get/step": "22fa0cb5383a7988",
-        "law:lam/step": "50b505c907148656",
-        "law:set/get": "01086ed79694532f",
-        "law:set/set": "48a06e19c631934c",
-        "law:set/step": "9ff3063b9adab837",
-        "law:step/plus": "cfcb87d8f2929cae",
-        "law:step/zero": "e4f06743f8e6a62b",
-        "lookup-exact": "0de576dc82a0cef2",
-        "map-binomial-hypothesis": "1666ac3778468038",
-        "map-const-hypothesis": "5cad1767e2d87a87",
-        "msort-upper": "6c6c93559ae25248",
-        "nondet-bool-upper": "22a862f2d188375c",
-        "nondet-unit-upper": "bb3b1b4ca2095329",
-        "qsort-upper": "b048f8bb4b53a5c6",
-        "state-double-equal": "2957b38af89ad31e",
-        "sublist-binomial": "f1c43a03e0353fdc",
-        "sublist-upper": "e761a8aa1cb9260e",
-        "twice-hypothesis": "52a8393098bd4cae",
+        "double-closed-form": ("5628cf6c24ff57dc", "a312dca6134c1f8f"),
+        "insert-upper": ("5213b27ae73261f8", "c24d3c9f66477d19"),
+        "isort-lower": ("54b308ddc7f5fdab", "9b66080a96dccfed"),
+        "isort-msort-ext": ("9f3bec781cf649ad", "3aa9d313f3c5d904"),
+        "isort-upper": ("d7847f0e886782fc", "f947ef0489e17a2d"),
+        "law:bind/assoc": ("9b89d7b6f500a24c", "74234e98afe7498f"),
+        "law:bind/ret": ("b55851dc04d6fb13", "74234e98afe7498f"),
+        "law:bind/step": ("2b75999e082bb4a2", "74234e98afe7498f"),
+        "law:branch/assoc": ("8e937f2120bad22b", "74234e98afe7498f"),
+        "law:branch/comm": ("d727a216eaa4afbb", "74234e98afe7498f"),
+        "law:branch/idem": ("babe64ad416b9bf0", "74234e98afe7498f"),
+        "law:branch/idl": ("0739f316c0dd8e5c", "74234e98afe7498f"),
+        "law:branch/idr": ("92b29e9659875770", "74234e98afe7498f"),
+        "law:branch/step": ("454f85367aa1ab8b", "74234e98afe7498f"),
+        "law:fail/step": ("ea39cee98832195e", "74234e98afe7498f"),
+        "law:flip/assoc": ("22aef5cdb900257e", "74234e98afe7498f"),
+        "law:flip/comm": ("48130accb35011a5", "74234e98afe7498f"),
+        "law:flip/idem": ("7e3b04a46f26e998", "74234e98afe7498f"),
+        "law:flip/one": ("c28b250c58f5e9db", "74234e98afe7498f"),
+        "law:flip/step": ("a817552e385b02d5", "74234e98afe7498f"),
+        "law:flip/zero": ("e3c342b8ef4425fb", "74234e98afe7498f"),
+        "law:get/get": ("2554c470a2109e0b", "74234e98afe7498f"),
+        "law:get/set": ("197b4d04fa9a4e02", "74234e98afe7498f"),
+        "law:get/step": ("22fa0cb5383a7988", "74234e98afe7498f"),
+        "law:lam/step": ("50b505c907148656", "74234e98afe7498f"),
+        "law:set/get": ("01086ed79694532f", "74234e98afe7498f"),
+        "law:set/set": ("48a06e19c631934c", "74234e98afe7498f"),
+        "law:set/step": ("9ff3063b9adab837", "74234e98afe7498f"),
+        "law:step/plus": ("cfcb87d8f2929cae", "74234e98afe7498f"),
+        "law:step/zero": ("e4f06743f8e6a62b", "74234e98afe7498f"),
+        "lookup-exact": ("7ee90efa6c0f755e", "8bd04eed92740832"),
+        "map-binomial-hypothesis": ("dece29d69d74af9d", "1c353abeb54d0b84"),
+        "map-const-hypothesis": ("07e71637223b6570", "55a438be3526b1e3"),
+        "msort-upper": ("c1e383348d857901", "85ba3b577adee7ab"),
+        "nondet-bool-upper": ("e115f35c8de2eeeb", "cef713f8983562c4"),
+        "nondet-unit-upper": ("c3e9734504c5bf0b", "cef713f8983562c4"),
+        "qsort-upper": ("d432b7f2b0c450c0", "206c554649b77171"),
+        "state-double-equal": ("aacbe554215d02d1", "c98d6ef6483c694e"),
+        "sublist-binomial": ("8fe734d30995c69c", "0c2ab985f7256665"),
+        "sublist-upper": ("8bfaefb9f5fd9e3d", "e012fea6662fe6b0"),
+        "twice-hypothesis": ("9aea8bf9b6a47fc5", "eb3fad6297118e5c"),
     },
 }
 
-# sha256 prefixes printed by the interpreter, except the eleven programs'
-# in each mode that reach a recursor ignoring its IH (insert, isort,
-# msort, qsort, lookup and their bounds): their outcome lines are
-# unchanged, but their table counters fell when such a recursor came to
-# run as a case, without a table
+# split as ``_REPORTS`` is, the outcome lines from the interpreter's; only
+# map-binomial's counters moved since the split, in each mode, for the
+# same reason as map-binomial-hypothesis's
 _PROGRAMS = {
     "cost": {
-        "bernoulli": "3e145ae6f02db708",
-        "binomial": "46a7ac8fdd9fdfc2",
-        "binomial-of-len": "ad1c8174bb79fe03",
-        "branch-example": "fc04156a4c8f221f",
-        "branch-example-bound": "08c8e9a6f7c00ac6",
-        "branch-example-unit": "e4ebed98e7fd2a0f",
-        "branch-example-unit-bound": "0b5018e886858c91",
-        "double": "f3f28287b2459c1d",
-        "double-bound": "14a0d230f5f98f09",
-        "insert": "3884d3cb982f7a9b",
-        "insert-bound": "78c17cd83748e2da",
-        "isort": "808fde475854d883",
-        "isort-bound": "87204fb1d9076070",
-        "isort-lower-bound": "d6b020443f2f3780",
-        "lookup": "c2452d9978cdba29",
-        "lookup-bound": "271f94168bd479da",
-        "map-binomial": "830995f639bde990",
-        "map-binomial-bound": "4b419953e2f98c52",
-        "map-binomial-hyp": "bb479bb47bb69044",
-        "map-binomial-hyp-bound": "f698cf2913ac3345",
-        "map-const": "425963d4e347a0e4",
-        "map-const-bound": "d4011fa6b1dd6043",
-        "map-const-hyp": "bac6ff099dbfd013",
-        "map-const-hyp-bound": "e7302d4e62d62612",
-        "msort": "24f593689fd21d66",
-        "msort-bound": "db37fd967ebfaadb",
-        "qsort": "2e74704e0882ebe6",
-        "qsort-bound": "0cb2022a0ec0965a",
-        "state-double": "b0c73b1c27d92e22",
-        "state-double-bound": "b0c73b1c27d92e22",
-        "sublist": "9c9ace143915f336",
-        "sublist-unit": "15bb333e66d1af12",
-        "sublist-unit-bound": "4c4913b9f2679a3f",
-        "twice-hyp": "413bed3147b307c4",
-        "twice-hyp-bound": "9db93cae794beae2",
-        "twice-unit": "16dce798d8809feb",
-        "twice-unit-bound": "2a43ef8650738d23",
+        "bernoulli": ("cfdd1675c564379d", "2b949052f9e79d7f"),
+        "binomial": ("6786ff62a2201d86", "9b813ad8e62a61ed"),
+        "binomial-of-len": ("e0e66adb0361f8b7", "ac5f771693f09a6a"),
+        "branch-example": ("77dfbbb4aa33b690", "2b949052f9e79d7f"),
+        "branch-example-bound": ("1142d454614e61d2", "2b949052f9e79d7f"),
+        "branch-example-unit": ("4bdbe48fbaf6752e", "2b949052f9e79d7f"),
+        "branch-example-unit-bound": ("f69a4521fedebd0e", "2b949052f9e79d7f"),
+        "double": ("60036f254b888cba", "d9a995049996871a"),
+        "double-bound": ("60036f254b888cba", "f28cd8aacffb6a78"),
+        "insert": ("b7d603167d7658b1", "402a56690a069b48"),
+        "insert-bound": ("86086218e3f9ae72", "2427587a22bc6917"),
+        "isort": ("87772001b6732346", "25c6a34646ee60b9"),
+        "isort-bound": ("f49cef84497f4929", "218d5409dcc14afb"),
+        "isort-lower-bound": ("6dc8d1e3dc7ad1c1", "77ec662bb1d51c4d"),
+        "lookup": ("a05bcfa32a1017b7", "2299b7a3fb9e300b"),
+        "lookup-bound": ("a05bcfa32a1017b7", "4b79e6061e8faf49"),
+        "map-binomial": ("1a9152c9caa90ded", "250aaa871e94d4f7"),
+        "map-binomial-bound": ("15fa499fd55dc526", "9ceefa80f154eb97"),
+        "map-binomial-hyp": ("c8947e816f75156e", "c7d09f588a71bc89"),
+        "map-binomial-hyp-bound": ("f398d1fc45229b4c", "e7410f356f464d0e"),
+        "map-const": ("8f75774a47ec85f8", "250aaa871e94d4f7"),
+        "map-const-bound": ("bdb625724bd88b4a", "df12dc00dce81476"),
+        "map-const-hyp": ("55e36dac15fcd32d", "c7d09f588a71bc89"),
+        "map-const-hyp-bound": ("2721d1b2009aa334", "edef832573af9133"),
+        "msort": ("34229efa1d3dcb41", "943506d3a15368a4"),
+        "msort-bound": ("acfde574973b836a", "56a2d127bd9f0901"),
+        "qsort": ("9ac2ea334cb76308", "f49408f684d30455"),
+        "qsort-bound": ("cb25f199bb1d205a", "310624e92458a1c0"),
+        "state-double": ("941b7c4f29f72ecf", "3f61399d392f6591"),
+        "state-double-bound": ("941b7c4f29f72ecf", "3f61399d392f6591"),
+        "sublist": ("5118a0cca413489a", "9dfc3d3bd1b3464b"),
+        "sublist-unit": ("e0e66adb0361f8b7", "d5965bbba2a6fbf8"),
+        "sublist-unit-bound": ("2f3aca8905b90ffe", "d5965bbba2a6fbf8"),
+        "twice-hyp": ("ae8a9f629407a1e8", "2379d4015bdc18f9"),
+        "twice-hyp-bound": ("5f6c72478f42ccaa", "2379d4015bdc18f9"),
+        "twice-unit": ("ac5912369d9918dd", "8b2a1bf17200c4fc"),
+        "twice-unit-bound": ("1de912bd2bb966ec", "2379d4015bdc18f9"),
     },
     "ext": {
-        "bernoulli": "5f9feaf5758e2534",
-        "binomial": "d867017c4327fd37",
-        "binomial-of-len": "f0eb293b2c6da3a0",
-        "branch-example": "f4314eeb27f5875a",
-        "branch-example-bound": "f4314eeb27f5875a",
-        "branch-example-unit": "3babf4c108ed7cb1",
-        "branch-example-unit-bound": "3babf4c108ed7cb1",
-        "double": "5cd8eadde061bd82",
-        "double-bound": "3b0ef93717a11149",
-        "insert": "c1b3d838ca947fdb",
-        "insert-bound": "2f568a33eb45b289",
-        "isort": "38583510d3faee99",
-        "isort-bound": "eed6b787e2541f5b",
-        "isort-lower-bound": "5122cc021bdd6869",
-        "lookup": "efd3269a77e0f5db",
-        "lookup-bound": "2aa1d06a443c6734",
-        "map-binomial": "440bd15f24a02c2a",
-        "map-binomial-bound": "5cc0be1325ee9625",
-        "map-binomial-hyp": "7e450b5807a76700",
-        "map-binomial-hyp-bound": "049a333f8ef159c0",
-        "map-const": "2ca3cbc99a114b4a",
-        "map-const-bound": "4bb21e3c411befb9",
-        "map-const-hyp": "0cfb8c2e86a8c80f",
-        "map-const-hyp-bound": "060e9aee94b4fe0b",
-        "msort": "b2c8c1721d4304ed",
-        "msort-bound": "12ba8fc5f18674f0",
-        "qsort": "849140f749aa5c9d",
-        "qsort-bound": "1531f2408210804e",
-        "state-double": "ef8fd81559f1c3d1",
-        "state-double-bound": "ef8fd81559f1c3d1",
-        "sublist": "01cfd3e6dd2ae102",
-        "sublist-unit": "08728173a9339503",
-        "sublist-unit-bound": "08728173a9339503",
-        "twice-hyp": "6c541ffd8a7585cf",
-        "twice-hyp-bound": "fad8ba6a295d5487",
-        "twice-unit": "65dda801553b1f66",
-        "twice-unit-bound": "fad8ba6a295d5487",
+        "bernoulli": ("f0f43903a066400d", "2b949052f9e79d7f"),
+        "binomial": ("eab43cc1080cc49d", "9b813ad8e62a61ed"),
+        "binomial-of-len": ("fa4da15e172ad46f", "ac5f771693f09a6a"),
+        "branch-example": ("c622a88f0aedb788", "2b949052f9e79d7f"),
+        "branch-example-bound": ("c622a88f0aedb788", "2b949052f9e79d7f"),
+        "branch-example-unit": ("465c12212e59cbfb", "2b949052f9e79d7f"),
+        "branch-example-unit-bound": ("465c12212e59cbfb", "2b949052f9e79d7f"),
+        "double": ("75ec83ea481982b1", "d9a995049996871a"),
+        "double-bound": ("75ec83ea481982b1", "f28cd8aacffb6a78"),
+        "insert": ("835710013af619b1", "402a56690a069b48"),
+        "insert-bound": ("835710013af619b1", "2427587a22bc6917"),
+        "isort": ("8da835c56821a6b6", "25c6a34646ee60b9"),
+        "isort-bound": ("8da835c56821a6b6", "218d5409dcc14afb"),
+        "isort-lower-bound": ("8da835c56821a6b6", "77ec662bb1d51c4d"),
+        "lookup": ("8487400a35c91c12", "2299b7a3fb9e300b"),
+        "lookup-bound": ("8487400a35c91c12", "4b79e6061e8faf49"),
+        "map-binomial": ("09ef2389fa44bcbe", "250aaa871e94d4f7"),
+        "map-binomial-bound": ("09ef2389fa44bcbe", "9ceefa80f154eb97"),
+        "map-binomial-hyp": ("49b7209f962cc762", "c7d09f588a71bc89"),
+        "map-binomial-hyp-bound": ("49b7209f962cc762", "e7410f356f464d0e"),
+        "map-const": ("8e2dc312632257c5", "250aaa871e94d4f7"),
+        "map-const-bound": ("8e2dc312632257c5", "df12dc00dce81476"),
+        "map-const-hyp": ("94d4d1a5420da39d", "c7d09f588a71bc89"),
+        "map-const-hyp-bound": ("94d4d1a5420da39d", "edef832573af9133"),
+        "msort": ("8da835c56821a6b6", "943506d3a15368a4"),
+        "msort-bound": ("8da835c56821a6b6", "56a2d127bd9f0901"),
+        "qsort": ("5946763ccea2968b", "2f1d73c459aedd5d"),
+        "qsort-bound": ("5946763ccea2968b", "310624e92458a1c0"),
+        "state-double": ("f8cb3665a2a0cf8f", "3f61399d392f6591"),
+        "state-double-bound": ("f8cb3665a2a0cf8f", "3f61399d392f6591"),
+        "sublist": ("b265a3170593040f", "9dfc3d3bd1b3464b"),
+        "sublist-unit": ("fa4da15e172ad46f", "d5965bbba2a6fbf8"),
+        "sublist-unit-bound": ("fa4da15e172ad46f", "d5965bbba2a6fbf8"),
+        "twice-hyp": ("523d2d88765b737a", "2379d4015bdc18f9"),
+        "twice-hyp-bound": ("3fb07340be567b95", "2379d4015bdc18f9"),
+        "twice-unit": ("523d2d88765b737a", "7baff9060cdbfd61"),
+        "twice-unit-bound": ("3fb07340be567b95", "2379d4015bdc18f9"),
     },
 }
 
@@ -361,14 +368,26 @@ _LAWS = {
 }
 
 
+def _moved(got: dict, pinned: dict) -> dict:
+    """Each entry whose digests differ from the pinned ones, with the
+    halves that moved."""
+    halves = ("outcome", "counters")
+    return {
+        name: [h for h, g, p in zip(halves, got.get(name, (None,) * 2),
+                                     pinned.get(name, (None,) * 2)) if g != p]
+        for name in pinned.keys() | got.keys()
+        if got.get(name) != pinned.get(name)
+    }
+
+
 @pytest.mark.parametrize("mode", ("cost", "ext"))
 def test_check_report_is_pinned(mode, check_json):
-    assert report_digests(mode, check_json) == _REPORTS[mode]
+    assert _moved(report_digests(mode, check_json), _REPORTS[mode]) == {}
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 def test_program_outcomes_and_counters_are_pinned(mode):
-    assert program_digests(mode) == _PROGRAMS[mode.value]
+    assert _moved(program_digests(mode), _PROGRAMS[mode.value]) == {}
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)

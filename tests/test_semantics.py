@@ -1,5 +1,6 @@
 """Evaluator behavior: worked examples, step laws, mode collapse."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from stepbound.corpus import (
     BERNOULLI, BINOMIAL, BRANCH_EXAMPLE, DOUBLE, INSERT, ISORT, ISORT_BOUND,
     MAP_BINOM, MAP_BINOM_BOUND, STATE_DOUBLE, _INSERT_DOMAIN, _MAP_DOMAIN,
 )
+from stepbound import semantics
 from stepbound.costs import SEQ_NAT, WORK_SPAN
 from stepbound.gen import (
     RATIONAL_POOL, STATE_NAT, TermGen, gen_dist, random_theory,
@@ -24,8 +26,8 @@ from stepbound.semantics import (
     pair_sort_key, val_str,
 )
 from stepbound.syntax import (
-    NAT, NONDET, PROB, UNIT, Ap, ArrowTy, Bind, Branch, CostLit, Flip, FTy,
-    Lam, NatRec, Program, PURE, Ret, Step, Triv, Var, Zero, map_scopes,
+    BOOL, NAT, NONDET, PROB, UNIT, Ap, ArrowTy, Bind, Branch, CostLit, Flip,
+    FTy, Lam, NatRec, Program, PURE, Ret, Step, Triv, Var, Zero, map_scopes,
     nat_lit, parse, scopes,
 )
 from stepbound.typecheck import check_program, elaborate
@@ -629,10 +631,14 @@ def test_mutated_isort_first_counterexample_is_unchanged():
 # A `ret v` under steps compiles to a (cost, value) pair that `bind`, `flip`
 # and `branch` fuse into their own results.  `ap(λu:unit. ret v, tt)` is not
 # effect-free, so rewriting every `ret` that way runs the general closures.
+# That also defeats the prob bind's fused continuations: a flip needs two
+# effect-free arms, and a bind over a hoisted scrutinee an effect-free body.
 
 
 def _general(t):
-    """``t`` with every ``ret v`` rewritten to ``ap(λu:unit. ret v, tt)``."""
+    """``t`` with every ``ret v`` rewritten to ``ap(λu:unit. ret v, tt)``,
+    so that no fused path runs: every shape ``_prob_spread`` fuses ends
+    in a ``ret``."""
     t = map_scopes(t, lambda sub, names: (names, _general(sub)))
     if type(t) is not Ret:
         return t
@@ -687,6 +693,200 @@ def test_fused_branch_of_equal_arms_is_one_branch():
         Branch(Ret(Zero(), ty=ty), Ret(Zero(), ty=ty), ty=ty)
     )
     assert out.branches == frozenset({(0, nat(0))})
+
+
+# -- the fused prob bind ----------------------------------------------------------
+#
+# A prob `bind(m, x. K)` adds the weighted pairs of K into one accumulator
+# when K is effect-free, a flip of two effect-free arms, or a bind over a
+# scrutinee that does not name x (evaluated once per run) with an
+# effect-free body.  The spy counts the runs of each shape.
+
+
+def _spy_prob_spread(monkeypatch) -> collections.Counter:
+    """Counts, by shape, the runs of every fused prob bind compiled from
+    now on: "pair", "flip" and "hoisted", and "hoisted>1" for a hoisted
+    scrutinee of more than one key."""
+    runs, real = collections.Counter(), semantics._prob_spread
+
+    def spy(ev, k, x):
+        spread = real(ev, k, x)
+        if spread is None:
+            return None
+        shape = {Flip: "flip", Bind: "hoisted"}.get(type(k), "pair")
+
+        def counted(env):
+            den, feed = spread(env)
+            runs[shape] += 1
+            if shape == "hoisted" and den > 1:
+                runs["hoisted>1"] += 1
+            return den, feed
+
+        return counted
+
+    monkeypatch.setattr(semantics, "_prob_spread", spy)
+    return runs
+
+
+_BASE_TYS = (NAT, BOOL, UNIT)
+
+
+def _fusable_bind(gen):
+    """``bind(m, x. K)`` from generated parts, ``K`` a flip of two
+    effect-free arms or a bind of an effect-free body over a generated
+    scrutinee that may name ``x``, by a variable that may shadow it."""
+    rng = gen.rng
+    ty = gen.result_ty()
+    a_ty, b_ty = rng.choice(_BASE_TYS), rng.choice(_BASE_TYS)
+
+    def arm(ctx):
+        ret = Ret(gen.value(ctx, ty.value), ty=ty)
+        if rng.random() < 0.5:
+            return Step(CostLit(gen.cost()), ret, ty=ty)
+        return ret
+
+    ctx = {"x": a_ty}
+    if rng.random() < 0.4:
+        k = Flip(gen.rational(), arm(ctx), arm(ctx), ty=ty)
+    else:
+        y, e_ctx = rng.choice(("x", "y")), ctx if rng.random() < 0.5 else {}
+        e = Flip(gen.rational(), *(gen.synth_comp(FTy(b_ty), 2, e_ctx)
+                                   for _ in range(2)), ty=FTy(b_ty))
+        k = Bind(e, y, arm({**ctx, y: b_ty}), ty=ty)
+    return Bind(gen.synth_comp(FTy(a_ty), 2), "x", k, ty=ty)
+
+
+@pytest.mark.parametrize("mode", [COST, EXT], ids=["cost", "ext"])
+def test_fused_prob_binds_match_the_general_closures(mode, monkeypatch):
+    runs = _spy_prob_spread(monkeypatch)
+    cfg = DomainConfig(nat_max=3, list_len=2, elems=2)
+    bodies = []
+    for seed in range(4):
+        rng = random.Random(seed)
+        gen = TermGen(rng, PROB)
+        bodies += [_fusable_bind(gen) for _ in range(100)]
+        bodies += [gen.closed_comp(gen.result_ty(), rng.randint(1, 4))
+                   for _ in range(60)]
+
+    def outcomes(terms):
+        return [Evaluator(PROB, SEQ_NAT, mode, cfg).outcome(b) for b in terms]
+
+    fused = outcomes(bodies)
+    fired = dict(runs)
+    runs.clear()
+    general = outcomes([_general(b) for b in bodies])
+    assert not runs  # no shape fires once every `ret` is rewritten
+    # equal Dists in lowest terms, printed alike
+    assert [str(o) for o in fused] == [str(o) for o in general]
+    assert fused == general
+    assert all(fired.get(shape, 0) >= 30
+               for shape in ("pair", "flip", "hoisted", "hoisted>1")), fired
+
+
+def _prob_term(src, ty="(F nat)"):
+    return elaborate(parse(f"#effect prob\n(: {ty} {src})")).body
+
+
+_M = "(flip 1/3 (ret 0) (step 1 (ret 1)))"  # (0, 0) -> 2/3, (1, 1) -> 1/3
+_E = "(flip 1/4 (ret 2) (step 2 (ret 3)))"  # (0, 2) -> 3/4, (2, 3) -> 1/4
+
+
+def test_a_hoisted_scrutinee_whose_variable_shadows_the_outer_one(monkeypatch):
+    runs = _spy_prob_spread(monkeypatch)
+    body = _prob_term(f"(bind {_M} (x (bind {_E} (x (ret x)))))")
+    # the inner x is e's value; the costs add
+    assert str(_prob_outcome(body)) == \
+        "{(0, 2) -> 1/2, (1, 2) -> 1/4, (2, 3) -> 1/6, (3, 3) -> 1/12}"
+    assert runs["hoisted"] == 1 and runs["hoisted>1"] == 1
+    assert _prob_outcome(body) == _prob_outcome(_general(body))
+
+
+def test_an_inner_scrutinee_naming_the_variable_runs_per_key(monkeypatch):
+    runs = _spy_prob_spread(monkeypatch)
+    body = _prob_term(
+        f"(bind {_M} (x (bind (flip 1/2 (ret x) (step 1 (ret 2)))"
+        " (y (ret y)))))"
+    )
+    assert str(_prob_outcome(body)) == \
+        "{(0, 0) -> 1/3, (1, 1) -> 1/6, (1, 2) -> 1/3, (2, 2) -> 1/6}"
+    # the inner bind runs once per key of the outer scrutinee, fusing
+    # its own effect-free body; nothing is hoisted
+    assert runs == {"pair": 2}
+    assert _prob_outcome(body) == _prob_outcome(_general(body))
+
+
+@pytest.mark.parametrize("cont, shape", [
+    ("(flip 1/4 (step 1 (ret tt)) (ret tt))", "flip"),
+    (f"(bind {_E} (y (step 1 (ret tt))))", "hoisted"),
+], ids=["flip", "hoisted"])
+def test_fused_continuations_equal_once_steps_vanish_give_a_point_mass(
+        cont, shape, monkeypatch):
+    runs = _spy_prob_spread(monkeypatch)
+    body = _prob_term(f"(bind {_M} (x {cont}))", "(F unit)")
+    assert _prob_outcome(body) == _prob_outcome(_general(body))
+    out = _prob_outcome(body, EXT)
+    assert (out.dist.nums, out.dist.den) == ({(0, ("unit",)): 1}, 1)
+    assert out == _prob_outcome(_general(body), EXT)
+    assert runs[shape] == 2
+
+
+def test_a_prob_bind_at_function_type_is_not_fused(monkeypatch):
+    runs = _spy_prob_spread(monkeypatch)
+
+    def program(body):
+        return parse("#effect prob\n"
+                     f"(: (-> nat (F nat)) (lam (a : nat) {body}))")
+
+    flip = ("(flip 1/2 (lam (y : nat) (step x (ret y)))"
+            " (lam (y : nat) (ret x)))")
+    _, check = relation_check(
+        Relation.EQUAL, program(f"(ap (bind {_M} (x {flip})) a)"),
+        program(f"(bind {_M} (x (ap {flip} a)))"), COST,
+        DomainConfig(nat_max=3),
+    )
+    assert check().holds
+    assert not runs
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("#effect nondet\n(: (F nat) (bind (branch (ret 0) (step 1 (ret 1)))"
+     " (x (branch (ret x) (step 1 (ret 2))))))",
+     "{(0, 0), (1, 1), (1, 2), (2, 2)}"),
+    ("#effect nondet\n(: (F nat) (bind (branch (ret 0) (step 1 (ret 1)))"
+     " (x (bind (branch (ret 2) (step 2 (ret 3))) (y (ret y))))))",
+     "{(0, 2), (1, 2), (2, 3), (3, 3)}"),
+    # the inner get must read the state the outer scrutinee set
+    ("#effect state:nat\n(: (F nat) (bind (set 3 (ret 0))"
+     " (x (bind (get (s (ret s))) (y (ret y))))))",
+     "{0 -> (0, 3, 3); 1 -> (0, 3, 3); 2 -> (0, 3, 3); 3 -> (0, 3, 3)}"),
+], ids=["nondet-flip-like", "nondet-hoistable", "state-hoistable"])
+def test_nondet_and_state_binds_of_the_fused_shapes_stay_unfused(
+        source, expected, monkeypatch):
+    runs = _spy_prob_spread(monkeypatch)
+    prog = parse(source)
+    body, cfg = elaborate(prog).body, DomainConfig(state_max=3)
+    ev = Evaluator(prog.theory, SEQ_NAT, COST, cfg)
+    assert str(ev.outcome(body)) == expected
+    assert ev.outcome(body) == Evaluator(prog.theory, SEQ_NAT, COST, cfg) \
+        .outcome(_general(body))
+    assert not runs
+
+
+@pytest.mark.parametrize("monoid", [SEQ_NAT, WORK_SPAN], ids=["seq", "par"])
+def test_prob_charge_is_in_lowest_terms_without_reducing(monoid):
+    # adding a cost is injective, so charging merges no keys
+    ops, rng = _ProbOps(monoid), random.Random(11)
+    values = (nat(0), nat(1), nat(2))
+    for _ in range(500):
+        m = gen_dist(rng, values)
+        if monoid is WORK_SPAN:
+            m = Dist({((c, rng.randrange(c + 1)), v): w for (c, v), w in m})
+            c = (rng.randrange(4), rng.randrange(4))
+        else:
+            c = rng.randrange(4)
+        charged = ops.charge(c, m)
+        assert charged == Dist({(monoid.add(c, c0), v): w for (c0, v), w in m})
+        assert hash(charged) == hash(Dist(dict(charged.items)))
 
 
 # -- effects at function type ----------------------------------------------------
