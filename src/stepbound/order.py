@@ -45,8 +45,8 @@ from .records import asdict, record, replace
 from .semantics import (
     DEFAULT_CONFIG, Dist, DomainConfig, EvalError, EvalMode, Evaluator,
     NondetOutcome, Outcome, ProbOutcome, PureOutcome, StateOutcome,
-    cost_sort_key, enumerate_inputs, enumerate_value_ty, pair_sort_key,
-    val_sort_key, val_str,
+    cost_sort_key, enumerate_inputs, enumerate_value_ty, extreme_cost,
+    pair_sort_key, val_sort_key, val_str,
 )
 from .syntax import ArrowTy, CompTerm, Program, map_scopes, subterms
 from .typecheck import elaborate
@@ -595,10 +595,8 @@ def pointwise(
     for args in inputs:
         outs = ev.outcome(lhs, args), ev.outcome(rhs, args)
         mx, mn = outs[side].max_cost(), outs[side].min_cost()
-        if mx is not None and (hi is None or cost_sort_key(mx) > cost_sort_key(hi)):
-            hi = mx
-        if mn is not None and (lo is None or cost_sort_key(mn) < cost_sort_key(lo)):
-            lo = mn
+        hi = extreme_cost([c for c in (hi, mx) if c is not None], max)
+        lo = extreme_cost([c for c in (lo, mn) if c is not None], min)
         v = decide(*outs)
         if not v.holds:
             v.witness.input = ", ".join(val_str(a) for a in args)

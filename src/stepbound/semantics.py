@@ -203,10 +203,10 @@ class NondetOutcome(Outcome):
         return "{" + body + "}"
 
     def max_cost(self):
-        return _extreme_cost((c for c, _ in self.branches), max)
+        return extreme_cost((c for c, _ in self.branches), max)
 
     def min_cost(self):
-        return _extreme_cost((c for c, _ in self.branches), min)
+        return extreme_cost((c for c, _ in self.branches), min)
 
 
 class Dist:
@@ -303,10 +303,10 @@ class ProbOutcome(Outcome):
         return "{" + body + "}"
 
     def max_cost(self):
-        return _extreme_cost((c for c, _ in self.dist.nums), max)
+        return extreme_cost((c for c, _ in self.dist.nums), max)
 
     def min_cost(self):
-        return _extreme_cost((c for c, _ in self.dist.nums), min)
+        return extreme_cost((c for c, _ in self.dist.nums), min)
 
 
 @record
@@ -327,17 +327,23 @@ class StateOutcome(Outcome):
         return "{" + body + "}" + esc
 
     def max_cost(self):
-        return _extreme_cost((c for _, (c, _, _) in self.table), max)
+        return extreme_cost((c for _, (c, _, _) in self.table), max)
 
     def min_cost(self):
-        return _extreme_cost((c for _, (c, _, _) in self.table), min)
+        return extreme_cost((c for _, (c, _, _) in self.table), min)
 
 
-def _extreme_cost(costs, pick):
+def extreme_cost(costs, pick):
+    """The join (``pick`` is ``max``) or the meet (``min``) of ``costs``
+    in the cost order, or None if there are none.  The order on
+    work/span pairs is componentwise, so their join and meet are taken
+    componentwise and need not be among ``costs``."""
     costs = list(costs)
     if not costs:
         return None
-    return pick(costs, key=cost_sort_key)
+    if isinstance(costs[0], tuple):
+        return tuple(map(pick, zip(*costs)))
+    return pick(costs)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +355,9 @@ class _PureOps:
     """F-level monadic operations; arrow lifting is the evaluator's job,
     so ``bind`` continuations here always return F-level denotations.
 
-    The ``*_pure`` operations take effect-free computations (see
-    ``_effect_free``) as ``(cost, value)`` pairs, never wrapped in the
-    theory's denotation: ``bind_pure``'s continuation returns a pair, and
-    ``flip_pure`` and ``branch_pure`` take two.  The pure theory needs
-    none of them, nor ``bind``: its denotations are the pairs, so every
-    scrutinee is effect-free and ``_c_bind`` charges its cost itself.
-    The prob theory has ``bind_fused`` in place of ``bind_pure``.
+    The pure theory needs no ``bind``: its denotations are the
+    ``(cost, value)`` pairs, so every scrutinee is effect-free (see
+    ``_effect_free``) and ``_c_bind`` charges its cost itself.
 
     ``values`` is the evaluator's value table, a dict holding one stored
     copy of each value it keeps (hash-consing): the pure ``unit`` and
@@ -389,15 +391,11 @@ class _PureOps:
     def branch(self, m0, m1):
         self._outside("branch")
 
-    branch_pure = branch
-
     def fail(self):
         self._outside("fail")
 
     def flip(self, p, m0, m1):
         self._outside("flip")
-
-    flip_pure = flip
 
     def get(self, k):
         self._outside("get")
@@ -422,19 +420,8 @@ class _NondetOps(_PureOps):
             acc.update(self.charge(c0, k(v)))
         return frozenset(acc)
 
-    def bind_pure(self, m, k):
-        add = self.monoid.add
-        out = []
-        for c0, v in m:
-            c1, v1 = k(v)
-            out.append((add(c0, c1), v1))
-        return frozenset(out)
-
     def branch(self, m0, m1):
         return m0 | m1
-
-    def branch_pure(self, a, b):
-        return frozenset((a, b))
 
     def fail(self):
         return frozenset()
@@ -444,13 +431,11 @@ class _ProbOps(_PureOps):
     """Distributions in integers: each operation scales numerators to a
     common denominator and reduces once, at the end.
 
-    An effect-free operand is a point mass, so no operation builds a
-    ``Dist`` for it.  ``bind_fused`` takes a continuation as weighted
-    pairs (an effect-free one is a single pair) and adds them into one
-    accumulator for all keys of ``m``, reducing once; when every key
+    ``bind_fused`` takes a continuation as weighted pairs (see
+    ``_prob_spread``) and adds them into one accumulator for all keys of
+    ``m``, reducing once, so no key builds a ``Dist``; when every key
     gives one pair and no two merged it moves ``m``'s numerators as they
-    are.  ``flip_pure`` builds its two keys' weights directly, in lowest
-    terms because ``p`` is."""
+    are."""
 
     kind = "prob"
 
@@ -513,13 +498,6 @@ class _ProbOps(_PureOps):
             acc[key] = acc.get(key, 0) + s1 * n
         return Dist._of(acc, b * den)
 
-    def flip_pure(self, p: Fraction, a, b):
-        if a == b:
-            return Dist._reduced({a: 1}, 1)
-        # gcd(den - n, n, den) = gcd(n, den) = 1
-        n, den = p.numerator, p.denominator
-        return Dist._reduced({a: den - n, b: n}, den)
-
 
 class _StateOps(_PureOps):
     kind = "state"
@@ -546,16 +524,6 @@ class _StateOps(_PureOps):
             c0, s1, v1 = m(s)
             c2, s2, v2 = k(v1)(s1)
             return (add(c0, c2), s2, v2)
-
-        return run
-
-    def bind_pure(self, m, k):
-        add = self.monoid.add
-
-        def run(s):
-            c0, s1, v = m(s)
-            c1, v1 = k(v)
-            return (add(c0, c1), s1, v1)
 
         return run
 
@@ -596,20 +564,18 @@ class Evaluator:
     arrow, the theory operation it calls, and whether a charge is zero
     or the mode extensional.  The closure does only the run-time work.
     It also settles whether a sub-term is an effect-free computation, a
-    ``ret v`` under steps (in the pure theory, any computation at F
-    type), which then compiles to a ``(cost, value)`` pair never wrapped
-    in the theory's denotation.  Four places take the pair as it is: a
-    ``bind`` with an effect-free continuation (``ops.bind_pure``), a
-    ``bind`` with an effect-free scrutinee (its cost charged to the
-    continuation's denotation), and a ``flip`` or ``branch`` with two
-    effect-free arms (``ops.flip_pure``, ``ops.branch_pure``).  A prob
-    ``bind`` at F type also fuses two more continuations into its one
-    accumulator (``ops.bind_fused``, see ``_prob_spread``): a ``flip``
-    of two effect-free arms, and a ``bind(e, y. Q)`` with ``Q``
-    effect-free and ``e`` not naming the outer variable, whose ``e`` is
-    then evaluated once per run, not once per key of the scrutinee, so
-    it makes fewer table hits.  Every other node runs its own
-    closure.  Each computation node compiles once
+    ``ret v`` under literal steps (in the pure theory, any computation
+    at F type), which then compiles to a ``(cost, value)`` pair never
+    wrapped in the theory's denotation.  Two places take the pair as it
+    is: a ``bind`` with an effect-free scrutinee, the pure theory's only
+    bind, charges its cost to the continuation's denotation; and a prob
+    ``bind`` at F type fuses its continuation into one accumulator
+    (``ops.bind_fused``, see ``_prob_spread``) when that is effect-free,
+    a ``flip`` of two effect-free arms, or a ``bind(e, y. Q)`` with
+    ``Q`` effect-free and ``e`` not naming the outer variable, whose
+    ``e`` is then evaluated once per run, not once per key of the
+    scrutinee, so it makes fewer table hits.  Every other node runs its
+    own closure.  Each computation node compiles once
     per evaluator, on first use, and its closure is kept in ``_compiled``
     by the node's identity: a node reached again, as a forced thunk body
     or as part of another body evaluated here, runs the closures compiled
@@ -973,40 +939,22 @@ def _effect_free(ev, t):
     effect-free; else None.
 
     An effect-free computation is a ``ret v`` under zero or more
-    ``step``s; in the pure theory every computation at F type is one, its
-    denotation being the pair.  The pair form is a closure ``env ->
-    (cost, value)`` that builds no denotation of the theory: ``_c_bind``,
-    ``_c_flip`` and ``_c_branch`` fuse it into their own result instead.
-    In extensional mode the steps vanish."""
+    ``step``s of literal cost; in the pure theory every computation at F
+    type is one, its denotation being the pair.  The pair form is a
+    closure ``env -> (cost, value)`` that builds no denotation of the
+    theory: ``_c_bind`` and ``_prob_spread`` take it as it is.  In
+    extensional mode the steps vanish."""
     if ev.theory.kind == "pure":
         return ev._comp(t)
-    costs = []
-    while type(t) is Step:
-        costs.append(t.cost)
+    cost, add = ev.ops.zero, ev.monoid.add
+    while type(t) is Step and type(t.cost) is CostLit:
+        if not ev.ext:
+            cost = add(cost, t.cost.value)
         t = t.body
     if type(t) is not Ret:
         return None
-    value, add = ev._value(t.value), ev.monoid.add
-    lit, terms = ev.ops.zero, []  # literal costs summed here, nat costs later
-    for c in () if ev.ext else costs:
-        match c:
-            case CostLit(c):
-                lit = add(lit, c)
-            case NatCost(term):
-                terms.append(ev._value(term))
-            case _:
-                raise EvalError(f"bad cost expression {c!r}")
-    if not terms:
-        return lambda env: (lit, value(env))
-    scale = ev.monoid.scale
-
-    def run(env):
-        c = lit
-        for n in terms:
-            c = add(c, scale(n(env)[1]))
-        return (c, value(env))
-
-    return run
+    value = ev._value(t.value)
+    return lambda env: (cost, value(env))
 
 
 def _c_ret(ev, t):
@@ -1032,27 +980,11 @@ def _c_bind(ev, t):
 
         return run
     comp = ev._comp(t.comp)
-    fusable = not isinstance(t.ty, ArrowTy)
-    if fusable and ev.theory.kind == "prob":
+    if ev.theory.kind == "prob" and not isinstance(t.ty, ArrowTy):
         spread = _prob_spread(ev, t.body, x)
         if spread is not None:
             bind_fused = ev.ops.bind_fused
             return lambda env: bind_fused(comp(env), *spread(env))
-    elif fusable and (pair := _effect_free(ev, t.body)) is not None:
-        bind_pure = ev.ops.bind_pure
-
-        def run(env):
-            # a pair holds no reference to the environment it was
-            # computed in, so one copy serves every value of ``comp``
-            e2 = dict(env)
-
-            def k(v):
-                e2[x] = v
-                return pair(e2)
-
-            return bind_pure(comp(env), k)
-
-        return run
     body = ev._comp(t.body)
     bind = ev._at(t.ty, ev.ops.bind, ev._bind_at)
 
@@ -1079,9 +1011,11 @@ def _prob_spread(ev, k, x):
       ``Q``'s pair at ``y = y1``, charged ``c1``, of weight ``n1`` over
       ``e``'s denominator.
 
-    Each pair is computed in one copy of the environment, as in
-    ``bind_pure``.  Nondet and state binds are not fused this way: in
-    state, evaluating ``e`` once would reorder its effects."""
+    Each pair is computed in one copy of the environment: a pair holds
+    no reference to the environment it was computed in, so one copy
+    serves every key of the scrutinee.  Nondet and state binds are not
+    fused this way: in state, evaluating ``e`` once would reorder its
+    effects."""
     add = ev.monoid.add
     if type(k) is Bind:
         q = _effect_free(ev, k.body)
@@ -1105,8 +1039,8 @@ def _prob_spread(ev, k, x):
 
         return hoisted
     if type(k) is Flip:
-        pairs = _effect_free_arms(ev, k)
-        if pairs is None:
+        pairs = _effect_free(ev, k.left), _effect_free(ev, k.right)
+        if None in pairs:
             return None
         a, den = k.prob.numerator, k.prob.denominator
         arms = tuple((w, p) for w, p in zip((den - a, a), pairs) if w)
@@ -1326,21 +1260,7 @@ def _c_listrec(ev, t):
     return run
 
 
-def _effect_free_arms(ev, t):
-    """The pair forms of ``t``'s two arms if both are effect-free, else
-    None."""
-    if isinstance(t.ty, ArrowTy):
-        return None
-    left = _effect_free(ev, t.left)
-    right = None if left is None else _effect_free(ev, t.right)
-    return None if right is None else (left, right)
-
-
 def _c_branch(ev, t):
-    arms = _effect_free_arms(ev, t)
-    if arms is not None:
-        (left, right), branch = arms, ev.ops.branch_pure
-        return lambda env: branch(left(env), right(env))
     left, right = ev._comp(t.left), ev._comp(t.right)
     branch = ev._at(t.ty, ev.ops.branch, partial(ev._combine2, ev.ops.branch))
     return lambda env: branch(left(env), right(env))
@@ -1359,10 +1279,6 @@ def _c_flip(ev, t):
         return ev._comp(t.left)
     if p == 1:
         return ev._comp(t.right)
-    arms = _effect_free_arms(ev, t)
-    if arms is not None:
-        (left, right), flip = arms, partial(ev.ops.flip_pure, p)
-        return lambda env: flip(left(env), right(env))
     left, right = ev._comp(t.left), ev._comp(t.right)
     flip = partial(ev.ops.flip, p)
     flip = ev._at(t.ty, flip, partial(ev._combine2, flip))

@@ -341,6 +341,22 @@ def test_verify_reports_the_spec_monoid_for_its_cost_range():
     assert "cost[(0 0)..(3 3)]" in format_table([rep], [])
 
 
+def test_a_work_span_cost_range_is_the_componentwise_meet_and_join():
+    # (2 5) and (3 1) are incomparable: a lexicographic fold would call
+    # (2 5) the least and (3 1) the greatest, a "min" above its "max"
+    arms = "(step (3 1) (ret 0)) (step (2 5) (ret 0))"
+    prog = parse("#cost par\n(: (-> bool (F nat)) "
+                 f"(lam (b : bool) (if b {arms})))")
+    rep = verify(BoundSpec("ws-incomparable", prog, prog, Relation.EQUAL,
+                           DomainConfig()))
+    assert (rep.min_cost, rep.max_cost) == ((2, 1), (3, 5))
+    assert "cost[(2 1)..(3 5)]" in format_table([rep], [])
+    branch = parse(f"#effect nondet\n#cost par\n(: (F nat) (branch {arms}))")
+    ev, body = program_evaluator(branch, COST, DomainConfig())
+    out = ev.outcome(body)
+    assert (out.min_cost(), out.max_cost()) == ((2, 1), (3, 5))
+
+
 @pytest.mark.parametrize("mode", [COST, EvalMode.EXTENSIONAL],
                          ids=["cost", "ext"])
 @pytest.mark.parametrize("name, decider", [

@@ -28,7 +28,7 @@ from stepbound.semantics import (
 from stepbound.syntax import (
     BOOL, NAT, NONDET, PROB, UNIT, Ap, ArrowTy, Bind, Branch, CostLit, Flip,
     FTy, Lam, NatRec, Program, PURE, Ret, Step, Triv, Var, Zero, map_scopes,
-    nat_lit, parse, scopes,
+    nat_lit, parse, scopes, term_str,
 )
 from stepbound.typecheck import check_program, elaborate
 
@@ -360,6 +360,9 @@ def test_monad_laws_semantically():
 
 
 def test_extensional_mode_zeroes_costs_only():
+    # noninterference, the paper's claim that cost accounting does not
+    # change behaviour: the ext-mode outcome is the cost-mode outcome with
+    # every cost set to zero and the keys that then coincide merged
     rng = random.Random(37)
     cfg = DomainConfig(nat_max=3, list_len=2, elems=2, state_max=4)
     for _ in range(150):
@@ -369,6 +372,18 @@ def test_extensional_mode_zeroes_costs_only():
         cost_out = evaluate(prog, COST, cfg)
         ext_out = evaluate(prog, EXT, cfg)
         assert _zeroed(cost_out) == _strip_mode(ext_out)
+    # and in each theory, over closed terms of every depth up to 4
+    for theory, seed in itertools.product((PURE, NONDET, PROB, STATE_NAT),
+                                          range(4)):
+        rng = random.Random(seed)
+        gen = TermGen(rng, theory)
+        for _ in range(150):
+            body = gen.closed_comp(gen.result_ty(), rng.randint(1, 4))
+            cost_out, ext_out = (
+                Evaluator(theory, SEQ_NAT, mode, cfg).outcome(body)
+                for mode in (COST, EXT)
+            )
+            assert _zeroed(cost_out) == _strip_mode(ext_out), term_str(body)
 
 
 def _strip_mode(out):
@@ -393,9 +408,10 @@ def _zeroed(out):
         )
     if isinstance(out, ProbOutcome):
         acc = {}
-        for (c, v), w in out.dist:
-            acc[(0, v)] = acc.get((0, v), Fraction(0)) + w
-        return dataclasses.replace(out, dist=Dist(acc), mode=None)
+        for (c, v), n in out.dist.nums.items():
+            acc[(0, v)] = acc.get((0, v), 0) + n
+        return dataclasses.replace(out, dist=Dist._of(acc, out.dist.den),
+                                   mode=None)
     if isinstance(out, StateOutcome):
         table = tuple((s0, (0, s1, v)) for s0, (c, s1, v) in out.table)
         return dataclasses.replace(out, table=table, mode=None)
@@ -628,11 +644,14 @@ def test_mutated_isort_first_counterexample_is_unchanged():
 
 # -- effect-free computations ------------------------------------------------------
 #
-# A `ret v` under steps compiles to a (cost, value) pair that `bind`, `flip`
-# and `branch` fuse into their own results.  `ap(λu:unit. ret v, tt)` is not
-# effect-free, so rewriting every `ret` that way runs the general closures.
-# That also defeats the prob bind's fused continuations: a flip needs two
-# effect-free arms, and a bind over a hoisted scrutinee an effect-free body.
+# A `ret v` under literal steps compiles to a (cost, value) pair: a `bind`
+# over one charges its cost to the continuation, and a prob `bind` fuses
+# an effect-free continuation into its one accumulator (`_prob_spread`).
+# `ap(λu:unit. ret v, tt)` is not effect-free, so rewriting every `ret`
+# that way runs the general closures.  That also defeats the prob bind's
+# other fused continuations: a flip needs two effect-free arms, and a bind
+# over a hoisted scrutinee an effect-free body.  A `flip` or `branch`
+# outside such a continuation always runs its general closure.
 
 
 def _general(t):
@@ -669,7 +688,7 @@ def _prob_outcome(body, mode=COST):
     return Evaluator(PROB, SEQ_NAT, mode, DEFAULT_CONFIG).outcome(body)
 
 
-def test_fused_flip_of_arms_equal_once_steps_vanish_is_a_point_mass():
+def test_flip_of_arms_equal_once_steps_vanish_is_a_point_mass():
     ty = FTy(NAT)
     body = Flip(Fraction(1, 3), Step(CostLit(1), Ret(Zero(), ty=ty), ty=ty),
                 Ret(Zero(), ty=ty), ty=ty)
@@ -687,12 +706,54 @@ def test_fused_bind_reduces_merged_keys_to_a_point_mass():
     assert (out.dist.nums, out.dist.den) == ({(0, ("unit",)): 1}, 1)
 
 
-def test_fused_branch_of_equal_arms_is_one_branch():
+def test_branch_of_equal_arms_is_one_branch():
     ty = FTy(NAT)
     out = Evaluator(NONDET, SEQ_NAT, COST, DEFAULT_CONFIG).outcome(
         Branch(Ret(Zero(), ty=ty), Ret(Zero(), ty=ty), ty=ty)
     )
     assert out.branches == frozenset({(0, nat(0))})
+
+
+# -- nat-cost steps -----------------------------------------------------------------
+#
+# A `step` whose cost is a nat term runs `_c_step`, while the same step with
+# a literal cost over a `ret` is a pair form.  Generated terms draw only
+# literal costs, so each shape here is checked against its literal twin: N
+# becomes the λ's argument n in one and the numeral n in the other.  The
+# last prob shape binds a continuation `step x (ret x)`; its twin pushes
+# each value of the scrutinee through by hand.
+
+_NAT_COST_TERMS = {
+    "nondet-bind": ("nondet", "(bind (step N (ret 1))"
+                    " (x (branch (ret x) (step 1 (ret 2)))))", None),
+    "nondet-branch": ("nondet", "(branch (step N (ret 0)) (ret 1))", None),
+    "prob-bind": ("prob", "(bind (step N (ret 1))"
+                  " (x (flip 1/3 (ret x) (step 1 (ret 2)))))", None),
+    "prob-flip": ("prob", "(flip 1/3 (step N (ret 0)) (ret 1))", None),
+    "prob-continuation": (
+        "prob", "(bind (flip 1/3 (ret N) (step 1 (ret 2)))"
+        " (x (step x (ret x))))",
+        "(flip 1/3 (step N (ret N)) (step 1 (step 2 (ret 2))))"),
+    "state-bind": ("state:nat", "(bind (step N (ret 1))"
+                   " (x (get (s (set x (ret s))))))", None),
+}
+
+
+@pytest.mark.parametrize("mode", [COST, EXT], ids=["cost", "ext"])
+@pytest.mark.parametrize("shape", _NAT_COST_TERMS)
+def test_a_nat_cost_step_equals_its_literal_twin(shape, mode):
+    effect, term, twin = _NAT_COST_TERMS[shape]
+
+    def program(body):
+        return parse(f"#effect {effect}\n"
+                     f"(: (-> nat (F nat)) (lam (n : nat) {body}))")
+
+    ev, body = program_evaluator(program(term.replace("N", "n")), mode,
+                                 DEFAULT_CONFIG)
+    for n in range(4):
+        literal = program((twin or term).replace("N", str(n)))
+        ev_lit, lit = program_evaluator(literal, mode, DEFAULT_CONFIG)
+        assert ev.outcome(body, (nat(n),)) == ev_lit.outcome(lit, (nat(n),))
 
 
 # -- the fused prob bind ----------------------------------------------------------
