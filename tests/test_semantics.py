@@ -954,39 +954,85 @@ def test_prob_charge_is_in_lowest_terms_without_reducing(monoid):
 #
 # A computation of type `nat -> F nat` denotes a function, and the evaluator
 # lifts each effect operation through its argument.  Applying the operation
-# to `a` must equal the operation with `a` pushed into its operands.
+# to `a` must equal the operation with `a` pushed into its operands.  At
+# `nat -> nat -> F nat` the lifting goes through both arrows, and a list
+# recursor at arrow type lifts its per-cons charge the same way.
 
 _F = "(lam (y : nat) (step y (ret (suc y))))"
 _G = "(lam (y : nat) (step 1 (ret y)))"
 _K = "(lam (y : nat) (step x (ret (suc y))))"  # x bound by the enclosing bind
 _H = "(lam (y : nat) (get (s (step y (ret s)))))"
+# the same at two arguments
+_F2 = "(lam (y : nat) (lam (z : nat) (step y (ret (suc z)))))"
+_G2 = "(lam (y : nat) (lam (z : nat) (step 1 (ret y))))"
+_K2 = "(lam (y : nat) (lam (z : nat) (step x (ret (suc z)))))"
+_H2 = "(lam (y : nat) (lam (z : nat) (get (s (step y (set z (ret s)))))))"
+# a fold over a list that charges 1 per cons: at arrow type, and pushed
+_LEN = ("(listrec l (: (-> nat (F nat))) (lam (y : nat) (ret y)) "
+        "(x xs r (lam (y : nat) (bind (ap r y) (n (step x (ret (suc n))))))))")
+_LEN_AT_A = ("(listrec l (ret a) "
+             "(x xs r (bind r (n (step x (ret (suc n)))))))")
+_ARG_TY = {"a": "nat", "b": "nat", "l": "(list 1 nat)"}
 
 
-@pytest.mark.parametrize("effect, op, pushed", [
-    ("nondet", f"(branch {_F} {_G})", f"(branch (ap {_F} a) (ap {_G} a))"),
-    ("nondet", "fail", "fail"),
-    ("prob", f"(flip 1/3 {_F} {_G})", f"(flip 1/3 (ap {_F} a) (ap {_G} a))"),
+@pytest.mark.parametrize("effect, args, op, pushed", [
+    ("nondet", "a", f"(branch {_F} {_G})", f"(branch (ap {_F} a) (ap {_G} a))"),
+    ("nondet", "a", "fail", "fail"),
+    ("prob", "a", f"(flip 1/3 {_F} {_G})",
+     f"(flip 1/3 (ap {_F} a) (ap {_G} a))"),
     # scrutinees that are not a ret under steps, so the general bind runs
-    ("nondet", f"(bind (branch (ret 0) (step 1 (ret 1))) (x {_K}))",
+    ("nondet", "a", f"(bind (branch (ret 0) (step 1 (ret 1))) (x {_K}))",
      f"(bind (branch (ret 0) (step 1 (ret 1))) (x (ap {_K} a)))"),
-    ("prob", f"(bind (flip 1/3 (ret 0) (step 1 (ret 2))) (x {_K}))",
+    ("prob", "a", f"(bind (flip 1/3 (ret 0) (step 1 (ret 2))) (x {_K}))",
      f"(bind (flip 1/3 (ret 0) (step 1 (ret 2))) (x (ap {_K} a)))"),
-    ("state:nat", f"(bind (get (s (ret s))) (x {_K}))",
+    ("state:nat", "a", f"(bind (get (s (ret s))) (x {_K}))",
      f"(bind (get (s (ret s))) (x (ap {_K} a)))"),
-    ("state:nat", "(get (s (lam (y : nat) (step s (ret y)))))",
+    ("state:nat", "a", "(get (s (lam (y : nat) (step s (ret y)))))",
      "(get (s (ap (lam (y : nat) (step s (ret y))) a)))"),
-    ("state:nat", f"(set 2 {_H})", f"(set 2 (ap {_H} a))"),
+    ("state:nat", "a", f"(set 2 {_H})", f"(set 2 (ap {_H} a))"),
+    ("nondet", "a", f"(step 2 {_F})", f"(step 2 (ap {_F} a))"),
+    # an effect-free scrutinee charges its cost to the continuation
+    *((effect, "a", f"(bind (step 1 (ret 0)) (x {_K}))",
+       f"(bind (step 1 (ret 0)) (x (ap {_K} a)))")
+      for effect in ("nondet", "prob", "state:nat")),
+    ("nondet", "l a", f"(lam (l : (list 1 nat)) {_LEN})", _LEN_AT_A),
+    # every operation through two arrows
+    ("nondet", "a b", f"(step 2 {_F2})", f"(step 2 (ap {_F2} a b))"),
+    ("nondet", "a b", f"(branch {_F2} {_G2})",
+     f"(branch (ap {_F2} a b) (ap {_G2} a b))"),
+    ("nondet", "a b", "fail", "fail"),
+    ("prob", "a b", f"(flip 1/3 {_F2} {_G2})",
+     f"(flip 1/3 (ap {_F2} a b) (ap {_G2} a b))"),
+    ("nondet", "a b", f"(bind (branch (ret 0) (step 1 (ret 1))) (x {_K2}))",
+     f"(bind (branch (ret 0) (step 1 (ret 1))) (x (ap {_K2} a b)))"),
+    ("prob", "a b", f"(bind (flip 1/3 (ret 0) (step 1 (ret 2))) (x {_K2}))",
+     f"(bind (flip 1/3 (ret 0) (step 1 (ret 2))) (x (ap {_K2} a b)))"),
+    ("state:nat", "a b", f"(bind (get (s (ret s))) (x {_K2}))",
+     f"(bind (get (s (ret s))) (x (ap {_K2} a b)))"),
+    ("state:nat", "a b", f"(bind (step 1 (ret 0)) (x {_K2}))",
+     f"(bind (step 1 (ret 0)) (x (ap {_K2} a b)))"),
+    ("state:nat", "a b",
+     "(get (s (lam (y : nat) (lam (z : nat) (step z (ret s))))))",
+     "(get (s (step b (ret s))))"),
+    ("state:nat", "a b", f"(set 2 {_H2})", f"(set 2 (ap {_H2} a b))"),
 ], ids=["branch", "fail", "flip", "bind-nondet", "bind-prob", "bind-state",
-        "get", "set"])
+        "get", "set", "step", "bind-charged-nondet", "bind-charged-prob",
+        "bind-charged-state", "listrec-charged", "step-2", "branch-2",
+        "fail-2", "flip-2", "bind-nondet-2", "bind-prob-2", "bind-state-2",
+        "bind-charged-state-2", "get-2", "set-2"])
 @pytest.mark.parametrize("mode", [COST, EXT], ids=["cost", "ext"])
-def test_effects_at_function_type_apply_pointwise(effect, op, pushed, mode):
+def test_effects_at_function_type_apply_pointwise(effect, args, op, pushed,
+                                                  mode):
     def program(body):
-        return parse(f"#effect {effect}\n"
-                     f"(: (-> nat (F nat)) (lam (a : nat) {body}))")
+        names = args.split()
+        for name in reversed(names):
+            body = f"(lam ({name} : {_ARG_TY[name]}) {body})"
+        tys = " ".join(_ARG_TY[name] for name in names)
+        return parse(f"#effect {effect}\n(: (-> {tys} (F nat)) {body})")
 
     _, check = relation_check(
-        Relation.EQUAL, program(f"(ap {op} a)"), program(pushed), mode,
-        DomainConfig(nat_max=3, state_max=3),
+        Relation.EQUAL, program(f"(ap {op} {args})"), program(pushed), mode,
+        DomainConfig(nat_max=3, state_max=3, list_len=2),
     )
     assert check().holds
 
