@@ -261,7 +261,6 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
     rng = random.Random(seed)
     gen = TermGen(rng, spec.program.theory)
     admitted = 0
-    tried = 0
     distinct = 0
     failure = None
     seen = set()
@@ -271,7 +270,6 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
             if cand in seen:
                 continue
             seen.add(cand)
-            tried += 1
             # candidates are born elaborated, so they go to the evaluator
             # as is
             lead = (("thunk", (), cand),)
@@ -320,7 +318,7 @@ def _verify_hypothesis(spec, mode, cfg, seed) -> CheckReport:
         verdict = "holds"
         counterexample = None
     note = (
-        f"hypothesis-filtered: {admitted} admitted of {tried} generated "
+        f"hypothesis-filtered: {admitted} admitted of {len(seen)} generated "
         "arguments; property-based evidence, not a proof"
     )
     return CheckReport(

@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 
 from .records import field, record
@@ -352,7 +351,7 @@ def extreme_cost(costs, pick):
 
 
 class _PureOps:
-    """F-level monadic operations; arrow lifting is the evaluator's job,
+    """F-level monadic operations; ``_lift`` carries them to arrow types,
     so ``bind`` continuations here always return F-level denotations.
 
     The pure theory needs no ``bind``: its denotations are the
@@ -542,6 +541,32 @@ _OPS = {
 }
 
 
+def _lift(op, ty, plain=0, cont=False):
+    """The theory operation ``op`` for denotations of type ``ty``.
+
+    At F type that is ``op`` itself.  A computation of type ``A -> X``
+    denotes a function of ``a``, and an operation acts on it pointwise,
+    ``op(e...)(a) = op(e(a)...)``: the lifting returns a function of
+    ``a`` that applies ``op`` lifted to ``X`` to its operands taken at
+    ``a``.  The first ``plain`` operands (a cost, a probability, a state
+    value, a bind's scrutinee) pass as they are.  Each other operand is a
+    denotation ``d``, taken as ``d(a)``, or, if ``cont``, the one
+    continuation ``k`` of a ``bind`` or ``get``, taken as
+    ``v -> k(v)(a)``."""
+    if not isinstance(ty, ArrowTy):
+        return op
+    inner = _lift(op, ty.cod, plain, cont)
+
+    def lifted(*operands):
+        lead, rest = operands[:plain], operands[plain:]
+        if cont:
+            (k,) = rest
+            return lambda a: inner(*lead, lambda v: k(v)(a))
+        return lambda a: inner(*lead, *(d(a) for d in rest))
+
+    return lifted
+
+
 # ---------------------------------------------------------------------------
 # The evaluator
 # ---------------------------------------------------------------------------
@@ -560,9 +585,9 @@ class Evaluator:
     Terms are compiled once per evaluator into Python closures
     ``run(env)`` (Feeley and Lapalme's closure generation).  A compile
     function per form settles everything that depends only on the node:
-    the names of the variables it captures, whether its type is an
-    arrow, the theory operation it calls, and whether a charge is zero
-    or the mode extensional.  The closure does only the run-time work.
+    the names of the variables it captures, the theory operation it
+    calls, lifted to the node's type by ``_lift``, and whether a charge
+    is zero or the mode extensional.  The closure does only the run-time work.
     It also settles whether a sub-term is an effect-free computation, a
     ``ret v`` under literal steps (in the pure theory, any computation
     at F type), which then compiles to a ``(cost, value)`` pair never
@@ -709,46 +734,6 @@ class Evaluator:
         if compile_form is None:
             raise EvalError(f"cannot evaluate value {t!r}")
         return compile_form(self, t)
-
-    # -- denotations at arrow type ------------------------------------------------
-    #
-    # A computation of arrow type denotes a Python callable; these lift a
-    # theory operation pointwise through its arguments.
-
-    def _charge(self, c, d, ty):
-        if isinstance(ty, ArrowTy):
-            return lambda a: self._charge(c, d(a), ty.cod)
-        return self.ops.charge(c, d)
-
-    def _empty(self, ty):
-        if isinstance(ty, ArrowTy):
-            return lambda a: self._empty(ty.cod)
-        return self.ops.fail()
-
-    def _combine2(self, f, d0, d1, ty):
-        if isinstance(ty, ArrowTy):
-            return lambda a: self._combine2(f, d0(a), d1(a), ty.cod)
-        return f(d0, d1)
-
-    def _bind_at(self, m, k, ty):
-        if isinstance(ty, ArrowTy):
-            return lambda a: self._bind_at(m, lambda v: k(v)(a), ty.cod)
-        return self.ops.bind(m, k)
-
-    def _get_at(self, k, ty):
-        if isinstance(ty, ArrowTy):
-            return lambda a: self._get_at(lambda s: k(s)(a), ty.cod)
-        return self.ops.get(k)
-
-    def _put_at(self, v, d, ty):
-        if isinstance(ty, ArrowTy):
-            return lambda a: self._put_at(v, d(a), ty.cod)
-        return self.ops.put(v, d)
-
-    def _at(self, ty, op, lifted):
-        """The theory operation ``op`` for a denotation of type ``ty``: as
-        is at F type, else its pointwise lifting ``lifted``."""
-        return partial(lifted, ty=ty) if isinstance(ty, ArrowTy) else op
 
     # -- entry points -----------------------------------------------------------
 
@@ -969,7 +954,7 @@ def _c_bind(ev, t):
         # an effect-free scrutinee charges its cost to the continuation's
         # denotation
         body, zero = ev._comp(t.body), ev.ops.zero
-        charge = ev._at(t.ty, ev.ops.charge, ev._charge)
+        charge = _lift(ev.ops.charge, t.ty, plain=1)
 
         def run(env):
             c0, v = pair(env)
@@ -986,7 +971,7 @@ def _c_bind(ev, t):
             bind_fused = ev.ops.bind_fused
             return lambda env: bind_fused(comp(env), *spread(env))
     body = ev._comp(t.body)
-    bind = ev._at(t.ty, ev.ops.bind, ev._bind_at)
+    bind = _lift(ev.ops.bind, t.ty, plain=1, cont=True)
 
     def run(env):
         return bind(comp(env), lambda v: body(_extend(env, x, v)))
@@ -1124,7 +1109,7 @@ def _c_step(ev, t):
     body = ev._comp(t.body)
     if ev.ext:
         return body
-    charge = ev._at(t.ty, ev.ops.charge, ev._charge)
+    charge = _lift(ev.ops.charge, t.ty, plain=1)
     match t.cost:
         case CostLit(c):
             if c == ev.ops.zero:
@@ -1215,7 +1200,7 @@ def _c_listrec(ev, t):
     c = t.list_charge
     charge = None
     if not (c is None or ev.ext or c == ev.ops.zero):
-        charge = ev._at(ty, ev.ops.charge, ev._charge)
+        charge = _lift(ev.ops.charge, ty, plain=1)
     if ihvar not in free_vars(t.cons_branch):
         # a cons branch that ignores its IH is a case: no fold, no table
         def case(env):
@@ -1262,14 +1247,12 @@ def _c_listrec(ev, t):
 
 def _c_branch(ev, t):
     left, right = ev._comp(t.left), ev._comp(t.right)
-    branch = ev._at(t.ty, ev.ops.branch, partial(ev._combine2, ev.ops.branch))
+    branch = _lift(ev.ops.branch, t.ty)
     return lambda env: branch(left(env), right(env))
 
 
 def _c_fail(ev, t):
-    if isinstance(t.ty, ArrowTy):
-        return lambda env: ev._empty(t.ty)
-    fail = ev.ops.fail
+    fail = _lift(ev.ops.fail, t.ty)
     return lambda env: fail()
 
 
@@ -1280,20 +1263,19 @@ def _c_flip(ev, t):
     if p == 1:
         return ev._comp(t.right)
     left, right = ev._comp(t.left), ev._comp(t.right)
-    flip = partial(ev.ops.flip, p)
-    flip = ev._at(t.ty, flip, partial(ev._combine2, flip))
-    return lambda env: flip(left(env), right(env))
+    flip = _lift(ev.ops.flip, t.ty, plain=1)
+    return lambda env: flip(p, left(env), right(env))
 
 
 def _c_get(ev, t):
     body, x = ev._comp(t.body), t.var
-    get = ev._at(t.ty, ev.ops.get, ev._get_at)
+    get = _lift(ev.ops.get, t.ty, cont=True)
     return lambda env: get(lambda s: body(_extend(env, x, s)))
 
 
 def _c_put(ev, t):
     value, body = ev._value(t.value), ev._comp(t.body)
-    put = ev._at(t.ty, ev.ops.put, ev._put_at)
+    put = _lift(ev.ops.put, t.ty, plain=1)
     return lambda env: put(value(env), body(env))
 
 
