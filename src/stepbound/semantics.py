@@ -587,8 +587,8 @@ class Evaluator:
     function per form settles everything that depends only on the node:
     the names of the variables it captures, the theory operation it
     calls, lifted to the node's type by ``_lift``, and whether a charge
-    is zero or the mode extensional.  The closure does only the run-time work.
-    It also settles whether a sub-term is an effect-free computation, a
+    is zero or the mode extensional.  The closure does only the run-time
+    work.  It also settles whether a sub-term is an effect-free computation, a
     ``ret v`` under literal steps (in the pure theory, any computation
     at F type), which then compiles to a ``(cost, value)`` pair never
     wrapped in the theory's denotation.  Two places take the pair as it
