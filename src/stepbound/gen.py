@@ -20,10 +20,10 @@ from .semantics import (
     Dist, EvalMode, NondetOutcome, ProbOutcome, PureOutcome, StateOutcome,
 )
 from .syntax import (
-    BOOL, NAT, UNIT, ArrowTy, Bind, BoolLit, Branch, CompTy, Cons, CostLit,
-    EffectTheory, FTy, Fail, Flip, Get, If, Inl, Inr, Lam, ListTy, NONDET,
-    Nil, PROB, PURE, Pair, ProdTy, Program, Put, Ret, Step, SumTy, Triv,
-    Var, nat_lit, state_theory,
+    BOOL, NAT, UNIT, ArrowTy, Bind, BoolLit, BoolTy, Branch, CompTy, Cons,
+    CostLit, EffectTheory, FTy, Fail, Flip, Get, If, Inl, Inr, Lam, ListTy,
+    NONDET, NatTy, Nil, PROB, PURE, Pair, ProdTy, Program, Put, Ret, Step,
+    SumTy, Triv, UnitTy, Var, nat_lit, state_theory,
 )
 
 RATIONAL_POOL = [
@@ -40,6 +40,18 @@ THEORY_OF_KIND = {"pure": PURE, "nondet": NONDET, "prob": PROB,
                   "state": STATE_NAT}
 
 RESULT_TYPES = [FTy(NAT), FTy(BOOL), FTy(UNIT), FTy(ListTy(NAT))]
+_THEORIES = tuple(THEORY_OF_KIND.values())
+
+# The immutable leaves, built once and shared by every term drawn: no
+# value term holds a computation node, so sharing them keeps each drawn
+# computation's nodes its own (``Evaluator.forget`` relies on that).
+_NUMERALS = tuple(nat_lit(n) for n in range(4))
+_BOOLS = (BoolLit(False), BoolLit(True))
+_TRIV = Triv()
+_NIL = Nil()
+_COST_LITS = tuple(CostLit(c) for c in range(4))  # the range of ``cost``
+_SCRUT_TYS = (NAT, BOOL, UNIT)  # the value types a bind's scrutinee returns
+_F_OF = {a.__class__: FTy(a) for a in _SCRUT_TYS}
 
 
 class TermGen:
@@ -61,40 +73,41 @@ class TermGen:
     def value(self, ctx: dict, ty):
         """A value term of type ``ty`` under ``ctx`` (name -> ValueTy)."""
         rng = self.rng
-        names = [n for n, t in ctx.items() if t == ty]
-        if names and rng.random() < 0.5:
-            return Var(rng.choice(names))
-        match ty:
-            case t if t == NAT:
-                return nat_lit(rng.randrange(4))
-            case t if t == BOOL:
-                return BoolLit(rng.random() < 0.5)
-            case t if t == UNIT:
-                return Triv()
-            case ListTy(elem, _):
-                n = rng.randrange(3)
-                out = Nil()
-                for _ in range(n):
-                    out = Cons(self.value(ctx, elem), out)
-                return out
-            case ProdTy(a, b):
-                return Pair(self.value(ctx, a), self.value(ctx, b))
-            case SumTy(a, b):
-                if rng.random() < 0.5:
-                    return Inl(self.value(ctx, a))
-                return Inr(self.value(ctx, b))
-            case _:
-                raise ValueError(f"cannot generate values of {ty!r}")
+        if ctx:
+            names = [n for n, t in ctx.items() if t == ty]
+            if names and rng.random() < 0.5:
+                return Var(rng.choice(names))
+        cls = ty.__class__
+        if cls is NatTy:
+            return _NUMERALS[rng.randrange(4)]
+        if cls is BoolTy:
+            return _BOOLS[rng.random() < 0.5]
+        if cls is UnitTy:
+            return _TRIV
+        if cls is ListTy:
+            n = rng.randrange(3)
+            out = _NIL
+            for _ in range(n):
+                out = Cons(self.value(ctx, ty.elem), out)
+            return out
+        if cls is ProdTy:
+            return Pair(self.value(ctx, ty.fst), self.value(ctx, ty.snd))
+        if cls is SumTy:
+            if rng.random() < 0.5:
+                return Inl(self.value(ctx, ty.left))
+            return Inr(self.value(ctx, ty.right))
+        raise ValueError(f"cannot generate values of {ty!r}")
 
     def comp(self, ctx: dict, ty: CompTy, depth: int):
         """A computation of type ``ty``; effects drawn from the theory.
         Every computation node is built with its type."""
         rng = self.rng
-        if isinstance(ty, ArrowTy):
+        cls = ty.__class__
+        if cls is ArrowTy:
             x = f"a{depth}_{rng.randrange(1000)}"
             body = self.comp({**ctx, x: ty.dom}, ty.cod, depth)
             return Lam(x, ty.dom, body, ty=ty)
-        if not isinstance(ty, FTy):
+        if cls is not FTy:
             raise ValueError(f"cannot generate computations of {ty!r}")
         if depth <= 0:
             return self._leaf(ctx, ty)
@@ -103,14 +116,15 @@ class TermGen:
         if roll < 0.25:
             return self._leaf(ctx, ty)
         if roll < 0.40:
-            return Step(CostLit(self.cost()), self.comp(ctx, ty, depth - 1),
-                        ty=ty)
+            return Step(_COST_LITS[self.cost()],
+                        self.comp(ctx, ty, depth - 1), ty=ty)
         if roll < 0.58:
-            a_ty = rng.choice((NAT, BOOL, UNIT))
+            a_ty = rng.choice(_SCRUT_TYS)
+            f_ty = _F_OF[a_ty.__class__]
             x = f"g{depth}_{rng.randrange(1000)}"
-            scrut = self.comp(ctx, FTy(a_ty), depth - 1)
+            scrut = self.comp(ctx, f_ty, depth - 1)
             if not synthesizes(scrut):
-                scrut = self._leaf(ctx, FTy(a_ty))
+                scrut = self._leaf(ctx, f_ty)
             body = self.comp({**ctx, x: a_ty}, ty, depth - 1)
             return Bind(scrut, x, body, ty=ty)
         if roll < 0.66:
@@ -148,7 +162,8 @@ class TermGen:
                 self.comp(ctx, ty, depth - 1),
                 ty=ty,
             )
-        return Step(CostLit(self.cost()), self.comp(ctx, ty, depth - 1), ty=ty)
+        return Step(_COST_LITS[self.cost()], self.comp(ctx, ty, depth - 1),
+                    ty=ty)
 
     def _leaf(self, ctx: dict, ty: FTy):
         return Ret(self.value(ctx, ty.value), ty=ty)
@@ -195,7 +210,7 @@ def synthesizes(t) -> bool:
 
 
 def random_theory(rng: random.Random) -> EffectTheory:
-    return rng.choice(tuple(THEORY_OF_KIND.values()))
+    return rng.choice(_THEORIES)
 
 
 # ---------------------------------------------------------------------------

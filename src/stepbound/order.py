@@ -26,7 +26,7 @@ over the argument domain at arrow type.  Every outcome carries the effect
 theory, cost monoid, mode and domain it was evaluated under, so
 ``leq_outcome`` and ``eq_outcome`` take two outcomes and nothing else:
 suspensions are forced under the outcomes' own theory, and outcomes whose
-theory, monoid or domain differ are refused.  A suspension's key is only
+theory, monoid, mode or domain differ are refused.  A suspension's key is only
 as fine as that domain, so a holding verdict that met one carries a note.
 ``relation_check`` relates two programs of first-order function type
 pointwise over their enumerated input domain, with the decider that a
@@ -196,6 +196,8 @@ def _check_compatible(lhs: Outcome, rhs: Outcome):
         )
     if lhs.monoid is not rhs.monoid:
         raise OrderError("cost monoid mismatch")
+    if lhs.mode is not rhs.mode:
+        raise OrderError(f"mode mismatch: {lhs.mode} vs {rhs.mode}")
     if lhs.cfg is not rhs.cfg and lhs.cfg.to_json() != rhs.cfg.to_json():
         raise OrderError(
             f"domain mismatch: {lhs.cfg.to_json()} vs {rhs.cfg.to_json()}"
@@ -395,15 +397,14 @@ def dist_leq_flow(lhs, rhs) -> bool:
 
 
 def _leq_state(lhs, rhs, exact: bool) -> Verdict:
+    """Both tables are sorted by initial state, so they are walked in
+    step."""
     if lhs.escaped != rhs.escaped:
         return _fail("runs escape the state domain differently")
-    tl = dict(lhs.table)
-    tr = dict(rhs.table)
-    if set(tl) != set(tr):
+    tl, tr = lhs.table, rhs.table
+    if len(tl) != len(tr) or any(a[0] != b[0] for a, b in zip(tl, tr)):
         return _fail("tabulated initial states differ")
-    for s0 in sorted(tl, key=val_sort_key):
-        cl, sl, vl = tl[s0]
-        cr, sr, vr = tr[s0]
+    for (s0, (cl, sl, vl)), (_, (cr, sr, vr)) in zip(tl, tr):
         fault = _cost_fault(lhs.monoid, cl, cr, exact)
         if fault:
             return _fail(f"from state {val_str(s0)}: {fault}")

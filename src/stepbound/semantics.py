@@ -786,10 +786,9 @@ class Evaluator:
             raise EvalError(
                 "state escape: every run left the configured state domain"
             )
-        return StateOutcome(
-            *head, tuple(sorted(table, key=lambda e: val_sort_key(e[0]))),
-            frozenset(escaped), cfg=cfg,
-        )
+        # the state domain is listed in ``val_sort_key`` order, so the
+        # table is sorted by initial state as built
+        return StateOutcome(*head, tuple(table), frozenset(escaped), cfg=cfg)
 
     def outcome(self, body: CompTerm, args: tuple = ()) -> Outcome:
         """Outcome of the closed, elaborated computation ``body`` applied

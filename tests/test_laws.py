@@ -9,11 +9,12 @@ import pytest
 from stepbound.costs import SEQ_NAT
 from stepbound.gen import TermGen
 from stepbound.laws import (
-    LAWS_CONFIG, catalog, check_law, instance_outcomes, instances,
-    mutant_catalog,
+    LAWS_CONFIG, MAX_RECORDED, catalog, check_law, instance_outcomes,
+    instances, mutant_catalog,
 )
+from stepbound.order import eq_outcome
 from stepbound.semantics import EvalMode, Evaluator
-from stepbound.syntax import Branch, NONDET
+from stepbound.syntax import Branch, NONDET, term_str
 
 MODES = (EvalMode.COST_COUNTING, EvalMode.EXTENSIONAL)
 
@@ -145,3 +146,36 @@ def test_one_evaluator_per_instance_matches_one_per_side(seed, mode):
             )
             assert shared == apart, law.name
             assert list(map(str, shared)) == list(map(str, apart)), law.name
+
+
+def _decide_every_instance(law, trials, seed, mode):
+    """The failures of ``check_law``'s loop with every instance sent to
+    ``eq_outcome``, equal outcomes included."""
+    failures = []
+    for theory, lhs, rhs, _ in itertools.islice(instances(law, seed), trials):
+        ev = Evaluator(theory, SEQ_NAT, mode, LAWS_CONFIG)
+        try:
+            out_l, out_r = instance_outcomes(theory, lhs, rhs, mode, ev)
+            if eq_outcome(out_l, out_r).holds:
+                continue
+            if len(failures) == MAX_RECORDED:
+                failures.append("...")
+                break
+            failures.append(
+                f"under {theory.kind}: {term_str(lhs)}  !=  "
+                f"{term_str(rhs)}  ({out_l} vs {out_r})"
+            )
+        finally:
+            ev.close()
+    return failures
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_equal_outcomes_skip_the_decider_without_changing_a_report(seed,
+                                                                    mode):
+    for law in catalog() + mutant_catalog():
+        report = check_law(law, trials=100, seed=seed, mode=mode)
+        assert report.trials == 100, law.name
+        assert report.failures == _decide_every_instance(law, 100, seed,
+                                                         mode), law.name

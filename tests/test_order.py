@@ -91,6 +91,21 @@ def test_theory_mismatch_raises():
         leq_outcome(pure(0, UNIT_VAL), nd((0, UNIT_VAL)))
 
 
+def test_mode_mismatch_raises_in_either_order():
+    # a suspension is forced under the left side's mode, so outcomes of
+    # two modes would be related by whichever side came first
+    ty = FTy(UTy(FTy(NAT)))
+    ext = evaluate(Program("a", PURE, SEQ_NAT,
+                           Ret(Step(CostLit(1), Ret(nat_lit(0)))), ty),
+                   EvalMode.EXTENSIONAL)
+    cost = evaluate(Program("b", PURE, SEQ_NAT, Ret(Ret(nat_lit(0))), ty),
+                    COST)
+    for decide in (leq_outcome, eq_outcome):
+        for lhs, rhs in ((ext, cost), (cost, ext)):
+            with pytest.raises(OrderError, match="mode mismatch"):
+                decide(lhs, rhs)
+
+
 def holds(relation, program, bound, mode, cfg):
     """Whether ``relation`` holds between the two programs, pointwise over
     the enumerated input domain."""

@@ -27,8 +27,8 @@ from stepbound.semantics import (
 )
 from stepbound.syntax import (
     BOOL, NAT, NONDET, PROB, UNIT, Ap, ArrowTy, Bind, Branch, CostLit, Flip,
-    FTy, Lam, NatRec, Program, PURE, Ret, Step, Triv, Var, Zero, map_scopes,
-    nat_lit, parse, scopes, term_str,
+    FTy, Lam, ListTy, NatRec, ProdTy, Program, PURE, Ret, Step, SumTy, Triv,
+    Var, Zero, map_scopes, nat_lit, parse, scopes, term_str,
 )
 from stepbound.typecheck import check_program, elaborate
 
@@ -91,6 +91,16 @@ def test_state_domain_restriction():
     out = evaluate(STATE_DOUBLE, COST, DomainConfig(state_max=4))
     assert sorted(s[1] for s, _ in out.table) == [0, 1, 2]
     assert out.escaped == frozenset({nat(3), nat(4)})
+
+
+@pytest.mark.parametrize("ty", [
+    NAT, BOOL, UNIT, ProdTy(BOOL, NAT), SumTy(UNIT, BOOL), ListTy(NAT),
+], ids=str)
+def test_state_domain_is_in_sort_order(ty):
+    # a state table is built in domain order and is kept sorted by
+    # initial state without a sort
+    domain = semantics.state_domain(ty, DomainConfig(state_max=3))
+    assert domain == sorted(domain, key=semantics.val_sort_key)
 
 
 def test_extensional_double():
