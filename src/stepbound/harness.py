@@ -54,8 +54,8 @@ from .order import OrderError, relation_check
 from .order import leq_outcome  # noqa: F401
 from .records import field, record, replace
 from .semantics import (
-    DomainConfig, EvalMode, Evaluator, enumerate_inputs, enumerate_value_ty,
-    eval_fn, val_str,
+    DomainConfig, EvalError, EvalMode, Evaluator, enumerate_inputs,
+    enumerate_value_ty, eval_fn, val_str,
 )
 from .syntax import (
     ArrowTy, CostLit, FTy, Lam, ListTy, PURE, ProdTy, Program, Step, SumTy,
@@ -108,12 +108,6 @@ class CheckReport:
         return out
 
 
-def _merge_domain(base: DomainConfig, override: Optional[dict]) -> DomainConfig:
-    if not override:
-        return base
-    return replace(base, **override)
-
-
 def _table_counters(*evs: Evaluator) -> dict:
     """Table counters summed over the evaluators of one check."""
     return {
@@ -133,7 +127,8 @@ def verify(
     Each relation the check decides has its own evaluator, and with it
     its own table; they end when this call returns.
     """
-    cfg = _merge_domain(spec.domain, domain_override)
+    cfg = (replace(spec.domain, **domain_override) if domain_override
+           else spec.domain)
     start = time.perf_counter()
     if spec.hypothesis is not None:
         report = _verify_hypothesis(spec, mode, cfg, seed)
@@ -205,7 +200,10 @@ def _key_points(spec, inner_ty, hyp_ev, concl_ev) -> Optional[tuple]:
         case FTy(res) if _first_order(res):
             return ()
         case ArrowTy(dom, FTy(res)) if _first_order(dom) and _first_order(res):
-            return tuple(enumerate_value_ty(dom, hyp_ev.cfg))
+            try:
+                return tuple(enumerate_value_ty(dom, hyp_ev.cfg))
+            except EvalError as e:  # as ``pointwise`` refuses its inputs
+                raise OrderError(str(e))
     return None
 
 

@@ -5,6 +5,9 @@ spec and report class of the package.
 ``dataclasses.dataclass`` would, with one small ``exec`` per class.  It
 writes the methods dataclasses writes, with the same behaviour:
 
+- The fields are the bases' and then the class's own, except that
+  ``kw_only`` ones come last, where a dataclass keeps an inherited one
+  first.
 - ``__init__`` takes the fields in order, ``kw_only`` ones after a
   ``*``, with their defaults and ``default_factory``, and then calls
   ``__post_init__`` if the class has one.  It stores each field straight
@@ -109,6 +112,9 @@ def record(cls=None, /, *, frozen=True):
             setattr(cls, name, f.default)
         f.name, f.type = name, ty
         fields[name] = f
+    # keyword-only fields last, the order ``__init__`` takes them in
+    fields = {name: f for kw in (False, True)
+              for name, f in fields.items() if f.kw_only is kw}
 
     params, kw_params, body, ns = [], [], [], {"_FACTORY": _FACTORY}
     for name, f in fields.items():

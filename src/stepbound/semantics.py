@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .records import field, record
 from .syntax import (
@@ -663,12 +663,6 @@ class Evaluator:
         self._states = None  # (state domain, its set), on first use
         self.table_entries = 0  # entries made, forgotten ones included
         self.table_hits = 0
-
-    @property
-    def live_entries(self) -> int:
-        """The entries in the tables now."""
-        return sum(len(group) for table in self._tables.values()
-                   for group in table.values())
 
     def applied_at(self, lam) -> list:
         """The arguments the λ node ``lam`` has live entries at."""
@@ -1341,77 +1335,66 @@ def eval_fn(p: Program, mode: EvalMode, cfg: DomainConfig, domain) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_value_ty(ty: ValueTy, cfg: DomainConfig, nat_bound=None):
-    """All runtime values of a first-order value type, in canonical order."""
+def _domain(ty: ValueTy, cfg: DomainConfig, nat_bound=None):
+    """``(size, build)`` for the runtime values of a first-order value
+    type: how many there are, counted from the type, and a function that
+    lists them in canonical order.  A list domain stops counting once it
+    passes ``cfg.input_cap``, so a huge length costs no huge sum; every
+    domain has a value, so a type holding it passes the cap too."""
     match ty:
         case UnitTy():
-            return [RUNIT]
+            return 1, lambda: [RUNIT]
         case BoolTy():
-            return [RFALSE, RTRUE]
+            return 2, lambda: [RFALSE, RTRUE]
         case NatTy():
             hi = cfg.nat_max if nat_bound is None else nat_bound
-            return [("nat", n) for n in range(hi + 1)]
+            return hi + 1, lambda: [("nat", n) for n in range(hi + 1)]
         case ProdTy(a, b):
-            return [
-                ("pair", x, y)
-                for x in enumerate_value_ty(a, cfg, nat_bound)
-                for y in enumerate_value_ty(b, cfg, nat_bound)
-            ]
+            (m, xs), (n, ys) = (_domain(a, cfg, nat_bound),
+                                _domain(b, cfg, nat_bound))
+            return m * n, lambda: [("pair", x, y) for x in xs() for y in ys()]
         case SumTy(a, b):
-            return [("inl", x) for x in enumerate_value_ty(a, cfg, nat_bound)] + [
-                ("inr", y) for y in enumerate_value_ty(b, cfg, nat_bound)
-            ]
+            (m, xs), (n, ys) = (_domain(a, cfg, nat_bound),
+                                _domain(b, cfg, nat_bound))
+            return m + n, lambda: ([("inl", x) for x in xs()]
+                                   + [("inr", y) for y in ys()])
         case ListTy(elem, _):
-            elems = enumerate_value_ty(elem, cfg, nat_bound=cfg.elems - 1)
-            out = []
-            for n in range(cfg.list_len + 1):
-                for combo in itertools.product(elems, repeat=n):
-                    out.append(("list", combo))
-            return out
-        case _:
-            raise EvalError(f"cannot enumerate values of type {ty!r}")
-
-
-def _domain_size(ty: ValueTy, cfg: DomainConfig, nat_bound=None) -> int:
-    """How many values ``enumerate_value_ty`` lists for ``ty``, counted
-    from the type without building them.  A list domain stops counting
-    once it passes ``cfg.input_cap``, so a huge length costs no huge sum;
-    every domain has a value, so a type holding it passes the cap too."""
-    match ty:
-        case UnitTy():
-            return 1
-        case BoolTy():
-            return 2
-        case NatTy():
-            return (cfg.nat_max if nat_bound is None else nat_bound) + 1
-        case ProdTy(a, b):
-            return (_domain_size(a, cfg, nat_bound)
-                    * _domain_size(b, cfg, nat_bound))
-        case SumTy(a, b):
-            return (_domain_size(a, cfg, nat_bound)
-                    + _domain_size(b, cfg, nat_bound))
-        case ListTy(elem, _):
-            elems = _domain_size(elem, cfg, nat_bound=cfg.elems - 1)
-            total, power = 0, 1  # lists of each length k: elems ** k
+            k, elems = _domain(elem, cfg, nat_bound=cfg.elems - 1)
+            total, power = 0, 1  # lists of each length n: k ** n
             for _ in range(cfg.list_len + 1):
                 total += power
                 if total > cfg.input_cap:
                     break
-                power *= elems
-            return total
+                power *= k
+            # the elements are built only for a list that holds one
+            return total, lambda: [("list", ())] + [
+                ("list", combo) for n in range(1, cfg.list_len + 1)
+                for combo in itertools.product(elems(), repeat=n)
+            ]
     raise EvalError(f"cannot enumerate values of type {ty!r}")
 
 
-def state_domain(ty: ValueTy, cfg: DomainConfig):
-    nat = isinstance(ty, NatTy)
-    # counted before it is built, as an input domain is
-    if (cfg.state_max + 1 if nat else _domain_size(ty, cfg)) > cfg.input_cap:
+def _built(what: str, size: int, build, cfg: DomainConfig) -> list:
+    """``build()``, unless ``size`` passes ``cfg.input_cap``: then the
+    domain is refused before any of it is built."""
+    if size > cfg.input_cap:
         raise EvalError(
-            f"state domain larger than the configured cap ({cfg.input_cap})"
+            f"{what} domain larger than the configured cap ({cfg.input_cap})"
         )
-    if nat:
-        return [("nat", n) for n in range(cfg.state_max + 1)]
-    return enumerate_value_ty(ty, cfg)
+    return build()
+
+
+def enumerate_value_ty(ty: ValueTy, cfg: DomainConfig):
+    """All runtime values of a first-order value type, in canonical
+    order: a function's inputs at one argument."""
+    return _built("input", *_domain(ty, cfg), cfg)
+
+
+def state_domain(ty: ValueTy, cfg: DomainConfig):
+    """The states a state outcome is tabulated over; nat states range
+    over ``0..cfg.state_max``."""
+    nat_bound = cfg.state_max if isinstance(ty, NatTy) else None
+    return _built("state", *_domain(ty, cfg, nat_bound), cfg)
 
 
 def enumerate_inputs(ty: CompTy, cfg: DomainConfig, lead: tuple = ()):
@@ -1421,17 +1404,9 @@ def enumerate_inputs(ty: CompTy, cfg: DomainConfig, lead: tuple = ()):
     arguments are enumerated (a hypothesis spec's suspended argument is
     fixed this way)."""
     arg_tys, _ = unfold_arrows(ty)
-    rest = arg_tys[len(lead):]
-    count = 1
-    for a in rest:
-        # counted before any domain is built, so an oversized one costs
-        # no memory
-        count *= _domain_size(a, cfg)
-        if count > cfg.input_cap:
-            raise EvalError(
-                f"input domain larger than the configured cap "
-                f"({cfg.input_cap})"
-            )
-    domains = [[v] for v in lead]
-    domains += [enumerate_value_ty(a, cfg) for a in rest]
-    return arg_tys, list(itertools.product(*domains))
+    domains = [_domain(a, cfg) for a in arg_tys[len(lead):]]
+    return arg_tys, _built(
+        "input", prod(n for n, _ in domains),
+        lambda: list(itertools.product(*([v] for v in lead),
+                                       *(build() for _, build in domains))),
+        cfg)

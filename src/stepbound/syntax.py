@@ -186,12 +186,12 @@ def state_theory(ty: ValueTy) -> EffectTheory:
 # Terms
 # ---------------------------------------------------------------------------
 
-_meta = dict(default=None, compare=False, repr=False)
+_meta = dict(default=None, compare=False, repr=False, kw_only=True)
 
 
 @_node
 class Term:
-    pass
+    loc: object = field(**_meta)  # (line, col) in the source, or None
 
 
 @_node
@@ -201,7 +201,7 @@ class ValueTerm(Term):
 
 @_node
 class CompTerm(Term):
-    pass
+    ty: object = field(**_meta)  # its type, filled by elaboration
 
 
 # -- values ------------------------------------------------------------------
@@ -210,72 +210,63 @@ class CompTerm(Term):
 @_node
 class Var(ValueTerm):
     name: str
-    loc: object = field(**_meta)
 
 
 @_node
 class Triv(ValueTerm):
-    loc: object = field(**_meta)
+    pass
 
 
 @_node
 class BoolLit(ValueTerm):
     value: bool
-    loc: object = field(**_meta)
 
 
 @_node
 class Zero(ValueTerm):
-    loc: object = field(**_meta)
+    pass
 
 
 @_node
 class Suc(ValueTerm):
     arg: ValueTerm
-    loc: object = field(**_meta)
 
 
 @_node
 class Nil(ValueTerm):
-    loc: object = field(**_meta)
+    pass
 
 
 @_node
 class Cons(ValueTerm):
     head: ValueTerm
     tail: ValueTerm
-    loc: object = field(**_meta)
 
 
 @_node
 class Pair(ValueTerm):
     fst: ValueTerm
     snd: ValueTerm
-    loc: object = field(**_meta)
 
 
 @_node
 class Fst(ValueTerm):
     pair: ValueTerm
-    loc: object = field(**_meta)
 
 
 @_node
 class Snd(ValueTerm):
     pair: ValueTerm
-    loc: object = field(**_meta)
 
 
 @_node
 class Inl(ValueTerm):
     arg: ValueTerm
-    loc: object = field(**_meta)
 
 
 @_node
 class Inr(ValueTerm):
     arg: ValueTerm
-    loc: object = field(**_meta)
 
 
 # -- cost annotations ---------------------------------------------------------
@@ -302,8 +293,6 @@ CostExpr = Union[CostLit, NatCost]
 @_node
 class Ret(CompTerm):
     value: ValueTerm
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
 
 @_node
@@ -311,8 +300,6 @@ class Bind(CompTerm):
     comp: CompTerm
     var: str
     body: CompTerm
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
 
 @_node
@@ -320,24 +307,18 @@ class Lam(CompTerm):
     var: str
     var_ty: ValueTy
     body: CompTerm
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
 
 @_node
 class Ap(CompTerm):
     fn: CompTerm
     arg: ValueTerm
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
 
 @_node
 class Step(CompTerm):
     cost: CostExpr
     body: CompTerm
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
 
 @_node
@@ -348,8 +329,6 @@ class NatRec(CompTerm):
     var_ih: str
     suc_branch: CompTerm
     motive: Optional[CompTy] = None  # fixes the ih binder's type U(motive)
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
 
 @_node
@@ -361,8 +340,6 @@ class ListRec(CompTerm):
     var_ih: str
     cons_branch: CompTerm
     motive: Optional[CompTy] = None
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
     list_charge: object = field(**_meta)  # per-cons charge, filled by checking
 
 
@@ -373,8 +350,6 @@ class SumCase(CompTerm):
     left_branch: CompTerm
     var_right: str
     right_branch: CompTerm
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
 
 @_node
@@ -382,22 +357,17 @@ class If(CompTerm):
     cond: ValueTerm
     then_branch: CompTerm
     else_branch: CompTerm
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
 
 @_node
 class Branch(CompTerm):
     left: CompTerm
     right: CompTerm
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
 
 @_node
 class Fail(CompTerm):
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
+    pass
 
 
 @_node
@@ -405,8 +375,6 @@ class Flip(CompTerm):
     prob: Fraction
     left: CompTerm
     right: CompTerm
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
     def __post_init__(self):
         n, d = self.prob.as_integer_ratio()
@@ -418,24 +386,18 @@ class Flip(CompTerm):
 class Get(CompTerm):
     var: str
     body: CompTerm
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
 
 @_node
 class Put(CompTerm):
     value: ValueTerm
     body: CompTerm
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
 
 @_node
 class Par(CompTerm):
     left: CompTerm
     right: CompTerm
-    loc: object = field(**_meta)
-    ty: object = field(**_meta)
 
 
 # ---------------------------------------------------------------------------

@@ -486,9 +486,11 @@ def test_cli_usage_errors_are_one_line(args, message):
 @pytest.mark.parametrize("spec, override", [
     ("isort-upper", {"list_len": 40}),
     ("double-closed-form", {"nat_max": 10**12}),
+    ("map-const-hypothesis", {"nat_max": 200_000}),
 ])
 def test_an_oversized_domain_is_refused_before_it_is_built(spec, override):
-    # 5**40 lists or 10**12 nats: counted from the type, never enumerated
+    # 5**40 lists or 10**12 nats, or a hypothesis candidate's 200,001
+    # argument points: counted from the type, never enumerated
     import tracemalloc
 
     tracemalloc.start()
@@ -500,6 +502,20 @@ def test_an_oversized_domain_is_refused_before_it_is_built(spec, override):
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+def test_a_list_domain_of_length_zero_builds_no_elements():
+    # the one list of length 0 holds none of the 10**6 elements
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rep = verify(by_name("isort-upper"),
+                     domain_override={"list_len": 0, "elems": 10**6})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "holds" and peak < 5 * 2**20
 
 
 def test_zero_trials_is_refused_before_any_spec_runs(monkeypatch, capsys):

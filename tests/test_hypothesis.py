@@ -269,7 +269,8 @@ def _verify_capturing(spec, mode, candidates, monkeypatch):
         return drawn[-1]
 
     def close(self):
-        closing.setdefault(self, (self.live_entries, live_keys(self)))
+        keys = live_keys(self)
+        closing.setdefault(self, (len(keys), keys))
         real_close(self)
 
     def forget(self, cand):

@@ -16,6 +16,7 @@ import weakref
 
 import pytest
 
+from conftest import live_keys
 from stepbound.corpus import corpus
 from stepbound.costs import SEQ_NAT
 from stepbound.harness import mutated_corpus, verify
@@ -164,5 +165,5 @@ def test_closing_keeps_the_counters_and_is_idempotent():
     for _ in range(2):
         ev.close()
         assert (ev.table_entries, ev.table_hits) == counters
-        assert ev.live_entries == 0
+        assert not live_keys(ev)
         assert not (ev._compiled or ev._bodies)

@@ -20,8 +20,8 @@ from stepbound.order import (
 )
 from stepbound.costs import WORK_SPAN
 from stepbound.semantics import (
-    Dist, DomainConfig, EvalMode, NondetOutcome, ProbOutcome, PureOutcome,
-    StateOutcome, evaluate,
+    Dist, DomainConfig, EvalError, EvalMode, NondetOutcome, ProbOutcome,
+    PureOutcome, StateOutcome, evaluate,
 )
 from stepbound.syntax import (
     ArrowTy, Bind, CostLit, Flip, FTy, Lam, NAT, NONDET, NatRec, PROB, PURE,
@@ -626,6 +626,25 @@ def _identity_and_clamp(cfg):
                  COST, cfg)
         for body in (Ret(Var("x")), clamp)
     ]
+
+
+def test_a_suspension_over_an_oversized_domain_is_refused_unapplied():
+    # nat_max 20000 gives 20,001 points, one past the cap: the normal
+    # form of each ``den`` is refused before it is applied at any
+    calls = []
+
+    def den(x):
+        calls.append(x)
+        return (0, x)
+
+    cfg = DomainConfig(nat_max=20000)
+    ty = ArrowTy(NAT, FTy(NAT))
+    a, b = (PureOutcome(PURE, SEQ_NAT, COST, 0, ("den", ty, d), cfg=cfg)
+            for d in (den, lambda x: den(x)))
+    with pytest.raises(EvalError,
+                       match=r"larger than the configured cap \(20000\)"):
+        eq_outcome(a, b)
+    assert calls == []
 
 
 def test_suspensions_compared_over_the_outcomes_own_domain():

@@ -23,10 +23,10 @@ from stepbound.semantics import (
     DEFAULT_CONFIG, DomainConfig, EvalMode, PureOutcome,
 )
 from stepbound.syntax import (
-    BOOL, NAT, PURE, Bind, CostLit, FTy, Flip, Lam, ListTy, NatCost, NatRec,
-    Pair, Ret, Step, Suc, SumTy, SyntaxError_, Term, Triv, Var, Zero,
-    alpha_eq, alpha_normalize, free_vars, nat_lit, parse, print_program,
-    scopes, subst, subterms, term_str,
+    BOOL, NAT, PURE, Bind, CompTerm, CostLit, FTy, Flip, Lam, ListRec, ListTy,
+    NatCost, NatRec, Pair, Ret, Step, Suc, SumTy, SyntaxError_, Term, Triv,
+    Var, Zero, alpha_eq, alpha_normalize, free_vars, nat_lit, parse,
+    print_program, scopes, subst, subterms, term_str,
 )
 from stepbound.typecheck import TypeCheckError, check_program
 
@@ -548,6 +548,24 @@ def test_every_node_class_is_a_record():
     assert len(_RECORDS) == 60
     assert {c.__name__ for c in _MUTABLE} == {
         "Witness", "Verdict", "LawReport", "CheckReport"}
+    # keyword-only fields come last, the order ``__init__`` takes them in
+    for cls in _RECORDS:
+        kw_only = [f.kw_only for f in cls.__record_fields__.values()]
+        assert kw_only == sorted(kw_only), cls
+    # every term has a ``loc`` and every computation a ``ty``, declared
+    # once as keyword-only metadata that is neither compared nor hashed
+    terms = [c for c in _NODES if issubclass(c, Term)]
+    assert len(terms) == 30
+    for cls in terms:
+        meta = [f for f in cls.__record_fields__.values() if not f.compare]
+        assert [f.name for f in meta] == (
+            ["loc"] + ["ty"] * issubclass(cls, CompTerm)
+            + ["list_charge"] * (cls is ListRec)), cls
+        assert all(f.kw_only for f in meta)
+    pairs = [(Var("x", loc=(1, 2)), Var("x")),
+             (Ret(Zero(), loc=(3, 4), ty=FTy(NAT)), Ret(Zero()))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
 
 
 @pytest.mark.parametrize("cls", _RECORDS, ids=lambda c: c.__name__)
