@@ -1352,7 +1352,8 @@ def _domain(ty: ValueTy, cfg: DomainConfig, nat_bound=None):
         case ProdTy(a, b):
             (m, xs), (n, ys) = (_domain(a, cfg, nat_bound),
                                 _domain(b, cfg, nat_bound))
-            return m * n, lambda: [("pair", x, y) for x in xs() for y in ys()]
+            return m * n, lambda: [("pair", x, y)
+                                   for x, y in itertools.product(xs(), ys())]
         case SumTy(a, b):
             (m, xs), (n, ys) = (_domain(a, cfg, nat_bound),
                                 _domain(b, cfg, nat_bound))
